@@ -18,6 +18,7 @@ from .evaluate import (
     Verdict,
     VerdictReason,
     aggregate,
+    embed_questions,
     ragqa_validity,
     render_report,
     sts_alignment,
@@ -36,9 +37,9 @@ from .vectorindex import (
     ScoredHit,
     VectorIndex,
     build_index,
-    cosine_similarity,
     load_index,
     save_index,
+    similarities,
     top_k,
 )
 
@@ -81,7 +82,7 @@ __all__ = [
     "chunk_recursive",
     "chunk_rpt_standards",
     "chunk_structure_aware",
-    "cosine_similarity",
+    "embed_questions",
     "embed_texts",
     "flatten_text",
     "generate_batch",
@@ -92,6 +93,7 @@ __all__ = [
     "ragqa_validity",
     "render_report",
     "save_index",
+    "similarities",
     "sts_alignment",
     "top_k",
 ]

@@ -1,9 +1,9 @@
 """Chat completion providers.
 
 The provider contract has two capabilities: plain completion and
-schema-constrained completion (``supports_schema``). The deterministic mock
-implements both so the whole pipeline runs offline; the HTTP adapter maps
-the contract onto a JSON chat endpoint.
+schema-constrained completion. The deterministic mock implements both so
+the whole pipeline runs offline; the HTTP adapter maps the contract onto a
+JSON chat endpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import ConfigError, ProviderError
 
 class ChatProvider(Protocol):
     tag: str
-    supports_schema: bool
 
     def complete(self, system: str, user: str, *, temperature: float = 0.7,
                  seed: int | None = None) -> str: ...
@@ -69,8 +68,6 @@ class MockChatProvider:
     first retrieved chunk, so retrieval quality propagates into the
     generated question text.
     """
-
-    supports_schema = True
 
     def __init__(self, malformed_rate: float = 0.0, refuse_questions: bool = False):
         if not 0.0 <= malformed_rate <= 1.0:
@@ -152,8 +149,6 @@ class HttpChatProvider:
     response carries the completion at ``choices[0].message.content`` (or a
     top-level ``content``), JSON-encoded for structured requests.
     """
-
-    supports_schema = True
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
                  transport: Callable[..., dict] | None = None, timeout: float = 120.0):

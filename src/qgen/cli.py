@@ -25,7 +25,7 @@ from .embedding import (
     embed_texts,
 )
 from .errors import CorruptIndexFile, EmptyBatch, InputError, PipelineStateError, ProviderError, QgenError
-from .evaluate import MethodReport, aggregate, ragqa_validity, render_report, sts_alignment
+from .evaluate import MethodReport, aggregate, embed_questions, ragqa_validity, render_report, sts_alignment
 from .generate import GenOutcome, Method, generate_batch
 from .jsonio import read_jsonl, write_json, write_jsonl
 from .vectorindex import build_index, load_index, save_index
@@ -213,32 +213,29 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not standards_index_path.is_file():
         raise PipelineStateError(f"missing index {standards_index_path}; run the index stage first")
     rpt_index = load_index(standards_index_path)
-    try:
-        standard_pairs = [
-            (standard, rpt_index.vector_for(chunk_id)) for standard, chunk_id in _read_standards(work)
-        ]
-    except KeyError as exc:
+    standards = _read_standards(work)
+    if [chunk_id for _, chunk_id in standards] != [c.chunk_id for c in rpt_index.chunks]:
         raise PipelineStateError(
-            f"learning_standards.jsonl references chunk {exc} missing from {standards_index_path}; "
+            f"{work.standards_file} and {standards_index_path} disagree on standard chunk ids; "
             "rerun the ingest and index stages together"
-        ) from exc
+        )
+    codes = [standard.code for standard, _ in standards]
     outcomes = _load_outcomes(work)
+    parsed = [o for o in outcomes if o.mcq is not None]
 
     ev = cfg.evaluation
+    retry = _retry_policy(cfg)
+    vectors = embed_questions(embedder, [o.mcq for o in parsed], unit=ev.sts_unit, retry=retry,
+                              max_in_flight=cfg.provider.max_in_flight)
     alignments = []
     verdicts = []
     records = []
-    for outcome in outcomes:
-        mcq = outcome.mcq
-        if mcq is None:
-            continue
-        alignment = sts_alignment(
-            mcq, standard_pairs, embedder, question_ref=outcome.outcome_id, unit=ev.sts_unit
-        )
+    for outcome, (sts_vector, stem_vector) in zip(parsed, vectors):
+        alignment = sts_alignment(sts_vector, rpt_index, codes, question_ref=outcome.outcome_id)
         verdict = ragqa_validity(
-            mcq, rpt_index, embedder, chat,
+            outcome.mcq, rpt_index, stem_vector, chat,
             tau=ev.tau, k=ev.k, refusal_markers=ev.refusal_markers,
-            question_ref=outcome.outcome_id,
+            question_ref=outcome.outcome_id, retry=retry,
         )
         alignments.append(alignment)
         verdicts.append(verdict)
@@ -273,9 +270,7 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_run_all(cfg: RunConfig) -> int:
     """Sequential composition of ingest, index, generate and evaluate."""
     for step in (cmd_ingest, cmd_index, cmd_generate, cmd_evaluate):
-        code = step(cfg)
-        if code != EXIT_OK:
-            return code
+        step(cfg)
     return EXIT_OK
 
 

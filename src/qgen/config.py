@@ -8,7 +8,7 @@ describing exactly what it did.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .chunking import DEFAULT_UNIT_KEYWORDS
@@ -92,50 +92,12 @@ class RunConfig:
     report_format: str = "markdown"
 
     def to_dict(self) -> dict:
-        return {
-            "paths": {
-                "knowledge_blocks": self.paths.knowledge_blocks,
-                "standards_blocks": self.paths.standards_blocks,
-                "workdir": self.paths.workdir,
-            },
-            "chunking": {
-                "recursive_max_chars": self.chunking.recursive_max_chars,
-                "recursive_overlap": self.chunking.recursive_overlap,
-                "structure_heading_font_delta": self.chunking.structure_heading_font_delta,
-                "structure_max_chars": self.chunking.structure_max_chars,
-                "unit_keywords": list(self.chunking.unit_keywords),
-            },
-            "provider": {
-                "mock": self.provider.mock,
-                "chat_endpoint": self.provider.chat_endpoint,
-                "chat_model": self.provider.chat_model,
-                "embed_endpoint": self.provider.embed_endpoint,
-                "embed_model": self.provider.embed_model,
-                "api_key_env": self.provider.api_key_env,
-                "max_retries": self.provider.max_retries,
-                "backoff_base": self.provider.backoff_base,
-                "max_in_flight": self.provider.max_in_flight,
-                "mock_dim": self.provider.mock_dim,
-                "mock_malformed_rate": self.provider.mock_malformed_rate,
-            },
-            "generation": {
-                "methods": [m.value for m in self.generation.methods],
-                "n_per_method": self.generation.n_per_method,
-                "temperature": self.generation.temperature,
-                "topic": self.generation.topic,
-                "retrieval_k": self.generation.retrieval_k,
-            },
-            "evaluation": {
-                "tau": self.evaluation.tau,
-                "k": self.evaluation.k,
-                "sts_unit": self.evaluation.sts_unit,
-                "refusal_markers": list(self.evaluation.refusal_markers),
-            },
-            "report_format": self.report_format,
-        }
+        data = asdict(self)
+        data["generation"]["methods"] = [m.value for m in self.generation.methods]
+        return data
 
 
-def _merge_section(section_cls, defaults, data: dict, path: str, **coercions):
+def _merge_section(defaults, data: dict, path: str, **coercions):
     kwargs = {}
     for key, value in data.items():
         if not hasattr(defaults, key):
@@ -157,22 +119,22 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
     sections: dict = {}
     if "paths" in data:
-        sections["paths"] = _merge_section(PathsConfig, cfg.paths, data["paths"], "paths")
+        sections["paths"] = _merge_section(cfg.paths, data["paths"], "paths")
     if "chunking" in data:
         sections["chunking"] = _merge_section(
-            ChunkingConfig, cfg.chunking, data["chunking"], "chunking",
+            cfg.chunking, data["chunking"], "chunking",
             unit_keywords=tuple,
         )
     if "provider" in data:
-        sections["provider"] = _merge_section(ProviderConfig, cfg.provider, data["provider"], "provider")
+        sections["provider"] = _merge_section(cfg.provider, data["provider"], "provider")
     if "generation" in data:
         sections["generation"] = _merge_section(
-            GenerationConfig, cfg.generation, data["generation"], "generation",
+            cfg.generation, data["generation"], "generation",
             methods=lambda names: tuple(parse_method(n) for n in names),
         )
     if "evaluation" in data:
         sections["evaluation"] = _merge_section(
-            EvaluationConfig, cfg.evaluation, data["evaluation"], "evaluation",
+            cfg.evaluation, data["evaluation"], "evaluation",
             refusal_markers=tuple,
         )
     if "report_format" in data:

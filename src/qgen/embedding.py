@@ -38,15 +38,19 @@ class RetryPolicy:
 
 
 def call_with_retries(fn, retry: RetryPolicy = RetryPolicy(),
-                      sleep: Callable[[float], None] = time.sleep):
-    """Invoke ``fn`` retrying retryable provider errors, then surface them."""
+                      sleep: Callable[[float], None] | None = None):
+    """Invoke ``fn`` retrying retryable provider errors, then surface them.
+
+    ``sleep`` waits out each backoff; it defaults to :func:`time.sleep`,
+    looked up at call time.
+    """
     attempt = 0
     while True:
         try:
             return fn()
         except ProviderError as exc:
             if exc.retryable and attempt < retry.max_retries:
-                sleep(retry.delay(attempt))
+                (sleep or time.sleep)(retry.delay(attempt))
                 attempt += 1
                 continue
             raise
@@ -150,7 +154,7 @@ def embed_texts(
     provider: EmbeddingProvider,
     texts: Sequence[str],
     retry: RetryPolicy = RetryPolicy(),
-    sleep: Callable[[float], None] = time.sleep,
+    sleep: Callable[[float], None] | None = None,
     max_in_flight: int = 1,
 ) -> list[np.ndarray]:
     """Embed ``texts`` in order, retrying retryable provider failures.

@@ -12,17 +12,18 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .chat import ChatProvider
-from .chunking import LearningStandard, Strategy
-from .embedding import EmbeddingProvider, call_with_retries, embed_texts
-from .errors import DanglingReference, EmptyBatch, WrongIndexRole
+from .chunking import Strategy
+from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
+from .errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRole
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
 from .prompts import build_prompt_qa
-from .vectorindex import VectorIndex, cosine_similarity, top_k
+from .vectorindex import VectorIndex, similarities, top_k
 
 
 class Verdict(Enum):
@@ -46,6 +47,12 @@ DEFAULT_REFUSAL_MARKERS = (
 )
 
 
+# Mathematically equal cosines can differ in their last bits when their
+# terms sit at different positions of the rows being summed; alignment
+# treats scores this close to the maximum as tied.
+TIE_TOLERANCE = 1e-12
+
+
 class EmptyStandards(EmptyBatch):
     pass
 
@@ -55,7 +62,6 @@ class AlignmentScore:
     question_ref: str
     score: float
     best_standard: str
-    per_standard: dict[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -119,58 +125,74 @@ def _evaluation_text(mcq: Mcq, unit: str) -> str:
     raise ValueError(f"sts unit must be 'stem' or 'full', got {unit!r}")
 
 
-def sts_alignment(
-    mcq: Mcq,
-    rpt_standards: list[tuple[LearningStandard, np.ndarray]],
+def embed_questions(
     embedder: EmbeddingProvider,
+    mcqs: Sequence[Mcq],
+    *,
+    unit: str = "stem",
+    retry: RetryPolicy = RetryPolicy(),
+    max_in_flight: int = 1,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Embed every distinct text that evaluation scores, each exactly once.
+
+    Returns one ``(alignment vector, stem vector)`` pair per question: the
+    first embeds the ``unit`` text that :func:`sts_alignment` scores, the
+    second the stem that :func:`ragqa_validity` retrieves with. With unit
+    ``"stem"`` both are the same vector.
+    """
+    texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
+    distinct = list(dict.fromkeys(t for pair in texts for t in pair))
+    vectors = dict(zip(distinct, embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)))
+    return [(vectors[text], vectors[stem]) for text, stem in texts]
+
+
+def sts_alignment(
+    query: np.ndarray,
+    rpt_index: VectorIndex,
+    codes: Sequence[str],
     *,
     question_ref: str = "",
-    unit: str = "stem",
 ) -> AlignmentScore:
-    """Max cosine similarity between the question and every standard.
+    """Max cosine similarity between the question vector and every standard.
 
-    Ties on the maximum are broken by the lowest standard code so results
-    stay deterministic.
+    ``codes[i]`` is the learning-standard code of ``rpt_index`` row ``i``.
+    Ties on the maximum (scores within ``TIE_TOLERANCE`` of it) are broken
+    by the lowest standard code so results stay deterministic.
     """
-    if not rpt_standards:
+    if not codes:
         raise EmptyStandards("alignment scoring needs at least one learning standard")
-    query = embed_texts(embedder, [_evaluation_text(mcq, unit)])[0]
-    per_standard = {
-        standard.code: cosine_similarity(query, vec) for standard, vec in rpt_standards
-    }
-    best_code, best_score = min(per_standard.items(), key=lambda kv: (-kv[1], kv[0]))
-    return AlignmentScore(
-        question_ref=question_ref,
-        score=best_score,
-        best_standard=best_code,
-        per_standard=per_standard,
-    )
+    if len(codes) != len(rpt_index):
+        raise LengthMismatch(f"{len(codes)} standard codes for {len(rpt_index)} index rows")
+    scores = similarities(rpt_index, query)
+    best = scores.max()
+    best_code = min(codes[i] for i in np.flatnonzero(scores >= best - TIE_TOLERANCE))
+    return AlignmentScore(question_ref=question_ref, score=float(best), best_standard=best_code)
 
 
 def ragqa_validity(
     mcq: Mcq,
     rpt_index: VectorIndex,
-    embedder: EmbeddingProvider,
+    stem_vector: np.ndarray,
     chat: ChatProvider,
     *,
     tau: float = 0.5,
     k: int = 3,
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS,
     question_ref: str = "",
+    retry: RetryPolicy = RetryPolicy(),
 ) -> ValidityVerdict:
     """Functional validity check over the standards-only index.
 
-    The stem is used as a retrieval query; below-threshold retrieval is
-    Invalid without ever calling the chat provider, otherwise the provider
-    answers from the retrieved standards and a refusal marks the question
-    Invalid.
+    ``stem_vector`` embeds the stem and is the retrieval query;
+    below-threshold retrieval is Invalid without ever calling the chat
+    provider, otherwise the provider answers from the retrieved standards
+    and a refusal marks the question Invalid.
     """
     if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
         raise WrongIndexRole(
             "validity checking requires an index built exclusively from standard-split chunks"
         )
-    query = embed_texts(embedder, [mcq.stem])[0]
-    hits = top_k(rpt_index, query, k)
+    hits = top_k(rpt_index, stem_vector, k)
     top_score = hits[0].score
     if top_score < tau:
         return ValidityVerdict(
@@ -182,7 +204,7 @@ def ragqa_validity(
     context = [rpt_index.chunk_by_id(h.chunk_id) for h in hits]
     bundle = build_prompt_qa(mcq.stem, context)
     answer = call_with_retries(
-        lambda: chat.complete(bundle.system_text, bundle.user_text, temperature=0.0)
+        lambda: chat.complete(bundle.system_text, bundle.user_text, temperature=0.0), retry
     )
     lowered = answer.lower()
     if any(marker.lower() in lowered for marker in refusal_markers):

@@ -22,24 +22,9 @@ from .errors import (
     DuplicateChunkId,
     EmptyIndex,
     LengthMismatch,
-    ZeroVector,
 )
 
 INDEX_FORMAT_VERSION = 1
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vectors have shapes {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity is undefined for a zero vector")
-    value = float(np.dot(a, b) / (na * nb))
-    return max(-1.0, min(1.0, value))
 
 
 @dataclass(frozen=True)
@@ -57,6 +42,10 @@ class VectorIndex:
         self.matrix = matrix
         self.provider_tag = provider_tag
         self._by_id = {c.chunk_id: i for i, c in enumerate(self.chunks)}
+        # Each row's position in chunk_id order: top_k's tie-break key.
+        by_id_order = sorted(range(len(self.chunks)), key=lambda i: self.chunks[i].chunk_id)
+        self._id_rank = np.empty(len(self.chunks), dtype=np.int64)
+        self._id_rank[by_id_order] = np.arange(len(self.chunks))
         self.matrix.flags.writeable = False
 
     @property
@@ -68,9 +57,6 @@ class VectorIndex:
 
     def chunk_by_id(self, chunk_id: str) -> Chunk:
         return self.chunks[self._by_id[chunk_id]]
-
-    def vector_for(self, chunk_id: str) -> np.ndarray:
-        return self.matrix[self._by_id[chunk_id]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorIndex):
@@ -102,6 +88,18 @@ def build_index(chunks: list[Chunk], vectors: list[np.ndarray], provider_tag: st
     return VectorIndex(chunks=chunks, matrix=np.vstack(rows), provider_tag=provider_tag)
 
 
+def similarities(index: VectorIndex, query: np.ndarray) -> np.ndarray:
+    """Cosine of ``query`` against every row of ``index``, clamped to [-1, 1].
+
+    Row ``i`` of the result scores ``index.chunks[i]``. The query need not
+    be unit length; a zero or non-finite query raises :class:`ZeroVector`.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 1 or q.shape[0] != index.dimension:
+        raise DimensionMismatch(f"query has shape {q.shape}, index dimension is {index.dimension}")
+    return np.clip(index.matrix @ normalize(q), -1.0, 1.0)
+
+
 def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
     """Exhaustive cosine top-k over all entries.
 
@@ -111,15 +109,11 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dimension:
-        raise DimensionMismatch(f"query has shape {q.shape}, index dimension is {index.dimension}")
-    q = normalize(q)
-    scores = np.clip(index.matrix @ q, -1.0, 1.0)
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id))
+    scores = similarities(index, query)
+    order = np.lexsort((index._id_rank, -scores))[:k]
     return [
         ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(scores[i]), rank=r + 1)
-        for r, i in enumerate(order[: min(k, len(index))])
+        for r, i in enumerate(order)
     ]
 
 

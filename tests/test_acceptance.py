@@ -26,7 +26,7 @@ from qgen.chunking import (
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
 from qgen.errors import CorruptIndexFile
-from qgen.evaluate import Verdict, VerdictReason, aggregate, ragqa_validity, sts_alignment
+from qgen.evaluate import Verdict, VerdictReason, aggregate, embed_questions, ragqa_validity, sts_alignment
 from qgen.generate import Method, generate_batch
 from qgen.mcq import Mcq, McqOption, ParseFailure, parse_mcq_json
 from qgen.vectorindex import build_index, load_index, save_index, top_k
@@ -79,6 +79,13 @@ def test_criterion_1_retrieval_oracle():
         assert elapsed < 10.0, f"retrieval oracle took {elapsed:.1f}s"
 
 
+def _standards_index(pairs):
+    """Standards index whose rows embed the given (standard, vector) pairs in order."""
+    chunks = [Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt", text=s.description,
+                    strategy=Strategy.STANDARD_SPLIT) for i, (s, _) in enumerate(pairs)]
+    return build_index(chunks, [v for _, v in pairs], provider_tag="oracle")
+
+
 def test_criterion_2_sts_oracle():
     with criterion(2, "sts oracle"):
         rng = random.Random(7_000)
@@ -104,8 +111,8 @@ def test_criterion_2_sts_oracle():
             pairs = list(zip(pairs_std, vectors))
             options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
             mcq = Mcq(stem=stem, options=options, answer_key="A")
-            result = sts_alignment(mcq, pairs, embedder)
             query = embed_texts(embedder, [stem])[0]
+            result = sts_alignment(query, _standards_index(pairs), [s.code for s in pairs_std])
             scored = sorted(
                 ((max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(query, vec)))), s.code)
                  for s, vec in pairs),
@@ -121,8 +128,8 @@ def test_criterion_2_sts_oracle():
         twins = [LearningStandard("3.9.9", "ayat serupa"), LearningStandard("3.1.1", "ayat serupa")]
         vectors = embed_texts(embedder, [s.description for s in twins])
         options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
-        tie = sts_alignment(Mcq(stem="ayat serupa", options=options, answer_key="A"),
-                            list(zip(twins, vectors)), embedder)
+        ((query, _),) = embed_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")])
+        tie = sts_alignment(query, _standards_index(list(zip(twins, vectors))), [s.code for s in twins])
         assert tie.best_standard == "3.1.1"
 
 
@@ -192,7 +199,9 @@ def test_criterion_5_failure_accounting():
         parsed = [o for o in outcomes if not o.failed]
         assert len(parsed) == 96
 
-        pairs = list(zip(standards, embed_texts(embedder, [s.description for s in standards])))
+        align_index = _standards_index(
+            list(zip(standards, embed_texts(embedder, [s.description for s in standards])))
+        )
         std_chunks = [
             Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt",
                   text=f"{s.code} {s.description}", strategy=Strategy.STANDARD_SPLIT)
@@ -200,13 +209,15 @@ def test_criterion_5_failure_accounting():
         ]
         rpt_index = build_index(std_chunks, embed_texts(embedder, [c.text for c in std_chunks]),
                                 provider_tag=embedder.tag)
+        vectors = embed_questions(embedder, [o.mcq for o in parsed])
         alignments = [
-            sts_alignment(o.mcq, pairs, embedder, question_ref=o.outcome_id) for o in parsed
+            sts_alignment(query, align_index, [s.code for s in standards], question_ref=o.outcome_id)
+            for o, (query, _) in zip(parsed, vectors)
         ]
         verdicts = [
-            ragqa_validity(o.mcq, rpt_index, embedder, MockChatProvider(),
+            ragqa_validity(o.mcq, rpt_index, stem_vector, MockChatProvider(),
                            tau=0.35, k=3, question_ref=o.outcome_id)
-            for o in parsed
+            for o, (_, stem_vector) in zip(parsed, vectors)
         ]
         (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
         assert report.parse_failure_pct == 4.00
@@ -313,6 +324,7 @@ def test_criterion_8_validity_rule_properties():
                                standards=standards)
         questions = [o.mcq for o in rag + plain if o.mcq is not None]
         assert len(questions) == 50
+        stem_vectors = [stem for _, stem in embed_questions(embedder, questions)]
 
         taus = [i / 10 for i in range(1, 10)]
         previous_invalid: set[int] = set()
@@ -320,7 +332,7 @@ def test_criterion_8_validity_rule_properties():
             invalid_now: set[int] = set()
             for qi, mcq in enumerate(questions):
                 spy = MockChatProvider()
-                verdict = ragqa_validity(mcq, rpt_index, embedder, spy, tau=tau, k=3)
+                verdict = ragqa_validity(mcq, rpt_index, stem_vectors[qi], spy, tau=tau, k=3)
                 if verdict.verdict is Verdict.INVALID:
                     invalid_now.add(qi)
                 if verdict.reason is VerdictReason.BELOW_THRESHOLD:

@@ -1,0 +1,42 @@
+"""Guards the traced benchmark run (``bench/run.py --trace 1``) against refactors.
+
+The benchmark wraps layer functions at the binding their caller looks up,
+so renaming or moving one of them breaks tracing without failing any
+pipeline test. This only reads ``bench/``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+
+from qgen.cli import main
+from tests.conftest import FIXTURES, REPO_ROOT
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", REPO_ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves():
+    spans = _load_spans()
+    for module_name, attr, _, _ in spans.BINDINGS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
+
+
+def test_every_traced_binding_is_called_by_run_all(tmp_path, monkeypatch):
+    called = set()
+    for module_name, attr, _, _ in _load_spans().BINDINGS:
+        module = importlib.import_module(module_name)
+
+        def recording(*args, _key=(module_name, attr), _fn=getattr(module, attr), **kwargs):
+            called.add(_key)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recording)
+    assert main(["run-all", "--config", str(FIXTURES / "mock_config.json"),
+                 "--workdir", str(tmp_path / "workdir")]) == 0
+    assert called == {(m, a) for m, a, _, _ in _load_spans().BINDINGS}

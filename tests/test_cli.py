@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
+import pytest
+
+import qgen.cli
 import qgen.wire
+from qgen.chat import MockChatProvider
 from qgen.cli import main
+from qgen.embedding import MockEmbeddingProvider
+from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
 from tests.conftest import FIXTURES
 
@@ -275,3 +282,51 @@ def test_report_json_format(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 4
     assert {"method", "mean_sts", "std_sts", "validity_pct", "parse_failure_pct"} <= set(rows[0])
+
+
+class FirstQaCallFails:
+    """Mock chat whose first completion raises a retryable provider error."""
+
+    def __init__(self):
+        self.inner = MockChatProvider()
+        self.tag = self.inner.tag
+        self.failed = False
+
+    def complete(self, system, user, **kwargs):
+        if not self.failed:
+            self.failed = True
+            raise ProviderError(503, "busy", retryable=True)
+        return self.inner.complete(system, user, **kwargs)
+
+
+@pytest.mark.parametrize("max_retries, exit_code, expected_sleeps", [(0, 3, []), (1, 0, [0.0])])
+def test_evaluate_honours_configured_retry_policy(tmp_path, monkeypatch, max_retries, exit_code,
+                                                  expected_sleeps):
+    config = write_config(tmp_path, provider={"mock": True, "max_retries": max_retries, "backoff_base": 0.0})
+    for cmd in ("ingest", "index", "generate"):
+        assert main([cmd, "--config", str(config)]) == 0
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (FirstQaCallFails(), MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    assert main(["evaluate", "--config", str(config)]) == exit_code
+    assert sleeps == expected_sleeps
+
+
+@pytest.mark.parametrize("edit", ["rename", "reorder"])
+def test_evaluate_refuses_stale_standards_index(tmp_path, capsys, edit):
+    config = write_config(tmp_path)
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    before = workdir_snapshot(workdir / "eval")
+    standards = workdir / "chunks" / "learning_standards.jsonl"
+    rows = [json.loads(line) for line in standards.read_text().splitlines()]
+    if edit == "rename":
+        rows[0]["chunk_id"] += "-stale"
+    else:
+        rows[0], rows[1] = rows[1], rows[0]
+    standards.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 4
+    assert "rerun the ingest and index stages" in capsys.readouterr().err
+    assert workdir_snapshot(workdir / "eval") == before

@@ -1,27 +1,36 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import qgen.cli
 from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
-from qgen.embedding import embed_texts
+from qgen.cli import main
+from qgen.embedding import MockEmbeddingProvider, embed_texts
 from qgen.errors import DanglingReference, EmptyBatch, WrongIndexRole
 from qgen.evaluate import (
+    TIE_TOLERANCE,
     EmptyStandards,
     MethodReport,
     Verdict,
     VerdictReason,
+    _evaluation_text,
     aggregate,
+    embed_questions,
     ragqa_validity,
     render_report,
     sts_alignment,
 )
 from qgen.generate import GenOutcome, GenRequest, Method
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
-from qgen.vectorindex import build_index
+from qgen.vectorindex import build_index, similarities
+from tests.conftest import FIXTURES
 
 STANDARDS = [
     LearningStandard("1.1.1", "Mengenal nombor positif dan nombor negatif berdasarkan situasi sebenar."),
@@ -42,30 +51,35 @@ def make_mcq(stem: str) -> Mcq:
     return Mcq(stem=stem, options=options, answer_key="A")
 
 
-def standard_pairs(embedder, standards=None):
-    standards = standards if standards is not None else STANDARDS
-    vectors = embed_texts(embedder, [s.description for s in standards])
-    return list(zip(standards, vectors))
-
-
-def standards_index(embedder, standards=None):
+def standards_index(embedder, standards=None, text=lambda s: f"{s.code} {s.description}"):
     standards = standards if standards is not None else STANDARDS
     chunks = [
         Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt",
-              text=f"{s.code} {s.description}", strategy=Strategy.STANDARD_SPLIT)
+              text=text(s), strategy=Strategy.STANDARD_SPLIT)
         for i, s in enumerate(standards)
     ]
     vectors = embed_texts(embedder, [c.text for c in chunks])
     return build_index(chunks, vectors, provider_tag=embedder.tag)
 
 
+def align(embedder, mcq, standards=None, *, unit="stem", question_ref=""):
+    """Score ``mcq`` against an index over the bare standard descriptions."""
+    standards = standards if standards is not None else STANDARDS
+    index = standards_index(embedder, standards, text=lambda s: s.description)
+    ((query, _),) = embed_questions(embedder, [mcq], unit=unit)
+    return sts_alignment(query, index, [s.code for s in standards], question_ref=question_ref)
+
+
+def stem_vector(embedder, mcq):
+    return embed_texts(embedder, [mcq.stem])[0]
+
+
 # --- sts_alignment -------------------------------------------------------------
 
 
 def test_identical_stem_scores_one(mock_embedder):
-    pairs = standard_pairs(mock_embedder)
     mcq = make_mcq(STANDARDS[1].description)
-    result = sts_alignment(mcq, pairs, mock_embedder, question_ref="q1")
+    result = align(mock_embedder, mcq, question_ref="q1")
     assert result.score == pytest.approx(1.0)
     assert result.best_standard == "1.1.2"
     assert result.question_ref == "q1"
@@ -78,8 +92,7 @@ def test_token_disjoint_stem_scores_zero(mock_embedder):
         standard_buckets |= mock_embedder.token_buckets(s.description)
     assert stem_buckets.isdisjoint(standard_buckets), "fixture tokens collide; pick new words"
 
-    pairs = standard_pairs(mock_embedder, STANDARDS[:3])
-    result = sts_alignment(make_mcq(DISJOINT_STEM), pairs, mock_embedder)
+    result = align(mock_embedder, make_mcq(DISJOINT_STEM), STANDARDS[:3])
     assert result.score == pytest.approx(0.0, abs=1e-12)
 
 
@@ -87,13 +100,13 @@ def test_alignment_matches_brute_force_max(mock_embedder):
     rng = random.Random(11)
     vocab = ["integer", "nombor", "garis", "pecahan", "suhu", "wang", "kiri", "kanan",
              "darab", "bahagi", "tolak", "tambah", "situasi", "harian"]
+    vectors = embed_texts(mock_embedder, [s.description for s in STANDARDS])
     for _ in range(20):
         stem = " ".join(rng.choices(vocab, k=rng.randint(3, 8)))
-        pairs = standard_pairs(mock_embedder)
-        result = sts_alignment(make_mcq(stem), pairs, mock_embedder)
+        result = align(mock_embedder, make_mcq(stem))
         query = embed_texts(mock_embedder, [stem])[0]
         best = max(
-            math.fsum(a * b for a, b in zip(query, vec)) for _, vec in pairs
+            math.fsum(a * b for a, b in zip(query, vec)) for vec in vectors
         )
         assert result.score == pytest.approx(best, abs=1e-9)
 
@@ -103,39 +116,105 @@ def test_alignment_tie_break_lowest_code(mock_embedder):
         LearningStandard("2.9.9", "Ayat yang serupa sepenuhnya."),
         LearningStandard("2.1.1", "Ayat yang serupa sepenuhnya."),
     ]
-    pairs = standard_pairs(mock_embedder, twins)
-    result = sts_alignment(make_mcq("Ayat yang serupa sepenuhnya."), pairs, mock_embedder)
+    result = align(mock_embedder, make_mcq("Ayat yang serupa sepenuhnya."), twins)
     assert result.best_standard == "2.1.1"
 
 
-def test_alignment_score_equals_max_of_map(mock_embedder):
-    pairs = standard_pairs(mock_embedder)
-    result = sts_alignment(make_mcq("menambah integer pada garis nombor"), pairs, mock_embedder)
-    assert result.per_standard is not None
-    assert result.score == pytest.approx(max(result.per_standard.values()))
+def test_alignment_rounding_tie_takes_lowest_code():
+    # "2.1.1" scores a few ulps below "2.9.9": a tie in exact arithmetic.
+    c = 1.0 - 2.0 ** -50
+    chunks = [Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt", text="t",
+                    strategy=Strategy.STANDARD_SPLIT) for i in range(2)]
+    index = build_index(chunks, [np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])],
+                        provider_tag="t")
+    scores = similarities(index, np.array([1.0, 0.0]))
+    assert 0.0 < scores[0] - scores[1] < TIE_TOLERANCE
+    result = sts_alignment(np.array([1.0, 0.0]), index, ["2.9.9", "2.1.1"])
+    assert result.best_standard == "2.1.1"
+    assert result.score == scores.max()
 
 
 def test_adding_standard_never_decreases_score(mock_embedder):
     mcq = make_mcq("mendarab dan membahagi integer")
-    base = sts_alignment(mcq, standard_pairs(mock_embedder, STANDARDS[:3]), mock_embedder)
-    extended = sts_alignment(mcq, standard_pairs(mock_embedder, STANDARDS[:4]), mock_embedder)
+    base = align(mock_embedder, mcq, STANDARDS[:3])
+    extended = align(mock_embedder, mcq, STANDARDS[:4])
     assert extended.score >= base.score - 1e-12
 
 
 def test_empty_standards_rejected(mock_embedder):
+    index = standards_index(mock_embedder)
     with pytest.raises(EmptyStandards):
-        sts_alignment(make_mcq("apa"), [], mock_embedder)
+        sts_alignment(stem_vector(mock_embedder, make_mcq("apa")), index, [])
 
 
 def test_sts_unit_full_includes_options(mock_embedder):
-    pairs = standard_pairs(mock_embedder)
     options = tuple(McqOption(l, t) for l, t in zip("ABCD", [
         "mendarab integer", "membahagi integer", "pelbagai kaedah", "situasi harian",
     ]))
     mcq = Mcq(stem=DISJOINT_STEM, options=options, answer_key="A")
-    stem_only = sts_alignment(mcq, pairs, mock_embedder, unit="stem")
-    full = sts_alignment(mcq, pairs, mock_embedder, unit="full")
+    stem_only = align(mock_embedder, mcq, unit="stem")
+    full = align(mock_embedder, mcq, unit="full")
     assert full.score > stem_only.score
+
+
+def fixture_config(tmp_path, **evaluation):
+    """fixtures/mock_config.json with absolute input paths and a workdir under tmp_path."""
+    cfg = json.loads((FIXTURES / "mock_config.json").read_text())
+    cfg["paths"] = {
+        "knowledge_blocks": str(FIXTURES / "nota_mini.blocks.json"),
+        "standards_blocks": str(FIXTURES / "rpt_mini.blocks.json"),
+        "workdir": str(tmp_path / "workdir"),
+    }
+    cfg["evaluation"].update(evaluation)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_run_all_stem_alignment_equals_top_score(tmp_path):
+    config = fixture_config(tmp_path, sts_unit="stem")
+    assert main(["run-all", "--config", str(config)]) == 0
+    lines = (tmp_path / "workdir" / "eval" / "records.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert records
+    for r in records:
+        assert r["score"] == r["top_score"], r["outcome_id"]
+
+
+class CountingEmbedder:
+    """Records every text and call that reaches the wrapped mock embedder."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tag = inner.tag
+        self.texts = []
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        self.texts.extend(texts)
+        return self.inner.embed(texts)
+
+
+@pytest.mark.parametrize("unit", ["stem", "full"])
+def test_evaluate_embeds_each_distinct_text_once(tmp_path, monkeypatch, unit):
+    config = fixture_config(tmp_path, sts_unit=unit)
+    for cmd in ("ingest", "index", "generate"):
+        assert main([cmd, "--config", str(config)]) == 0
+    embedder = CountingEmbedder(MockEmbeddingProvider(dim=64))
+    monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (MockChatProvider(), embedder))
+    assert main(["evaluate", "--config", str(config)]) == 0
+
+    mcqs = [
+        GenOutcome.from_dict(json.loads(line)).mcq
+        for path in sorted((tmp_path / "workdir" / "outcomes").glob("*.jsonl"))
+        for line in path.read_text().splitlines()
+    ]
+    mcqs = [m for m in mcqs if m is not None]
+    expected = {m.stem for m in mcqs} | {_evaluation_text(m, unit) for m in mcqs}
+    assert len(expected) < 2 * len(mcqs)  # texts repeat, so deduplication is exercised
+    assert Counter(embedder.texts) == Counter(expected)
+    assert embedder.calls == math.ceil(len(expected) / 64)
 
 
 # --- ragqa_validity -------------------------------------------------------------
@@ -144,7 +223,7 @@ def test_sts_unit_full_includes_options(mock_embedder):
 def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
     index = standards_index(mock_embedder)
     mcq = make_mcq(f"{STANDARDS[1].code} {STANDARDS[1].description}")
-    verdict = ragqa_validity(mcq, index, mock_embedder, mock_chat, tau=0.5, k=3)
+    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), mock_chat, tau=0.5, k=3)
     assert verdict.verdict is Verdict.VALID
     assert verdict.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED
     assert verdict.top_score == pytest.approx(1.0)
@@ -154,7 +233,8 @@ def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
 def test_below_threshold_skips_chat(mock_embedder):
     chat = MockChatProvider()
     index = standards_index(mock_embedder)
-    verdict = ragqa_validity(make_mcq(DISJOINT_STEM), index, mock_embedder, chat, tau=0.5, k=3)
+    mcq = make_mcq(DISJOINT_STEM)
+    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=0.5, k=3)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.BELOW_THRESHOLD
     assert chat.calls == 0
@@ -165,7 +245,7 @@ def test_refusal_mode_invalidates(mock_embedder):
     chat = MockChatProvider(refuse_questions=True)
     index = standards_index(mock_embedder)
     mcq = make_mcq(STANDARDS[2].description)
-    verdict = ragqa_validity(mcq, index, mock_embedder, chat, tau=0.3, k=3)
+    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=0.3, k=3)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.REFUSAL
     assert chat.calls == 1
@@ -176,8 +256,9 @@ def test_wrong_index_role_rejected(mock_embedder, mock_chat):
                     strategy=Strategy.RECURSIVE)]
     vectors = embed_texts(mock_embedder, ["nota biasa"])
     index = build_index(chunks, vectors, provider_tag="t")
+    mcq = make_mcq("apa")
     with pytest.raises(WrongIndexRole):
-        ragqa_validity(make_mcq("apa"), index, mock_embedder, mock_chat)
+        ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), mock_chat)
 
 
 def test_tau_monotonicity(mock_embedder):
@@ -191,10 +272,11 @@ def test_tau_monotonicity(mock_embedder):
     ]
     taus = [i / 10 for i in range(1, 10)]
     for stem in stems:
+        mcq = make_mcq(stem)
         previous_invalid = False
         for tau in taus:
             chat = MockChatProvider()
-            verdict = ragqa_validity(make_mcq(stem), index, mock_embedder, chat, tau=tau, k=3)
+            verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=tau, k=3)
             if previous_invalid:
                 assert verdict.verdict is Verdict.INVALID
             previous_invalid = verdict.verdict is Verdict.INVALID

@@ -165,7 +165,6 @@ def test_fingerprint_stable_for_same_request(mock_chat):
 class FlakyChat:
     """Fails with scripted errors before delegating to the mock provider."""
 
-    supports_schema = True
     tag = "flaky-chat"
 
     def __init__(self, errors):

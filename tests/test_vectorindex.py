@@ -21,9 +21,9 @@ from qgen.errors import (
 from qgen.vectorindex import (
     VectorIndex,
     build_index,
-    cosine_similarity,
     load_index,
     save_index,
+    similarities,
     top_k,
 )
 
@@ -46,32 +46,39 @@ def brute_force_cosine(a, b) -> float:
     return max(-1.0, min(1.0, dot / (na * nb)))
 
 
-# --- cosine_similarity -------------------------------------------------------
+# --- similarities ------------------------------------------------------------
+
+
+def cosine(a, b) -> float:
+    """Cosine of ``a`` against a one-row index holding ``b``."""
+    index = build_index([make_chunk("b")], [np.asarray(b, dtype=np.float64)], provider_tag="t")
+    (score,) = similarities(index, np.asarray(a, dtype=np.float64))
+    return float(score)
 
 
 def test_cosine_identical_direction():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_cosine_hand_computed():
     # dot = 32, norms sqrt(14) * sqrt(77)
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([4.0, 5.0, 6.0])
-    assert cosine_similarity(a, b) == pytest.approx(0.974632, abs=1e-5)
+    assert cosine(a, b) == pytest.approx(0.974632, abs=1e-5)
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        cosine_similarity(np.ones(3), np.ones(4))
+        cosine(np.ones(3), np.ones(4))
 
 
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
-        cosine_similarity(np.zeros(3), np.ones(3))
+        cosine(np.zeros(3), np.ones(3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,9 +92,10 @@ def test_cosine_properties(values, other):
     b = np.array(other[:dim])
     if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
         return
-    assert cosine_similarity(a, a) == pytest.approx(1.0)
-    assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
-    assert abs(cosine_similarity(a, b)) <= 1.0
+    assert cosine(a, a) == pytest.approx(1.0)
+    assert cosine(a, b) == pytest.approx(cosine(b, a))
+    assert abs(cosine(a, b)) <= 1.0
+    assert cosine(a, b) == pytest.approx(brute_force_cosine(a, b), abs=1e-9)
 
 
 # --- build_index --------------------------------------------------------------
@@ -128,7 +136,7 @@ def test_index_matrix_is_read_only():
 
 def test_self_similarity_rank_one():
     index = make_index(5, seed=3)
-    query = np.array(index.vector_for("c002"))
+    query = np.array(index.matrix[2])
     hits = top_k(index, query, k=1)
     assert hits[0].chunk_id == "c002"
     assert hits[0].score == pytest.approx(1.0)
