@@ -21,6 +21,7 @@ from .evaluate import (
     embed_questions,
     ragqa_validity,
     render_report,
+    retrieve_standards,
     sts_alignment,
 )
 from .generate import GenOutcome, GenRequest, Method, generate_batch, generate_mcq
@@ -92,6 +93,7 @@ __all__ = [
     "parse_mcq_json",
     "ragqa_validity",
     "render_report",
+    "retrieve_standards",
     "save_index",
     "similarities",
     "sts_alignment",

@@ -60,13 +60,15 @@ def _first_context_body(user: str) -> str | None:
 class MockChatProvider:
     """Deterministic offline stand-in for a chat model.
 
-    Behaviour is a pure function of (prompt, seed) except for two explicit
-    knobs: ``malformed_rate`` injects broken JSON into plain MCQ completions
-    on a fixed arithmetic schedule (every prefix of n calls contains exactly
-    ``floor(n * rate)`` failures), and ``refuse_questions`` makes the QA
-    mode answer with a refusal. Grounded prompts yield stems built from the
-    first retrieved chunk, so retrieval quality propagates into the
-    generated question text.
+    Behaviour is a pure function of (prompt, seed) and two explicit knobs:
+    ``malformed_rate`` injects broken JSON into plain MCQ completions on a
+    fixed arithmetic schedule over the request seed (the generation
+    ordinal; every prefix of seeds 0..n-1 holds exactly ``floor(n * rate)``
+    malformed ones), and ``refuse_questions`` makes the QA mode answer with
+    a refusal. Calls share no state, so any call order or concurrency gives
+    the same outputs. A missing seed counts as seed 0. Grounded prompts
+    yield stems built from the first retrieved chunk, so retrieval quality
+    propagates into the generated question text.
     """
 
     def __init__(self, malformed_rate: float = 0.0, refuse_questions: bool = False):
@@ -75,19 +77,15 @@ class MockChatProvider:
         self.tag = "mock-chat-v1"
         self.malformed_rate = malformed_rate
         self.refuse_questions = refuse_questions
-        self.calls = 0
-        self._mcq_calls = 0
 
     # -- scheduling ------------------------------------------------------
 
-    def _next_is_malformed(self) -> bool:
-        i = self._mcq_calls
-        self._mcq_calls += 1
-        return math.floor((i + 1) * self.malformed_rate) > math.floor(i * self.malformed_rate)
+    def _is_malformed(self, seed: int) -> bool:
+        return math.floor((seed + 1) * self.malformed_rate) > math.floor(seed * self.malformed_rate)
 
     # -- content synthesis -----------------------------------------------
 
-    def _mcq_payload(self, user: str, seed: int | None) -> dict:
+    def _mcq_payload(self, user: str, seed: int) -> dict:
         body = _first_context_body(user) if _RAG_MARKER in user else None
         if body is not None:
             line = body.strip().split("\n")[0]
@@ -97,8 +95,7 @@ class MockChatProvider:
             answer = "B"
             explanation = f"Rujuk nota: {line}"
         else:
-            idx = (seed if seed is not None else self.calls) % len(_GENERIC_STEMS)
-            stem = _GENERIC_STEMS[idx]
+            stem = _GENERIC_STEMS[seed % len(_GENERIC_STEMS)]
             options = _GENERIC_OPTIONS
             answer = "A"
             explanation = "Jawapan umum."
@@ -123,21 +120,19 @@ class MockChatProvider:
     def complete(self, system: str, user: str, *, temperature: float = 0.7,
                  seed: int | None = None) -> str:
         del system, temperature
-        self.calls += 1
         if _QA_MARKER in user:
             return self._qa_answer(user)
-        payload = self._mcq_payload(user, seed)
-        if self._next_is_malformed():
+        seed = seed or 0
+        if self._is_malformed(seed):
             return '{"stem": "Soalan tidak leng'
-        return json.dumps(payload, ensure_ascii=False)
+        return json.dumps(self._mcq_payload(user, seed), ensure_ascii=False)
 
     def complete_structured(self, system: str, user: str, schema: dict, *,
                             temperature: float = 0.7, seed: int | None = None) -> dict:
         del system, schema, temperature
-        self.calls += 1
         # Schema-constrained mode is guaranteed well-formed by contract, so
         # the malformed schedule never applies here.
-        return self._mcq_payload(user, seed)
+        return self._mcq_payload(user, seed or 0)
 
 
 class HttpChatProvider:

@@ -23,9 +23,18 @@ from .embedding import (
     MockEmbeddingProvider,
     RetryPolicy,
     embed_texts,
+    map_in_flight,
 )
 from .errors import CorruptIndexFile, EmptyBatch, InputError, PipelineStateError, ProviderError, QgenError
-from .evaluate import MethodReport, aggregate, embed_questions, ragqa_validity, render_report, sts_alignment
+from .evaluate import (
+    MethodReport,
+    aggregate,
+    embed_questions,
+    ragqa_validity,
+    render_report,
+    retrieve_standards,
+    sts_alignment,
+)
 from .generate import GenOutcome, Method, generate_batch
 from .jsonio import read_jsonl, write_json, write_jsonl
 from .vectorindex import build_index, load_index, save_index
@@ -186,6 +195,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             embedder=embedder if method.is_rag else None,
             temperature=gen.temperature,
             retry=_retry_policy(cfg),
+            max_in_flight=cfg.provider.max_in_flight,
         )
         write_jsonl(work.outcome_file(method), (o.to_dict() for o in outcomes))
         failed = sum(1 for o in outcomes if o.failed)
@@ -227,19 +237,23 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     retry = _retry_policy(cfg)
     vectors = embed_questions(embedder, [o.mcq for o in parsed], unit=ev.sts_unit, retry=retry,
                               max_in_flight=cfg.provider.max_in_flight)
-    alignments = []
-    verdicts = []
-    records = []
-    for outcome, (sts_vector, stem_vector) in zip(parsed, vectors):
-        alignment = sts_alignment(sts_vector, rpt_index, codes, question_ref=outcome.outcome_id)
-        verdict = ragqa_validity(
-            outcome.mcq, rpt_index, stem_vector, chat,
-            tau=ev.tau, k=ev.k, refusal_markers=ev.refusal_markers,
-            question_ref=outcome.outcome_id, retry=retry,
-        )
-        alignments.append(alignment)
-        verdicts.append(verdict)
-        records.append({
+    # Scoring and retrieval are CPU work and stay on this thread; only the
+    # QA round-trips overlap.
+    alignments = [
+        sts_alignment(sts_vector, rpt_index, codes, question_ref=outcome.outcome_id)
+        for outcome, (sts_vector, _) in zip(parsed, vectors)
+    ]
+    hits = retrieve_standards(rpt_index, [stem_vector for _, stem_vector in vectors], ev.k)
+    verdicts = map_in_flight(
+        lambda i: ragqa_validity(
+            parsed[i].mcq, rpt_index, hits[i], chat,
+            tau=ev.tau, refusal_markers=ev.refusal_markers,
+            question_ref=parsed[i].outcome_id, retry=retry,
+        ),
+        range(len(parsed)), cfg.provider.max_in_flight,
+    )
+    records = [
+        {
             "outcome_id": outcome.outcome_id,
             "method": outcome.request.method.value,
             "score": alignment.score,
@@ -247,7 +261,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "verdict": verdict.verdict.value,
             "reason": verdict.reason.value,
             "top_score": verdict.top_score,
-        })
+        }
+        for outcome, alignment, verdict in zip(parsed, alignments, verdicts)
+    ]
 
     write_jsonl(work.eval_records, records)
     reports = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)

@@ -64,6 +64,14 @@ class ProviderConfig:
     mock_dim: int = 64
     mock_malformed_rate: float = 0.0
 
+    def __post_init__(self):
+        if self.max_in_flight < 1:
+            raise ConfigError(f"provider.max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.max_retries < 0:
+            raise ConfigError(f"provider.max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_base < 0:
+            raise ConfigError(f"provider.backoff_base must be >= 0, got {self.backoff_base}")
+
 
 @dataclass(frozen=True)
 class GenerationConfig:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,6 +55,53 @@ def call_with_retries(fn, retry: RetryPolicy = RetryPolicy(),
                 attempt += 1
                 continue
             raise
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def map_in_flight(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int) -> list[R]:
+    """Apply ``fn`` to every item, at most ``max_in_flight`` calls at a time.
+
+    Results come back in input order. The calls run serially when
+    ``max_in_flight`` is 1 or there is only one item, and otherwise on
+    ``min(max_in_flight, len(items))`` threads that take the items in
+    order. Once a call raises, no further item starts, and the exception of
+    the lowest failed item is raised after the running calls finish.
+    """
+    if max_in_flight <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    stop = threading.Event()
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised again on the calling thread
+                with lock:
+                    failures[i] = exc
+                    stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(max_in_flight, len(items)))]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -162,8 +210,8 @@ def embed_texts(
     Returns one unit-norm vector per text; all vectors must share a
     dimension or :class:`DimensionMismatch` is raised. Empty or
     whitespace-only inputs are rejected up front. Large inputs are split
-    into sub-batches; with ``max_in_flight`` > 1 sub-batches are dispatched
-    concurrently, but results always come back in input order.
+    into sub-batches, sent through :func:`map_in_flight`, so results always
+    come back in input order.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
@@ -173,16 +221,10 @@ def embed_texts(
 
     batches = [list(texts[i:i + _EMBED_BATCH_SIZE]) for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
 
-    def run(batch: list[str]) -> list[np.ndarray]:
-        return call_with_retries(lambda: provider.embed(batch), retry, sleep)
-
-    if max_in_flight > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(b) for b in batches]
+    results = map_in_flight(
+        lambda batch: call_with_retries(lambda: provider.embed(batch), retry, sleep),
+        batches, max_in_flight,
+    )
     raw = [vec for batch in results for vec in batch]
 
     if len(raw) != len(texts):

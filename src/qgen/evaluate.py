@@ -23,7 +23,7 @@ from .errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRol
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
 from .prompts import build_prompt_qa
-from .vectorindex import VectorIndex, similarities, top_k
+from .vectorindex import ScoredHit, VectorIndex, similarities, top_k
 
 
 class Verdict(Enum):
@@ -137,7 +137,7 @@ def embed_questions(
 
     Returns one ``(alignment vector, stem vector)`` pair per question: the
     first embeds the ``unit`` text that :func:`sts_alignment` scores, the
-    second the stem that :func:`ragqa_validity` retrieves with. With unit
+    second the stem that :func:`retrieve_standards` queries with. With unit
     ``"stem"`` both are the same vector.
     """
     texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
@@ -169,30 +169,41 @@ def sts_alignment(
     return AlignmentScore(question_ref=question_ref, score=float(best), best_standard=best_code)
 
 
+def retrieve_standards(
+    rpt_index: VectorIndex,
+    stem_vectors: Sequence[np.ndarray],
+    k: int = 3,
+) -> list[list[ScoredHit]]:
+    """Top-``k`` standards for every stem vector, the queries of the validity check.
+
+    The index must be built exclusively from standard-split chunks; this is
+    checked once for the whole batch.
+    """
+    if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
+        raise WrongIndexRole(
+            "validity checking requires an index built exclusively from standard-split chunks"
+        )
+    return [top_k(rpt_index, vector, k) for vector in stem_vectors]
+
+
 def ragqa_validity(
     mcq: Mcq,
     rpt_index: VectorIndex,
-    stem_vector: np.ndarray,
+    hits: Sequence[ScoredHit],
     chat: ChatProvider,
     *,
     tau: float = 0.5,
-    k: int = 3,
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS,
     question_ref: str = "",
     retry: RetryPolicy = RetryPolicy(),
 ) -> ValidityVerdict:
     """Functional validity check over the standards-only index.
 
-    ``stem_vector`` embeds the stem and is the retrieval query;
+    ``hits`` are the stem's top-k standards from :func:`retrieve_standards`;
     below-threshold retrieval is Invalid without ever calling the chat
     provider, otherwise the provider answers from the retrieved standards
     and a refusal marks the question Invalid.
     """
-    if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
-        raise WrongIndexRole(
-            "validity checking requires an index built exclusively from standard-split chunks"
-        )
-    hits = top_k(rpt_index, stem_vector, k)
     top_score = hits[0].score
     if top_score < tau:
         return ValidityVerdict(

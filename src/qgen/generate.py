@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .chat import ChatProvider
-from .chunking import LearningStandard
-from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
+from .chunking import Chunk, LearningStandard
+from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts, map_in_flight
 from .errors import MissingEmbedder, MissingIndex
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
@@ -160,31 +161,23 @@ def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: fl
 def generate_mcq(
     chat: ChatProvider,
     request: GenRequest,
-    index: VectorIndex | None = None,
-    embedder: EmbeddingProvider | None = None,
+    context: Sequence[Chunk] = (),
     *,
     outcome_id: str = "q:0000",
     temperature: float = 0.7,
     retry: RetryPolicy = RetryPolicy(),
 ) -> GenOutcome:
-    """Run one generation request end to end and always return an outcome.
+    """Run one request's prompt, chat round-trip and parse; always return an outcome.
 
-    RAG methods embed the query, retrieve top-k chunks from ``index`` and
-    ground the prompt in them; non-RAG methods need neither index nor
-    embedder. Only transport-level provider errors propagate, and only
-    after the retry policy is exhausted.
+    RAG methods ground the prompt in ``context``, the chunks retrieved for
+    the request in descending score order (see :func:`generate_batch`);
+    non-RAG methods ignore it. Only transport-level provider errors
+    propagate, and only after the retry policy is exhausted.
     """
     retrieved: tuple[str, ...] = ()
     if request.method.is_rag:
-        if index is None:
-            raise MissingIndex(f"{request.method.value} requires a vector index")
-        if embedder is None:
-            raise MissingEmbedder(f"{request.method.value} requires an embedding provider")
-        query_vec = embed_texts(embedder, [_rag_query_text(request)], retry=retry)[0]
-        hits = top_k(index, query_vec, request.retrieval_k or 1)
-        retrieved = tuple(h.chunk_id for h in hits)
-        context = [index.chunk_by_id(cid) for cid in retrieved]
-        bundle = build_prompt_rag(request.topic, context)
+        retrieved = tuple(c.chunk_id for c in context)
+        bundle = build_prompt_rag(request.topic, list(context))
     elif request.method is Method.STRUCTURED_PROMPT:
         bundle = build_prompt_structured(request.topic)
     else:
@@ -224,29 +217,47 @@ def generate_batch(
     embedder: EmbeddingProvider | None = None,
     temperature: float = 0.7,
     retry: RetryPolicy = RetryPolicy(),
+    max_in_flight: int = 1,
 ) -> list[GenOutcome]:
     """Generate exactly ``n`` outcomes, cycling standards round-robin.
 
     Standards are targeted in order so coverage across the teaching plan is
-    uniform; parse failures are recorded in place, never dropped.
+    uniform; parse failures are recorded in place, never dropped. RAG
+    methods embed each distinct retrieval query once and retrieve its top
+    ``retrieval_k`` chunks from ``index`` on the calling thread; the chat
+    round-trips then run up to ``max_in_flight`` at a time, and outcomes
+    come back in request order.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    outcomes: list[GenOutcome] = []
-    for i in range(n):
-        standard = standards[i % len(standards)] if standards else None
-        request = GenRequest(
+    requests = [
+        GenRequest(
             method=method,
             topic=topic,
-            target_standard=standard,
+            target_standard=standards[i % len(standards)] if standards else None,
             retrieval_k=retrieval_k if method.is_rag else None,
             seed_hint=i,
         )
-        outcomes.append(
-            generate_mcq(
-                chat, request, index=index, embedder=embedder,
-                outcome_id=f"{method.value}:{i:04d}", temperature=temperature,
-                retry=retry,
-            )
-        )
-    return outcomes
+        for i in range(n)
+    ]
+    contexts: list[Sequence[Chunk]] = [()] * n
+    if method.is_rag:
+        if index is None:
+            raise MissingIndex(f"{method.value} requires a vector index")
+        if embedder is None:
+            raise MissingEmbedder(f"{method.value} requires an embedding provider")
+        queries = [_rag_query_text(r) for r in requests]
+        distinct = list(dict.fromkeys(queries))
+        vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
+        by_query = {
+            query: [index.chunk_by_id(h.chunk_id) for h in top_k(index, vector, retrieval_k)]
+            for query, vector in zip(distinct, vectors)
+        }
+        contexts = [by_query[q] for q in queries]
+    return map_in_flight(
+        lambda i: generate_mcq(
+            chat, requests[i], contexts[i],
+            outcome_id=f"{method.value}:{i:04d}", temperature=temperature, retry=retry,
+        ),
+        range(n), max_in_flight,
+    )

@@ -37,6 +37,18 @@ def mock_chat() -> MockChatProvider:
     return MockChatProvider()
 
 
+class CountingChat(MockChatProvider):
+    """Mock chat provider that counts the completions it serves."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = 0
+
+    def complete(self, system, user, **kwargs):
+        self.calls += 1
+        return super().complete(system, user, **kwargs)
+
+
 def make_block(text: str, page: int = 1, font_size: float = 11.0,
                bbox: tuple[float, float, float, float] = (10.0, 10.0, 100.0, 30.0)) -> Block:
     return Block(text=text, page=page, bbox=bbox, font_size=font_size)

@@ -26,11 +26,19 @@ from qgen.chunking import (
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
 from qgen.errors import CorruptIndexFile
-from qgen.evaluate import Verdict, VerdictReason, aggregate, embed_questions, ragqa_validity, sts_alignment
+from qgen.evaluate import (
+    Verdict,
+    VerdictReason,
+    aggregate,
+    embed_questions,
+    ragqa_validity,
+    retrieve_standards,
+    sts_alignment,
+)
 from qgen.generate import Method, generate_batch
 from qgen.mcq import Mcq, McqOption, ParseFailure, parse_mcq_json
 from qgen.vectorindex import build_index, load_index, save_index, top_k
-from tests.conftest import FIXTURES, make_doc
+from tests.conftest import FIXTURES, CountingChat, make_doc
 from tests.malformed_corpus import MALFORMED_CASES
 
 
@@ -214,10 +222,11 @@ def test_criterion_5_failure_accounting():
             sts_alignment(query, align_index, [s.code for s in standards], question_ref=o.outcome_id)
             for o, (query, _) in zip(parsed, vectors)
         ]
+        stem_hits = retrieve_standards(rpt_index, [stem_vector for _, stem_vector in vectors], 3)
         verdicts = [
-            ragqa_validity(o.mcq, rpt_index, stem_vector, MockChatProvider(),
-                           tau=0.35, k=3, question_ref=o.outcome_id)
-            for o, (_, stem_vector) in zip(parsed, vectors)
+            ragqa_validity(o.mcq, rpt_index, hits, MockChatProvider(),
+                           tau=0.35, question_ref=o.outcome_id)
+            for o, hits in zip(parsed, stem_hits)
         ]
         (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
         assert report.parse_failure_pct == 4.00
@@ -324,15 +333,15 @@ def test_criterion_8_validity_rule_properties():
                                standards=standards)
         questions = [o.mcq for o in rag + plain if o.mcq is not None]
         assert len(questions) == 50
-        stem_vectors = [stem for _, stem in embed_questions(embedder, questions)]
+        stem_hits = retrieve_standards(rpt_index, [stem for _, stem in embed_questions(embedder, questions)], 3)
 
         taus = [i / 10 for i in range(1, 10)]
         previous_invalid: set[int] = set()
         for tau in taus:
             invalid_now: set[int] = set()
             for qi, mcq in enumerate(questions):
-                spy = MockChatProvider()
-                verdict = ragqa_validity(mcq, rpt_index, stem_vectors[qi], spy, tau=tau, k=3)
+                spy = CountingChat()
+                verdict = ragqa_validity(mcq, rpt_index, stem_hits[qi], spy, tau=tau)
                 if verdict.verdict is Verdict.INVALID:
                     invalid_now.add(qi)
                 if verdict.reason is VerdictReason.BELOW_THRESHOLD:

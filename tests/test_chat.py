@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import random
 import urllib.error
 
 import pytest
@@ -67,6 +69,20 @@ def test_mock_malformed_schedule_prefix_counts():
     results = [chat.complete(bundle.system_text, bundle.user_text, seed=i) for i in range(40)]
     malformed = [r for r in results if not isinstance(parse_mcq_json(r), Mcq)]
     assert len(malformed) == 10
+
+
+def test_mock_malformed_schedule_is_independent_of_call_order():
+    bundle = build_prompt_basic("t")
+    forward = list(range(40))
+    shuffled = random.Random(3).sample(forward, len(forward))
+    malformed_sets = []
+    for order in (forward, forward[::-1], shuffled):
+        chat = MockChatProvider(malformed_rate=0.3)
+        raws = {seed: chat.complete(bundle.system_text, bundle.user_text, seed=seed) for seed in order}
+        malformed_sets.append({seed for seed, raw in raws.items() if not isinstance(parse_mcq_json(raw), Mcq)})
+    assert malformed_sets[0] == malformed_sets[1] == malformed_sets[2]
+    for n in range(41):
+        assert len({seed for seed in malformed_sets[0] if seed < n}) == math.floor(n * 0.3)
 
 
 def test_mock_malformed_rate_validation():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -291,10 +292,12 @@ class FirstQaCallFails:
         self.inner = MockChatProvider()
         self.tag = self.inner.tag
         self.failed = False
+        self.lock = threading.Lock()
 
     def complete(self, system, user, **kwargs):
-        if not self.failed:
-            self.failed = True
+        with self.lock:
+            first, self.failed = not self.failed, True
+        if first:
             raise ProviderError(503, "busy", retryable=True)
         return self.inner.complete(system, user, **kwargs)
 
@@ -330,3 +333,58 @@ def test_evaluate_refuses_stale_standards_index(tmp_path, capsys, edit):
     assert main(["evaluate", "--config", str(config)]) == 4
     assert "rerun the ingest and index stages" in capsys.readouterr().err
     assert workdir_snapshot(workdir / "eval") == before
+
+
+class FailsAtSeed(MockChatProvider):
+    """Mock chat that fails non-retryably on one generation seed and counts its calls."""
+
+    def __init__(self, fail_seed):
+        super().__init__()
+        self.fail_seed = fail_seed
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, system, user, *, temperature=0.7, seed=None):
+        with self.lock:
+            self.calls += 1
+        if seed == self.fail_seed:
+            raise ProviderError(400, "rejected request", retryable=False)
+        time.sleep(0.001)
+        return super().complete(system, user, temperature=temperature, seed=seed)
+
+
+def test_generate_stops_dispatching_after_a_failure(tmp_path, monkeypatch, capsys):
+    k = 10
+    config = write_config(tmp_path, provider={"mock": True, "max_in_flight": 4},
+                          generation={"methods": ["basic"], "n_per_method": 60})
+    assert main(["ingest", "--config", str(config)]) == 0
+    chat = FailsAtSeed(k)
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (chat, MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    assert main(["generate", "--config", str(config)]) == 3
+    assert "rejected request" in capsys.readouterr().err
+    assert k + 1 <= chat.calls <= k + 4
+    assert not (tmp_path / "workdir" / "outcomes" / "basic_prompt.jsonl").exists()
+
+
+@pytest.mark.parametrize("provider", [{"max_in_flight": 0}, {"max_in_flight": -1}])
+def test_invalid_max_in_flight_exit_2(tmp_path, capsys, provider):
+    config = write_config(tmp_path, provider={"mock": True, **provider})
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert "provider.max_in_flight" in capsys.readouterr().err
+
+
+def test_run_all_identical_across_max_in_flight(tmp_path):
+    snapshots = []
+    for max_in_flight in (1, 8):
+        run_dir = tmp_path / f"in_flight_{max_in_flight}"
+        run_dir.mkdir()
+        config = write_config(run_dir, provider={"mock": True, "mock_malformed_rate": 0.2,
+                                                 "max_in_flight": max_in_flight},
+                              generation={"n_per_method": 40})
+        assert main(["run-all", "--config", str(config)]) == 0
+        snapshot = workdir_snapshot(run_dir / "workdir")
+        del snapshot["resolved_config.json"]
+        snapshots.append(snapshot)
+    assert snapshots[0] == snapshots[1]
+    assert b"parse_failure" in snapshots[0]["outcomes/basic_prompt.jsonl"]

@@ -91,3 +91,12 @@ def test_to_dict_round_trip():
         "evaluation": {"tau": 0.4},
     })
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_in_flight", 0), ("max_in_flight", -1),
+    ("max_retries", -1), ("backoff_base", -1),
+])
+def test_provider_numbers_validated(key, value):
+    with pytest.raises(ConfigError, match=f"provider.{key}"):
+        config_from_dict({"provider": {key: value}})

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qgen.embedding import (
     MockEmbeddingProvider,
     RetryPolicy,
     embed_texts,
+    map_in_flight,
 )
 from qgen.errors import ConfigError, DimensionMismatch, EmptyText, ProviderError
 
@@ -126,6 +129,96 @@ def test_concurrent_dispatch_preserves_input_order(mock_embedder):
     assert len(concurrent) == 300
     for a, b in zip(sequential, concurrent):
         assert np.array_equal(a, b)
+
+
+def test_map_in_flight_keeps_input_order_under_contention():
+    # More workers than cores and a short switch interval shuffle completion order.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        out = map_in_flight(lambda i: (time.sleep(0.0005 * (i % 3)), i * i)[1], range(200), 8)
+    finally:
+        sys.setswitchinterval(previous)
+    assert out == [i * i for i in range(200)]
+
+
+def test_map_in_flight_serial_cases_stay_on_calling_thread():
+    caller = threading.get_ident()
+    assert map_in_flight(lambda _: threading.get_ident(), range(5), 1) == [caller] * 5
+    assert map_in_flight(lambda _: threading.get_ident(), [0], 8) == [caller]
+    assert map_in_flight(lambda _: threading.get_ident(), [], 8) == []
+
+
+def test_map_in_flight_bounds_concurrency():
+    lock = threading.Lock()
+    running = peak = 0
+    threads = set()
+
+    def work(_):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            threads.add(threading.get_ident())
+        time.sleep(0.002)
+        with lock:
+            running -= 1
+
+    map_in_flight(work, range(30), 3)
+    assert 1 < peak <= 3
+    assert len(threads) <= 3
+    map_in_flight(work, range(2), 8)
+    assert len(threads) <= 3 + 2
+
+
+def test_map_in_flight_raises_lowest_failure_and_stops_dispatch():
+    started = []
+    lock = threading.Lock()
+    seven_failing = threading.Event()
+
+    def work(i):
+        with lock:
+            started.append(i)
+        if i == 5:
+            seven_failing.wait(timeout=5)  # a higher item fails first
+            raise ValueError("item 5")
+        if i == 7:
+            seven_failing.set()
+            raise ValueError("item 7")
+        time.sleep(0.001)
+        return i
+
+    with pytest.raises(ValueError, match="item 5"):
+        map_in_flight(work, range(100), 4)
+    assert set(range(8)) <= set(started)
+    assert len(started) <= 7 + 4
+
+
+class FailsOnBatch:
+    """Embedder that fails non-retryably on the batch starting with ``first``."""
+
+    tag = "fails-on-batch"
+
+    def __init__(self, first):
+        self.first = first
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def embed(self, texts):
+        with self.lock:
+            self.calls += 1
+        if texts[0] == self.first:
+            raise ProviderError(400, "bad batch", retryable=False)
+        time.sleep(0.001)
+        return [np.ones(4) for _ in texts]
+
+
+def test_embed_texts_stops_after_a_failed_batch():
+    texts = [f"t{i}" for i in range(64 * 20)]
+    provider = FailsOnBatch(first=texts[64 * 3])
+    with pytest.raises(ProviderError, match="bad batch"):
+        embed_texts(provider, texts, sleep=lambda _: None, max_in_flight=2)
+    assert 4 <= provider.calls <= 3 + 2
 
 
 class RaggedProvider:

@@ -25,12 +25,13 @@ from qgen.evaluate import (
     embed_questions,
     ragqa_validity,
     render_report,
+    retrieve_standards,
     sts_alignment,
 )
 from qgen.generate import GenOutcome, GenRequest, Method
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
 from qgen.vectorindex import build_index, similarities
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, CountingChat
 
 STANDARDS = [
     LearningStandard("1.1.1", "Mengenal nombor positif dan nombor negatif berdasarkan situasi sebenar."),
@@ -72,6 +73,11 @@ def align(embedder, mcq, standards=None, *, unit="stem", question_ref=""):
 
 def stem_vector(embedder, mcq):
     return embed_texts(embedder, [mcq.stem])[0]
+
+
+def stem_hits(embedder, index, mcq, k=3):
+    (hits,) = retrieve_standards(index, [stem_vector(embedder, mcq)], k)
+    return hits
 
 
 # --- sts_alignment -------------------------------------------------------------
@@ -223,7 +229,7 @@ def test_evaluate_embeds_each_distinct_text_once(tmp_path, monkeypatch, unit):
 def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
     index = standards_index(mock_embedder)
     mcq = make_mcq(f"{STANDARDS[1].code} {STANDARDS[1].description}")
-    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), mock_chat, tau=0.5, k=3)
+    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), mock_chat, tau=0.5)
     assert verdict.verdict is Verdict.VALID
     assert verdict.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED
     assert verdict.top_score == pytest.approx(1.0)
@@ -231,10 +237,10 @@ def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
 
 
 def test_below_threshold_skips_chat(mock_embedder):
-    chat = MockChatProvider()
+    chat = CountingChat()
     index = standards_index(mock_embedder)
     mcq = make_mcq(DISJOINT_STEM)
-    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=0.5, k=3)
+    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=0.5)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.BELOW_THRESHOLD
     assert chat.calls == 0
@@ -242,10 +248,10 @@ def test_below_threshold_skips_chat(mock_embedder):
 
 
 def test_refusal_mode_invalidates(mock_embedder):
-    chat = MockChatProvider(refuse_questions=True)
+    chat = CountingChat(refuse_questions=True)
     index = standards_index(mock_embedder)
     mcq = make_mcq(STANDARDS[2].description)
-    verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=0.3, k=3)
+    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=0.3)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.REFUSAL
     assert chat.calls == 1
@@ -258,7 +264,7 @@ def test_wrong_index_role_rejected(mock_embedder, mock_chat):
     index = build_index(chunks, vectors, provider_tag="t")
     mcq = make_mcq("apa")
     with pytest.raises(WrongIndexRole):
-        ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), mock_chat)
+        retrieve_standards(index, [stem_vector(mock_embedder, mcq)])
 
 
 def test_tau_monotonicity(mock_embedder):
@@ -276,7 +282,7 @@ def test_tau_monotonicity(mock_embedder):
         previous_invalid = False
         for tau in taus:
             chat = MockChatProvider()
-            verdict = ragqa_validity(mcq, index, stem_vector(mock_embedder, mcq), chat, tau=tau, k=3)
+            verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=tau)
             if previous_invalid:
                 assert verdict.verdict is Verdict.INVALID
             previous_invalid = verdict.verdict is Verdict.INVALID

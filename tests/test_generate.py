@@ -67,16 +67,12 @@ def test_structured_never_fails_even_with_malformed_mode():
 
 
 def test_rag_retrieval_matches_brute_force_oracle(mock_chat, mock_embedder, knowledge_index):
-    request = GenRequest(
-        method=Method.RAG_STRUCTURE_AWARE,
-        topic="Nombor Nisbah",
-        target_standard=STANDARDS[3],
-        retrieval_k=3,
-    )
-    outcome = generate_mcq(mock_chat, request, index=knowledge_index, embedder=mock_embedder)
+    (outcome,) = generate_batch(mock_chat, Method.RAG_STRUCTURE_AWARE, 1, topic="Nombor Nisbah",
+                                standards=[STANDARDS[3]], retrieval_k=3,
+                                index=knowledge_index, embedder=mock_embedder)
     assert len(outcome.retrieved_chunk_ids) == 3
 
-    query = embed_texts(mock_embedder, [f"{request.topic} {STANDARDS[3].description}"])[0]
+    query = embed_texts(mock_embedder, [f"Nombor Nisbah {STANDARDS[3].description}"])[0]
     scored = []
     for i, chunk in enumerate(knowledge_index.chunks):
         row = knowledge_index.matrix[i]
@@ -87,24 +83,21 @@ def test_rag_retrieval_matches_brute_force_oracle(mock_chat, mock_embedder, know
 
 
 def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index):
-    request = GenRequest(
-        method=Method.RAG_GENERIC,
-        topic="Nombor Nisbah",
-        target_standard=STANDARDS[2],
-        retrieval_k=2,
-    )
-    outcome = generate_mcq(mock_chat, request, index=knowledge_index, embedder=mock_embedder)
+    (outcome,) = generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="Nombor Nisbah",
+                                standards=[STANDARDS[2]], retrieval_k=2,
+                                index=knowledge_index, embedder=mock_embedder)
     top_chunk = knowledge_index.chunk_by_id(outcome.retrieved_chunk_ids[0])
     first_line = top_chunk.text.split("\n")[0]
     assert first_line.split()[0] in outcome.result.stem
 
 
 def test_missing_index_and_embedder(mock_chat, mock_embedder, knowledge_index):
-    request = GenRequest(method=Method.RAG_GENERIC, topic="t", retrieval_k=2)
     with pytest.raises(MissingIndex):
-        generate_mcq(mock_chat, request, index=None, embedder=mock_embedder)
+        generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
+                       retrieval_k=2, index=None, embedder=mock_embedder)
     with pytest.raises(MissingEmbedder):
-        generate_mcq(mock_chat, request, index=knowledge_index, embedder=None)
+        generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
+                       retrieval_k=2, index=knowledge_index, embedder=None)
 
 
 def test_request_invariant_retrieval_k():
@@ -210,8 +203,7 @@ def test_chat_retries_exhausted_propagates():
 def test_outcome_serialization_round_trip(mock_chat, mock_embedder, knowledge_index):
     request = GenRequest(method=Method.RAG_GENERIC, topic="Nombor Nisbah",
                          target_standard=STANDARDS[1], retrieval_k=2, seed_hint=7)
-    outcome = generate_mcq(mock_chat, request, index=knowledge_index, embedder=mock_embedder,
-                           outcome_id="rag_generic:0007")
+    outcome = generate_mcq(mock_chat, request, knowledge_index.chunks[:2], outcome_id="rag_generic:0007")
     assert GenOutcome.from_dict(outcome.to_dict()) == outcome
 
     failing = MockChatProvider(malformed_rate=1.0)
