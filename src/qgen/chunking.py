@@ -8,6 +8,7 @@ deterministic chunk ids of the form ``{doc_id}:{strategy}:{ordinal}``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
@@ -135,7 +136,10 @@ def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 2
     span, and no chunk exceeds ``max_chars`` unless a single separator-free
     token does, in which case that token is emitted whole. Consecutive
     chunks overlap by at most ``overlap`` characters, aligned to separator
-    boundaries on a best-effort basis.
+    boundaries on a best-effort basis. No chunk is whitespace-only unless
+    the text holds a whitespace run of ``max_chars`` characters or more:
+    where the separator cut would leave whitespace alone, the chunk is cut
+    at ``max_chars`` characters instead, splitting the token that follows.
     """
     if max_chars < 1:
         raise InvalidChunkParams(f"max_chars must be positive, got {max_chars}")
@@ -154,25 +158,28 @@ def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 2
     while cursor < len(text):
         start = cursor
         if spans and overlap > 0:
-            back = [b for b in bounds if cursor - overlap <= b < cursor and b > prev_start]
-            if back:
-                start = min(back)
+            # Earliest bound in [cursor - overlap, cursor) after prev_start.
+            i = bisect_left(bounds, max(cursor - overlap, prev_start + 1))
+            if bounds[i] < cursor:
+                start = bounds[i]
         if len(text) - start <= max_chars:
             spans.append((start, len(text)))
             break
         window_end = start + max_chars
-        cuts = [b for b in bounds if cursor < b <= window_end]
-        if cuts:
-            spans.append((start, max(cuts)))
-            prev_start = start
-            cursor = max(cuts)
+        # bounds[j] is the widest cut in the window; bounds[j + 1] lies past it.
+        j = bisect_right(bounds, window_end) - 1
+        if j >= 0 and bounds[j] > cursor:
+            span = (start, bounds[j])
         else:
             # Separator-free token longer than the window: emit it whole,
             # without an overlap prefix.
-            nxt = min(b for b in bounds if b > cursor)
-            spans.append((cursor, nxt))
-            prev_start = cursor
-            cursor = nxt
+            span = (cursor, bounds[j + 1])
+        if not text[span[0]:span[1]].strip():
+            # Separator whitespace alone is no chunk (embedders refuse it):
+            # cut at the window's end instead, splitting the token after it.
+            span = (start, window_end)
+        spans.append(span)
+        prev_start, cursor = span
 
     return [
         Chunk(

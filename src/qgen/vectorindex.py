@@ -24,7 +24,7 @@ from .errors import (
     LengthMismatch,
 )
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -117,28 +117,24 @@ def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
     ]
 
 
-def _entries_payload(index: VectorIndex) -> list[dict]:
-    return [
-        {"chunk": c.to_dict(), "vector": [float(x) for x in index.matrix[i]]}
-        for i, c in enumerate(index.chunks)
-    ]
-
-
-def _checksum(entries: list[dict]) -> str:
-    canonical = json.dumps(entries, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:
+    """sha256 of the chunks' canonical JSON, then the vectors as little-endian float64."""
+    canonical = json.dumps(chunk_dicts, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8"))
+    digest.update(np.ascontiguousarray(matrix, dtype="<f8"))
+    return digest.hexdigest()
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Persist an index as a versioned, checksummed JSON container."""
-    entries = _entries_payload(index)
+    chunk_dicts = [c.to_dict() for c in index.chunks]
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
         "provider_tag": index.provider_tag,
         "count": len(index),
-        "checksum": _checksum(entries),
-        "entries": entries,
+        "checksum": _checksum(chunk_dicts, index.matrix),
+        "entries": [{"chunk": d, "vector": v} for d, v in zip(chunk_dicts, index.matrix.tolist())],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -167,28 +163,31 @@ def load_index(path: str | Path) -> VectorIndex:
         raise CorruptIndexFile(f"{path}: entries missing or empty")
     if payload.get("count") != len(entries):
         raise CorruptIndexFile(f"{path}: declared count {payload.get('count')!r} != {len(entries)} entries")
-    if payload.get("checksum") != _checksum(entries):
-        raise CorruptIndexFile(f"{path}: checksum mismatch, file is damaged")
     declared_dim = payload.get("dimension")
     try:
-        chunks = [Chunk.from_dict(e["chunk"]) for e in entries]
-        rows = [np.asarray(e["vector"], dtype=np.float64) for e in entries]
+        for i, e in enumerate(entries):
+            if len(e["vector"]) != declared_dim:
+                raise CorruptIndexFile(
+                    f"{path}: entry {i} vector dimension {len(e['vector'])} != declared dimension {declared_dim}"
+                )
+        matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"vectors form an array of shape {matrix.shape}")
+        chunk_dicts = [e["chunk"] for e in entries]
+        chunks = [Chunk.from_dict(d) for d in chunk_dicts]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptIndexFile(f"{path}: malformed entry: {exc}") from exc
+    if payload.get("checksum") != _checksum(chunk_dicts, matrix):
+        raise CorruptIndexFile(f"{path}: checksum mismatch, file is damaged")
     seen: set[str] = set()
     for c in chunks:
         if c.chunk_id in seen:
             raise CorruptIndexFile(f"{path}: duplicate chunk_id {c.chunk_id!r}")
         seen.add(c.chunk_id)
-    for i, r in enumerate(rows):
-        if r.ndim != 1 or r.shape[0] != declared_dim:
-            raise CorruptIndexFile(
-                f"{path}: entry {i} vector dimension {r.shape} != declared dimension {declared_dim}"
-            )
-        if not np.all(np.isfinite(r)) or abs(float(np.linalg.norm(r)) - 1.0) > 1e-6:
-            raise CorruptIndexFile(f"{path}: entry {i} vector is not unit-norm")
+    # NaN and infinite rows fail the comparison too.
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= 1e-6))
+    if bad.size:
+        raise CorruptIndexFile(f"{path}: entry {bad[0]} vector is not finite and unit-norm")
     # Vectors were normalized at build time; keep the stored floats exactly
     # so save/load round-trips are lossless.
-    return VectorIndex(
-        chunks=chunks, matrix=np.vstack(rows), provider_tag=str(payload.get("provider_tag", ""))
-    )
+    return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from qgen.blocks import DocRole, flatten_text
 from qgen.chunking import (
     Chunk,
     Strategy,
+    _atom_starts,
     chunk_recursive,
     chunk_rpt_standards,
     chunk_structure_aware,
@@ -36,8 +39,6 @@ def assert_covers(chunks: list[Chunk], text: str):
 
 
 def assert_size_bound(chunks: list[Chunk], max_chars: int):
-    import re
-
     for c in chunks:
         if len(c.text) > max_chars:
             # Documented exception: a single separator-free token longer
@@ -148,6 +149,84 @@ def test_recursive_coverage_property(text, max_chars, overlap_frac):
     chunks = chunk_recursive(doc, max_chars=max_chars, overlap=overlap)
     assert_covers(chunks, flat)
     assert_size_bound(chunks, max_chars)
+    if max(map(len, re.findall(r"\s+", flat)), default=0) < max_chars:
+        assert all(c.text.strip() for c in chunks)
+
+
+@pytest.mark.parametrize(
+    ("texts", "max_chars", "overlap"),
+    [
+        # A block of max_chars characters after one of max_chars - 1: the widest
+        # separator cut after the first block leaves only the blank line between.
+        (["a" * 279, "b" * 280], 280, 0),
+        (["a" * 279, "b" * 280], 280, 60),
+        # An overlap prefix leaves room for one character, and the next
+        # piece is the blank line between the blocks.
+        (["a bb a bb", "a bb a bb"], 4, 3),
+    ],
+    ids=["near-limit-blocks-overlap-0", "near-limit-blocks-overlap-60", "blank-line-after-overlap"],
+)
+def test_no_whitespace_only_chunk(texts, max_chars, overlap):
+    doc = make_doc(texts)
+    chunks = chunk_recursive(doc, max_chars=max_chars, overlap=overlap)
+    assert all(c.text.strip() for c in chunks)
+    assert_covers(chunks, flatten_text(doc))
+    assert_size_bound(chunks, max_chars)
+
+
+def reference_spans(text: str, max_chars: int, overlap: int) -> list[tuple[int, int]]:
+    """The span loop as it was before bisect: every lookup rescans all bounds."""
+    bounds = _atom_starts(text, max_chars)[1:] + [len(text)]
+    spans: list[tuple[int, int]] = []
+    cursor = 0
+    prev_start = -1
+    while cursor < len(text):
+        start = cursor
+        if spans and overlap > 0:
+            back = [b for b in bounds if cursor - overlap <= b < cursor and b > prev_start]
+            if back:
+                start = min(back)
+        if len(text) - start <= max_chars:
+            spans.append((start, len(text)))
+            break
+        window_end = start + max_chars
+        cuts = [b for b in bounds if cursor < b <= window_end]
+        if cuts:
+            spans.append((start, max(cuts)))
+            prev_start = start
+            cursor = max(cuts)
+        else:
+            nxt = min(b for b in bounds if b > cursor)
+            spans.append((cursor, nxt))
+            prev_start = cursor
+            cursor = nxt
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(alphabet=st.sampled_from(list("aaaab .\n!k?")), min_size=1, max_size=300).filter(lambda t: t.strip()),
+        min_size=1,
+        max_size=4,
+    ),
+    max_chars=st.integers(min_value=2, max_value=80),
+    overlap_frac=st.floats(min_value=0.0, max_value=0.99),
+)
+def test_recursive_spans_match_reference_loop(texts, max_chars, overlap_frac):
+    doc = make_doc(texts)
+    flat = flatten_text(doc)
+    overlap = int(max_chars * overlap_frac)
+    chunks = chunk_recursive(doc, max_chars, overlap)
+    expected = reference_spans(flat, max_chars, overlap)
+    if all(flat[s:e].strip() for s, e in expected):
+        assert [c.char_span for c in chunks] == expected
+    else:
+        # Where the old loop left whitespace alone, the new cut must not.
+        assert_covers(chunks, flat)
+        assert_size_bound(chunks, max_chars)
+        if max(map(len, re.findall(r"\s+", flat))) < max_chars:
+            assert all(c.text.strip() for c in chunks)
 
 
 # --- structure-aware ---------------------------------------------------------

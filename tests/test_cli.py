@@ -131,6 +131,20 @@ def test_generate_requires_indexes_for_rag(tmp_path, capsys):
     assert main(["generate", "--config", str(config)]) == 4
 
 
+def test_generate_refuses_format_version_1_index(tmp_path, capsys):
+    config = write_config(tmp_path)
+    for cmd in ("ingest", "index"):
+        assert main([cmd, "--config", str(config)]) == 0
+    path = tmp_path / "workdir" / "indexes" / "knowledge_recursive.index.json"
+    payload = json.loads(path.read_text())
+    payload["format_version"] = 1
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config)]) == 4
+    assert "unsupported format_version 1" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "outcomes" / "rag_generic.jsonl").exists()
+
+
 def test_evaluate_writes_records_and_reports(tmp_path):
     config = write_config(tmp_path)
     for cmd in ("ingest", "index", "generate", "evaluate"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import qgen
 from qgen.embedding import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
@@ -59,7 +61,9 @@ def test_mock_determinism_across_processes(mock_embedder):
         "v = MockEmbeddingProvider(64).embed(['garis nombor integer'])[0];"
         "print(hashlib.sha256(v.tobytes()).hexdigest())"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # The child imports the same qgen as this process, however pytest found it.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qgen.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     local = mock_embedder.embed(["garis nombor integer"])[0]
     import hashlib
 

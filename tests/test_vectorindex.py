@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -273,3 +274,84 @@ def test_load_bad_version(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_index(tmp_path / "missing.json")
+
+
+def checksum_v2(entries: list[dict]) -> str:
+    """Format 2 checksum: sha256 of the chunks' canonical JSON, then every
+    vector float as little-endian float64, in entry order."""
+    canonical = json.dumps([e["chunk"] for e in entries], ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    floats = np.array([x for e in entries for x in e["vector"]], dtype="<f8")
+    return hashlib.sha256(canonical.encode("utf-8") + floats.tobytes()).hexdigest()
+
+
+def rewrite_with_valid_checksum(path, edit) -> None:
+    payload = json.loads(path.read_text())
+    edit(payload)
+    payload["checksum"] = checksum_v2(payload["entries"])
+    path.write_text(json.dumps(payload))
+
+
+def test_saved_checksum_is_format_2_definition(tmp_path):
+    path = tmp_path / "idx.json"
+    save_index(make_index(3), path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2
+    assert payload["checksum"] == checksum_v2(payload["entries"])
+
+
+def scale_entry_1(payload):
+    payload["entries"][1]["vector"] = [2.0 * x for x in payload["entries"][1]["vector"]]
+
+
+def nan_in_entry_1(payload):
+    payload["entries"][1]["vector"][3] = math.nan
+
+
+def inf_in_entry_1(payload):
+    payload["entries"][1]["vector"][3] = math.inf
+
+
+@pytest.mark.parametrize("edit", [scale_entry_1, nan_in_entry_1, inf_in_entry_1])
+def test_load_names_first_bad_vector(tmp_path, edit):
+    path = tmp_path / "idx.json"
+    save_index(make_index(3), path)
+    rewrite_with_valid_checksum(path, edit)
+    with pytest.raises(CorruptIndexFile, match=r"entry 1 vector is not finite and unit-norm"):
+        load_index(path)
+
+
+def test_load_duplicate_chunk_id(tmp_path):
+    path = tmp_path / "idx.json"
+    save_index(make_index(3), path)
+
+    def duplicate(payload):
+        payload["entries"][2]["chunk"]["chunk_id"] = payload["entries"][0]["chunk"]["chunk_id"]
+
+    rewrite_with_valid_checksum(path, duplicate)
+    with pytest.raises(CorruptIndexFile, match=r"duplicate chunk_id 'c000'"):
+        load_index(path)
+
+
+def test_load_ragged_vectors(tmp_path):
+    path = tmp_path / "idx.json"
+    save_index(make_index(3, dim=8), path)
+
+    def shorten(payload):
+        payload["entries"][1]["vector"].pop()
+
+    rewrite_with_valid_checksum(path, shorten)
+    with pytest.raises(CorruptIndexFile, match=r"entry 1 vector dimension 7 != declared dimension 8"):
+        load_index(path)
+
+
+def test_load_refuses_format_version_1(tmp_path):
+    path = tmp_path / "idx.json"
+    save_index(make_index(3), path)
+    payload = json.loads(path.read_text())
+    payload["format_version"] = 1
+    # The version 1 checksum covered the canonical JSON of the entries.
+    canonical = json.dumps(payload["entries"], ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptIndexFile, match=r"unsupported format_version 1, expected 2"):
+        load_index(path)
