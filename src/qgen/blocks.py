@@ -27,16 +27,24 @@ from typing import Iterator
 from .errors import EmptyDocument, MalformedBlocksFile, WrongRole
 
 _WS_RUN = re.compile(r"[ \t]+")
+_BLANK_RUN = re.compile(r"\n{3,}")
 
 
 def normalize_ws(text: str) -> str:
-    """Collapse runs of spaces/tabs and trim line edges; newlines survive.
+    """Collapse runs of spaces/tabs, trim line edges and keep one blank line at most.
 
-    Newlines carry separator semantics for the recursive splitter, so they
-    are preserved verbatim.
+    Newlines carry separator semantics for the recursive splitter, so line
+    breaks and paragraph breaks (one blank line) survive. A longer run of
+    blank lines becomes one paragraph break, so no run of spaces, tabs and
+    newlines in block text is longer than two characters. Other whitespace,
+    such as no-break spaces, is kept as it is.
     """
+    if "\n" not in text and "\t" not in text and "  " not in text:
+        # One line with single spaces: the regex passes below would only
+        # strip its edges, at several microseconds each per block.
+        return text.strip()
     lines = [_WS_RUN.sub(" ", line).strip() for line in text.split("\n")]
-    return "\n".join(lines).strip("\n")
+    return _BLANK_RUN.sub("\n\n", "\n".join(lines).strip("\n"))
 
 
 class DocRole(Enum):

@@ -36,7 +36,7 @@ from .evaluate import (
     sts_alignment,
 )
 from .generate import GenOutcome, Method, generate_batch
-from .jsonio import read_jsonl, write_json, write_jsonl
+from .jsonio import read_jsonl, write_json, write_jsonl, write_text
 from .vectorindex import build_index, load_index, save_index
 
 EXIT_OK = 0
@@ -235,15 +235,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     ev = cfg.evaluation
     retry = _retry_policy(cfg)
-    vectors = embed_questions(embedder, [o.mcq for o in parsed], unit=ev.sts_unit, retry=retry,
-                              max_in_flight=cfg.provider.max_in_flight)
+    sts_vectors, stem_vectors = embed_questions(embedder, [o.mcq for o in parsed], unit=ev.sts_unit,
+                                                retry=retry, max_in_flight=cfg.provider.max_in_flight)
     # Scoring and retrieval are CPU work and stay on this thread; only the
     # QA round-trips overlap.
-    alignments = [
-        sts_alignment(sts_vector, rpt_index, codes, question_ref=outcome.outcome_id)
-        for outcome, (sts_vector, _) in zip(parsed, vectors)
-    ]
-    hits = retrieve_standards(rpt_index, [stem_vector for _, stem_vector in vectors], ev.k)
+    alignments = sts_alignment(sts_vectors, rpt_index, codes, question_refs=[o.outcome_id for o in parsed])
+    hits = retrieve_standards(rpt_index, stem_vectors, ev.k)
     verdicts = map_in_flight(
         lambda i: ragqa_validity(
             parsed[i].mcq, rpt_index, hits[i], chat,
@@ -267,8 +264,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     write_jsonl(work.eval_records, records)
     reports = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
-    work.report_md.write_text(render_report(reports, "markdown") + "\n", encoding="utf-8")
-    work.report_json.write_text(render_report(reports, "json") + "\n", encoding="utf-8")
+    write_text(work.report_md, render_report(reports, "markdown") + "\n")
+    write_text(work.report_json, render_report(reports, "json") + "\n")
     print(f"evaluate: records={len(records)} methods={len(reports)}")
     return EXIT_OK
 

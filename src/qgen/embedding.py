@@ -22,9 +22,15 @@ from .errors import ConfigError, DimensionMismatch, EmptyText, ProviderError, Ze
 
 
 class EmbeddingProvider(Protocol):
+    """Turns texts into raw vectors, one per text.
+
+    ``embed`` may return a list of 1-D vectors or one ``(n, d)`` array;
+    :func:`embed_texts` checks the shapes either way.
+    """
+
     tag: str
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> Sequence[np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,9 @@ def call_with_retries(fn, retry: RetryPolicy = RetryPolicy(),
                       sleep: Callable[[float], None] | None = None):
     """Invoke ``fn`` retrying retryable provider errors, then surface them.
 
-    ``sleep`` waits out each backoff; it defaults to :func:`time.sleep`,
-    looked up at call time.
+    Each backoff lasts the policy's delay, or the provider's ``Retry-After``
+    when that is longer. ``sleep`` waits it out; it defaults to
+    :func:`time.sleep`, looked up at call time.
     """
     attempt = 0
     while True:
@@ -51,7 +58,7 @@ def call_with_retries(fn, retry: RetryPolicy = RetryPolicy(),
             return fn()
         except ProviderError as exc:
             if exc.retryable and attempt < retry.max_retries:
-                (sleep or time.sleep)(retry.delay(attempt))
+                (sleep or time.sleep)(max(retry.delay(attempt), exc.retry_after or 0.0))
                 attempt += 1
                 continue
             raise
@@ -112,13 +119,31 @@ def _bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest[:8], "big") % dim
 
 
+class _BucketMemo(dict):
+    """token -> bucket, hashing each token the first time it is looked up.
+
+    Threads that miss on the same token at once both store the same value,
+    so concurrent ``embed`` calls on one provider need no lock.
+    """
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = _bucket(token, self.dim)
+        return bucket
+
+
 class MockEmbeddingProvider:
     """Deterministic hashed bag-of-words embedder for offline runs.
 
     Text is lowercased and split into word tokens; each token is hashed
     (sha1, stable across processes) into one of ``dim`` buckets and counts
     are accumulated. Texts sharing vocabulary therefore score higher under
-    cosine similarity, which is all the offline pipeline needs.
+    cosine similarity, which is all the offline pipeline needs. Each
+    provider remembers the bucket of every token it has seen, so a token
+    is hashed once per provider, not once per occurrence.
     """
 
     def __init__(self, dim: int = 64):
@@ -126,24 +151,23 @@ class MockEmbeddingProvider:
             raise ConfigError(f"embedding dimension must be >= 2, got {dim}")
         self.dim = dim
         self.tag = f"mock-bow-sha1-v1:d{dim}"
+        self._buckets = _BucketMemo(dim)
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self._embed_one(t) for t in texts]
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """Token counts as an ``(n, dim)`` float64 array, one row per text."""
+        counts = [np.bincount(self._text_buckets(t), minlength=self.dim) for t in texts]
+        return np.array(counts, dtype=np.float64).reshape(len(texts), self.dim)
 
-    def _embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+    def _text_buckets(self, text: str) -> list[int]:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             # Token-free text still gets a deterministic unit direction.
-            vec[_bucket(text, self.dim)] = 1.0
-            return vec
-        for token in tokens:
-            vec[_bucket(token, self.dim)] += 1.0
-        return vec
+            return [_bucket(text, self.dim)]
+        return [self._buckets[t] for t in tokens]
 
     def token_buckets(self, text: str) -> set[int]:
         """Buckets this text's tokens hash into; used by collision checks."""
-        return {_bucket(t, self.dim) for t in _TOKEN_RE.findall(text.lower())}
+        return {self._buckets[t] for t in _TOKEN_RE.findall(text.lower())}
 
 
 class HttpEmbeddingProvider:
@@ -185,14 +209,43 @@ class HttpEmbeddingProvider:
         return [np.asarray(r, dtype=np.float64) for r in rows]
 
 
-def normalize(vector: np.ndarray) -> np.ndarray:
-    arr = np.asarray(vector, dtype=np.float64)
+def stack_vectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Stack 1-D vectors of one dimension, at least 2, into an ``(n, d)`` float64 array.
+
+    An ``(n, d)`` array with ``d >= 2`` passes through, and no vectors give
+    a ``(0, 0)`` array; otherwise the first vector of another shape raises
+    :class:`DimensionMismatch`.
+    """
+    if len(vectors) == 0:
+        return np.empty((0, 0))
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] >= 2:
+        return np.asarray(vectors, dtype=np.float64)
+    rows = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+    dim = None
+    for i, arr in enumerate(rows):
+        if arr.ndim != 1 or arr.shape[0] < 2:
+            raise DimensionMismatch(f"vector {i} has invalid shape {arr.shape}")
+        if dim is None:
+            dim = arr.shape[0]
+        elif arr.shape[0] != dim:
+            raise DimensionMismatch(f"vector {i} has dimension {arr.shape[0]}, expected {dim}")
+    return np.stack(rows)
+
+
+def normalize(vectors: np.ndarray) -> np.ndarray:
+    """Scale a vector, or each row of an ``(n, d)`` array, to unit length.
+
+    The norms are ``sqrt(vecdot(v, v))``, which rounds exactly as
+    ``np.linalg.norm`` of each row does, so normalising a matrix at once
+    gives bitwise the rows that normalising them one by one gives.
+    """
+    arr = np.asarray(vectors, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ZeroVector("vector contains non-finite values")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    norms = np.sqrt(np.vecdot(arr, arr))
+    if np.any(norms == 0.0):
         raise ZeroVector("cannot normalize a zero vector")
-    return arr / norm
+    return arr / norms[..., None]
 
 
 _EMBED_BATCH_SIZE = 64
@@ -204,20 +257,21 @@ def embed_texts(
     retry: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] | None = None,
     max_in_flight: int = 1,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Embed ``texts`` in order, retrying retryable provider failures.
 
-    Returns one unit-norm vector per text; all vectors must share a
-    dimension or :class:`DimensionMismatch` is raised. Empty or
-    whitespace-only inputs are rejected up front. Large inputs are split
-    into sub-batches, sent through :func:`map_in_flight`, so results always
-    come back in input order.
+    Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
+    of ``texts[i]``; all vectors must share a dimension or
+    :class:`DimensionMismatch` is raised. No texts give a ``(0, 0)`` array.
+    Empty or whitespace-only inputs are rejected up front. Large inputs
+    are split into sub-batches, sent through :func:`map_in_flight`, so
+    results always come back in input order.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
             raise EmptyText(f"texts[{i}] is empty")
     if not texts:
-        return []
+        return stack_vectors([])
 
     batches = [list(texts[i:i + _EMBED_BATCH_SIZE]) for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
 
@@ -229,15 +283,4 @@ def embed_texts(
 
     if len(raw) != len(texts):
         raise ProviderError(0, f"provider returned {len(raw)} vectors for {len(texts)} texts", retryable=False)
-    dim = None
-    out: list[np.ndarray] = []
-    for i, vec in enumerate(raw):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise DimensionMismatch(f"vector {i} has invalid shape {arr.shape}")
-        if dim is None:
-            dim = arr.shape[0]
-        elif arr.shape[0] != dim:
-            raise DimensionMismatch(f"vector {i} has dimension {arr.shape[0]}, expected {dim}")
-        out.append(normalize(arr))
-    return out
+    return normalize(stack_vectors(raw))

@@ -61,11 +61,14 @@ class EmptyContext(InputError):
 class ProviderError(QgenError):
     """Transport-level failure talking to an embedding or chat provider."""
 
-    def __init__(self, status: int, message: str, retryable: bool = False):
+    def __init__(self, status: int, message: str, retryable: bool = False,
+                 retry_after: float | None = None):
         super().__init__(f"provider error (status {status}): {message}")
         self.status = status
         self.message = message
         self.retryable = retryable
+        # Seconds the provider asked the client to wait before retrying.
+        self.retry_after = retry_after
 
 
 class DimensionMismatch(QgenError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chat import ChatProvider
 from .chunking import Strategy
-from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
+from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts, stack_vectors
 from .errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRole
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
@@ -132,58 +132,78 @@ def embed_questions(
     unit: str = "stem",
     retry: RetryPolicy = RetryPolicy(),
     max_in_flight: int = 1,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Embed every distinct text that evaluation scores, each exactly once.
 
-    Returns one ``(alignment vector, stem vector)`` pair per question: the
-    first embeds the ``unit`` text that :func:`sts_alignment` scores, the
-    second the stem that :func:`retrieve_standards` queries with. With unit
-    ``"stem"`` both are the same vector.
+    Returns two ``(m, d)`` matrices with one row per question: the first
+    embeds the ``unit`` text that :func:`sts_alignment` scores, the second
+    the stem that :func:`retrieve_standards` queries with. With unit
+    ``"stem"`` both are the same rows.
     """
     texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
     distinct = list(dict.fromkeys(t for pair in texts for t in pair))
-    vectors = dict(zip(distinct, embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)))
-    return [(vectors[text], vectors[stem]) for text, stem in texts]
+    row = {text: i for i, text in enumerate(distinct)}
+    vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
+    return vectors[[row[text] for text, _ in texts]], vectors[[row[stem] for _, stem in texts]]
 
 
 def sts_alignment(
-    query: np.ndarray,
+    queries: np.ndarray,
     rpt_index: VectorIndex,
     codes: Sequence[str],
     *,
     question_ref: str = "",
-) -> AlignmentScore:
-    """Max cosine similarity between the question vector and every standard.
+    question_refs: Sequence[str] | None = None,
+) -> AlignmentScore | list[AlignmentScore]:
+    """Max cosine similarity between each question vector and every standard.
 
-    ``codes[i]`` is the learning-standard code of ``rpt_index`` row ``i``.
-    Ties on the maximum (scores within ``TIE_TOLERANCE`` of it) are broken
-    by the lowest standard code so results stay deterministic.
+    A query vector gives one score, named ``question_ref``; an ``(m, d)``
+    query matrix gives a list of ``m`` scores, named by ``question_refs``
+    (empty names when it is None). ``codes[i]`` is the learning-standard
+    code of ``rpt_index`` row ``i``. Ties on the maximum (scores within
+    ``TIE_TOLERANCE`` of it) are broken by the lowest standard code so
+    results stay deterministic.
     """
     if not codes:
         raise EmptyStandards("alignment scoring needs at least one learning standard")
     if len(codes) != len(rpt_index):
         raise LengthMismatch(f"{len(codes)} standard codes for {len(rpt_index)} index rows")
-    scores = similarities(rpt_index, query)
-    best = scores.max()
-    best_code = min(codes[i] for i in np.flatnonzero(scores >= best - TIE_TOLERANCE))
-    return AlignmentScore(question_ref=question_ref, score=float(best), best_standard=best_code)
+    scores = similarities(rpt_index, queries)
+    table = np.atleast_2d(scores)
+    if scores.ndim == 1:
+        refs = [question_ref]
+    else:
+        refs = list(question_refs) if question_refs is not None else [""] * len(table)
+        if len(refs) != len(table):
+            raise LengthMismatch(f"{len(refs)} question refs for {len(table)} query vectors")
+    best = table.max(axis=1)
+    # Columns in code order: the first tied column of a row has its lowest tied code.
+    by_code = np.argsort(np.asarray(codes), kind="stable")
+    best_rows = by_code[np.argmax((table >= (best - TIE_TOLERANCE)[:, None])[:, by_code], axis=1)]
+    alignments = [
+        AlignmentScore(question_ref=ref, score=float(score), best_standard=codes[i])
+        for ref, score, i in zip(refs, best.tolist(), best_rows.tolist())
+    ]
+    return alignments[0] if scores.ndim == 1 else alignments
 
 
 def retrieve_standards(
     rpt_index: VectorIndex,
-    stem_vectors: Sequence[np.ndarray],
+    stem_vectors: np.ndarray | Sequence[np.ndarray],
     k: int = 3,
 ) -> list[list[ScoredHit]]:
     """Top-``k`` standards for every stem vector, the queries of the validity check.
 
-    The index must be built exclusively from standard-split chunks; this is
-    checked once for the whole batch.
+    ``stem_vectors`` is an ``(m, d)`` matrix or a sequence of ``m``
+    vectors, ranked in one :func:`top_k` call. The index must be built
+    exclusively from standard-split chunks; this is checked once for the
+    whole batch.
     """
     if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
         raise WrongIndexRole(
             "validity checking requires an index built exclusively from standard-split chunks"
         )
-    return [top_k(rpt_index, vector, k) for vector in stem_vectors]
+    return top_k(rpt_index, stack_vectors(stem_vectors), k)
 
 
 def ragqa_validity(

@@ -223,8 +223,9 @@ def generate_batch(
 
     Standards are targeted in order so coverage across the teaching plan is
     uniform; parse failures are recorded in place, never dropped. RAG
-    methods embed each distinct retrieval query once and retrieve its top
-    ``retrieval_k`` chunks from ``index`` on the calling thread; the chat
+    methods embed each distinct retrieval query once and retrieve the top
+    ``retrieval_k`` chunks of all of them from ``index`` in one
+    :func:`top_k` call on the calling thread; the chat
     round-trips then run up to ``max_in_flight`` at a time, and outcomes
     come back in request order.
     """
@@ -250,8 +251,8 @@ def generate_batch(
         distinct = list(dict.fromkeys(queries))
         vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
         by_query = {
-            query: [index.chunk_by_id(h.chunk_id) for h in top_k(index, vector, retrieval_k)]
-            for query, vector in zip(distinct, vectors)
+            query: [index.chunk_by_id(h.chunk_id) for h in hits]
+            for query, hits in zip(distinct, top_k(index, vectors, retrieval_k))
         }
         contexts = [by_query[q] for q in queries]
     return map_in_flight(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chunking import Chunk
-from .embedding import normalize
+from .embedding import normalize, stack_vectors
 from .errors import (
     CorruptIndexFile,
     DimensionMismatch,
@@ -23,6 +23,7 @@ from .errors import (
     EmptyIndex,
     LengthMismatch,
 )
+from .jsonio import write_text
 
 INDEX_FORMAT_VERSION = 2
 
@@ -69,8 +70,12 @@ class VectorIndex:
         )
 
 
-def build_index(chunks: list[Chunk], vectors: list[np.ndarray], provider_tag: str) -> VectorIndex:
-    """Pair chunks with normalized vectors, rejecting inconsistent input."""
+def build_index(chunks: list[Chunk], vectors: np.ndarray | list[np.ndarray], provider_tag: str) -> VectorIndex:
+    """Pair chunks with normalized vectors, rejecting inconsistent input.
+
+    ``vectors`` is an ``(n, d)`` array, as :func:`embed_texts` returns, or a
+    list of ``n`` vectors; either way it is normalized as one matrix.
+    """
     if len(chunks) != len(vectors):
         raise LengthMismatch(f"{len(chunks)} chunks but {len(vectors)} vectors")
     if not chunks:
@@ -80,41 +85,57 @@ def build_index(chunks: list[Chunk], vectors: list[np.ndarray], provider_tag: st
         if c.chunk_id in seen:
             raise DuplicateChunkId(f"duplicate chunk_id {c.chunk_id!r}")
         seen.add(c.chunk_id)
-    rows = [normalize(v) for v in vectors]
-    dim = rows[0].shape[0]
-    for i, r in enumerate(rows):
-        if r.shape[0] != dim:
-            raise DimensionMismatch(f"vector {i} has dimension {r.shape[0]}, expected {dim}")
-    return VectorIndex(chunks=chunks, matrix=np.vstack(rows), provider_tag=provider_tag)
+    return VectorIndex(chunks=chunks, matrix=normalize(stack_vectors(vectors)), provider_tag=provider_tag)
 
 
-def similarities(index: VectorIndex, query: np.ndarray) -> np.ndarray:
-    """Cosine of ``query`` against every row of ``index``, clamped to [-1, 1].
+def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
+    """Cosine of each query against every row of ``index``, clamped to [-1, 1].
 
-    Row ``i`` of the result scores ``index.chunks[i]``. The query need not
-    be unit length; a zero or non-finite query raises :class:`ZeroVector`.
+    A query vector ``(d,)`` gives scores ``(n,)``; a query matrix ``(m, d)``
+    gives ``(m, n)``, row ``j`` scoring query ``j``. Element ``i`` of a row
+    scores ``index.chunks[i]``. Each row is its own matrix-vector product,
+    so it is bitwise what the 1-D call on that query returns. Queries need
+    not be unit length; a zero or non-finite query raises :class:`ZeroVector`.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dimension:
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim == 2 and len(q) == 0:
+        # No queries: embed_texts returns (0, 0), since no vector fixed a dimension.
+        q = q.reshape(0, index.dimension)
+    if q.ndim not in (1, 2) or q.shape[-1] != index.dimension:
         raise DimensionMismatch(f"query has shape {q.shape}, index dimension is {index.dimension}")
-    return np.clip(index.matrix @ normalize(q), -1.0, 1.0)
+    # Not q @ matrix.T: a matrix-matrix product sums in another order and
+    # moves scores by ulps.
+    scores = np.matmul(index.matrix, normalize(q)[..., None])[..., 0]
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
-def top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
+def top_k(index: VectorIndex, queries: np.ndarray, k: int) -> list[ScoredHit] | list[list[ScoredHit]]:
     """Exhaustive cosine top-k over all entries.
 
-    Returns ``min(k, len(index))`` hits sorted by score descending with ties
-    broken by chunk_id ascending; ranking is invariant to positive scaling
-    of the query.
+    For a query vector, returns ``min(k, len(index))`` hits sorted by score
+    descending with ties broken by chunk_id ascending; for a query matrix,
+    one such list per row. Ranking is invariant to positive scaling of a
+    query.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    scores = similarities(index, query)
-    order = np.lexsort((index._id_rank, -scores))[:k]
-    return [
-        ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(scores[i]), rank=r + 1)
-        for r, i in enumerate(order)
+    scores = similarities(index, queries)
+    table = np.atleast_2d(scores)
+    k = min(k, len(index))
+    # Only scores at or above a row's k-th highest can rank; sort just those
+    # by row, then score descending, then chunk_id.
+    cut = len(index) - k
+    kth = np.partition(table, cut, axis=1)[:, cut]
+    rows, cols = np.nonzero(table >= kth[:, None])
+    order = np.lexsort((index._id_rank[cols], -table[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.searchsorted(rows, np.arange(len(table)))
+    hits = [
+        [ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(table[r, i]), rank=rank + 1)
+         for rank, i in enumerate(cols[start:start + k].tolist())]
+        for r, start in enumerate(starts.tolist())
     ]
+    return hits[0] if scores.ndim == 1 else hits
 
 
 def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:
@@ -136,11 +157,7 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         "checksum": _checksum(chunk_dicts, index.matrix),
         "entries": [{"chunk": d, "vector": v} for d, v in zip(chunk_dicts, index.matrix.tolist())],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_index(path: str | Path) -> VectorIndex:

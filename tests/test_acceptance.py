@@ -136,7 +136,7 @@ def test_criterion_2_sts_oracle():
         twins = [LearningStandard("3.9.9", "ayat serupa"), LearningStandard("3.1.1", "ayat serupa")]
         vectors = embed_texts(embedder, [s.description for s in twins])
         options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
-        ((query, _),) = embed_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")])
+        (query,), _ = embed_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")])
         tie = sts_alignment(query, _standards_index(list(zip(twins, vectors))), [s.code for s in twins])
         assert tie.best_standard == "3.1.1"
 
@@ -217,12 +217,12 @@ def test_criterion_5_failure_accounting():
         ]
         rpt_index = build_index(std_chunks, embed_texts(embedder, [c.text for c in std_chunks]),
                                 provider_tag=embedder.tag)
-        vectors = embed_questions(embedder, [o.mcq for o in parsed])
+        sts_vectors, stem_vectors = embed_questions(embedder, [o.mcq for o in parsed])
         alignments = [
             sts_alignment(query, align_index, [s.code for s in standards], question_ref=o.outcome_id)
-            for o, (query, _) in zip(parsed, vectors)
+            for o, query in zip(parsed, sts_vectors)
         ]
-        stem_hits = retrieve_standards(rpt_index, [stem_vector for _, stem_vector in vectors], 3)
+        stem_hits = retrieve_standards(rpt_index, stem_vectors, 3)
         verdicts = [
             ragqa_validity(o.mcq, rpt_index, hits, MockChatProvider(),
                            tau=0.35, question_ref=o.outcome_id)
@@ -333,7 +333,7 @@ def test_criterion_8_validity_rule_properties():
                                standards=standards)
         questions = [o.mcq for o in rag + plain if o.mcq is not None]
         assert len(questions) == 50
-        stem_hits = retrieve_standards(rpt_index, [stem for _, stem in embed_questions(embedder, questions)], 3)
+        stem_hits = retrieve_standards(rpt_index, embed_questions(embedder, questions)[1], 3)
 
         taus = [i / 10 for i in range(1, 10)]
         previous_invalid: set[int] = set()

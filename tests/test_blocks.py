@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen.blocks import Block, DocRole, flatten_text, load_document, normalize_ws
 from qgen.errors import EmptyDocument, MalformedBlocksFile, WrongRole
@@ -85,6 +88,31 @@ def test_bad_font_size_diagnostic_names_field(tmp_path):
 
 def test_normalize_ws_collapses_runs_preserves_newlines():
     assert normalize_ws("a  \t b\n  c   d ") == "a b\nc d"
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("a\n\nb", "a\n\nb"),
+        ("a\n\n\nb", "a\n\nb"),
+        ("a\n" + "\n" * 30 + "b", "a\n\nb"),
+        ("a\n \t\n  \n\nb\nc", "a\n\nb\nc"),
+    ],
+    ids=["one-blank-line", "two-blank-lines", "thirty-blank-lines", "blank-lines-holding-spaces"],
+)
+def test_normalize_ws_keeps_one_blank_line_at_most(text, expected):
+    assert normalize_ws(text) == expected
+
+
+def reference_normalize_ws(text: str) -> str:
+    lines = [re.sub(r"[ \t]+", " ", line).strip() for line in text.split("\n")]
+    return re.sub(r"\n{3,}", "\n\n", "\n".join(lines).strip("\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list(" \t\n\r\xa0ab.")), max_size=40))
+def test_normalize_ws_equals_line_by_line_reference(text):
+    assert normalize_ws(text) == reference_normalize_ws(text)
 
 
 def test_block_text_normalized_on_load(tmp_path):

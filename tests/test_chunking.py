@@ -163,8 +163,11 @@ def test_recursive_coverage_property(text, max_chars, overlap_frac):
         # An overlap prefix leaves room for one character, and the next
         # piece is the blank line between the blocks.
         (["a bb a bb", "a bb a bb"], 4, 3),
+        # A block holding a run of blank lines longer than max_chars.
+        (["satu dua" + "\n" * 30 + "tiga empat"], 20, 5),
     ],
-    ids=["near-limit-blocks-overlap-0", "near-limit-blocks-overlap-60", "blank-line-after-overlap"],
+    ids=["near-limit-blocks-overlap-0", "near-limit-blocks-overlap-60", "blank-line-after-overlap",
+         "blank-line-run-in-block"],
 )
 def test_no_whitespace_only_chunk(texts, max_chars, overlap):
     doc = make_doc(texts)

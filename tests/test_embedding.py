@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import email.message
+import io
+import json
 import os
+import random
+import re
 import subprocess
 import sys
 import threading
 import time
+import urllib.error
 
 import numpy as np
 import pytest
@@ -14,10 +20,13 @@ from qgen.embedding import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
     RetryPolicy,
+    _bucket,
     embed_texts,
     map_in_flight,
+    normalize,
 )
 from qgen.errors import ConfigError, DimensionMismatch, EmptyText, ProviderError
+from qgen.wire import http_post_json
 
 
 def test_identical_texts_identical_vectors(mock_embedder):
@@ -51,7 +60,7 @@ def test_empty_text_rejected(mock_embedder):
 
 
 def test_empty_list_is_noop(mock_embedder):
-    assert embed_texts(mock_embedder, []) == []
+    assert embed_texts(mock_embedder, []).shape == (0, 0)
 
 
 def test_mock_determinism_across_processes(mock_embedder):
@@ -268,3 +277,145 @@ def test_http_adapter_alternate_response_shape(monkeypatch):
     )
     (v,) = embed_texts(provider, ["x"])
     assert v.tolist() == [0.0, 1.0]
+
+
+# --- bitwise contracts of the matrix path ---------------------------------------
+
+
+def reference_normalize(vector: np.ndarray) -> np.ndarray:
+    """One vector at a time, as normalisation worked before it took matrices."""
+    return vector / float(np.linalg.norm(vector))
+
+
+def reference_mock_vector(text: str, dim: int) -> np.ndarray:
+    """The mock's counts without the bucket memo: every token hashed on every use."""
+    vec = np.zeros(dim, dtype=np.float64)
+    tokens = re.findall(r"\w+", text.lower(), re.UNICODE)
+    if not tokens:
+        vec[_bucket(text, dim)] = 1.0
+        return vec
+    for token in tokens:
+        vec[_bucket(token, dim)] += 1.0
+    return vec
+
+
+MOCK_TEXTS = [
+    "Menambah dan menolak integer pada garis nombor.",
+    "integer integer INTEGER nombor",
+    "???",
+    "Pecahan, perpuluhan dan peratusan dalam situasi harian",
+    "ayat nombor 17 tentang integer negatif",
+    "mendarab integer",
+] + [f"standard {i} nombor nisbah {i % 7} latihan {i * i}" for i in range(200)]
+
+
+@pytest.mark.parametrize("source", ["random", "mock"])
+def test_matrix_normalize_is_bitwise_per_row_normalize(source):
+    if source == "random":
+        raw = np.random.default_rng(20251018).standard_normal((2000, 64))
+    else:
+        raw = np.asarray(MockEmbeddingProvider(64).embed(MOCK_TEXTS))
+    once = normalize(raw)
+    twice = normalize(once)
+    ref_once = np.stack([reference_normalize(v) for v in raw])
+    ref_twice = np.stack([reference_normalize(v) for v in ref_once])
+    assert once.tobytes() == ref_once.tobytes()
+    assert twice.tobytes() == ref_twice.tobytes()
+    assert all(normalize(v).tobytes() == r.tobytes() for v, r in zip(raw, ref_once))
+
+
+def test_embed_texts_returns_one_normalized_matrix(mock_embedder):
+    vectors = embed_texts(mock_embedder, MOCK_TEXTS, max_in_flight=3)
+    assert vectors.shape == (len(MOCK_TEXTS), 64)
+    ref = np.stack([reference_normalize(reference_mock_vector(t, 64)) for t in MOCK_TEXTS])
+    assert vectors.tobytes() == ref.tobytes()
+
+
+def test_memoised_mock_equals_unmemoised_reference():
+    provider = MockEmbeddingProvider(dim=48)
+    ref = np.stack([reference_mock_vector(t, 48) for t in MOCK_TEXTS])
+    first = provider.embed(MOCK_TEXTS)
+    again = provider.embed(MOCK_TEXTS[::-1])[::-1]
+    assert first.dtype == np.float64
+    assert first.tobytes() == ref.tobytes()
+    assert again.tobytes() == ref.tobytes()
+    assert provider.embed([]).shape == (0, 48)
+
+
+def test_memoised_mock_is_exact_when_threads_share_one_instance():
+    provider = MockEmbeddingProvider(dim=64)
+    ref = {t: reference_mock_vector(t, 64).tobytes() for t in MOCK_TEXTS}
+    mismatches = []
+
+    def work(seed):
+        order = random.Random(seed).sample(MOCK_TEXTS, len(MOCK_TEXTS))
+        for lo in range(0, len(order), 16):
+            batch = order[lo:lo + 16]
+            for text, vec in zip(batch, provider.embed(batch)):
+                if vec.tobytes() != ref[text]:
+                    mismatches.append(text)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+# --- Retry-After ------------------------------------------------------------------
+
+
+def _http_error(status: int, retry_after: str | None) -> urllib.error.HTTPError:
+    headers = email.message.Message()
+    if retry_after is not None:
+        headers["Retry-After"] = retry_after
+    return urllib.error.HTTPError("https://api.example.test/embed", status, "busy", headers, io.BytesIO())
+
+
+@pytest.mark.parametrize(
+    ("status", "header", "expected"),
+    [
+        (429, "7", 7.0),
+        (503, "0.25", 0.25),
+        (429, None, None),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+        (429, "-3", None),
+        (500, "7", None),
+    ],
+)
+def test_wire_reads_retry_after_seconds(monkeypatch, status, header, expected):
+    def raise_error(request, timeout):
+        raise _http_error(status, header)
+
+    monkeypatch.setattr("urllib.request.urlopen", raise_error)
+    with pytest.raises(ProviderError) as exc_info:
+        http_post_json("https://api.example.test/embed", {}, {})
+    assert exc_info.value.status == status
+    assert exc_info.value.retry_after == expected
+
+
+@pytest.mark.parametrize(("header", "expected_sleeps"), [("7", [7.0]), ("0.1", [0.5]), (None, [0.5])])
+def test_backoff_waits_at_least_retry_after(monkeypatch, header, expected_sleeps):
+    monkeypatch.setenv("QGEN_API_KEY", "secret-key")
+    responses = [_http_error(429, header)]
+
+    def urlopen(request, timeout):
+        if responses:
+            raise responses.pop()
+        texts = json.loads(request.data)["input"]
+        return io.BytesIO(json.dumps({"embeddings": [[1.0, 0.0] for _ in texts]}).encode())
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
+    sleeps = []
+    vectors = embed_texts(provider, ["a"], retry=RetryPolicy(max_retries=3, base_delay=0.5),
+                          sleep=sleeps.append)
+    assert sleeps == expected_sleeps
+    assert vectors.tolist() == [[1.0, 0.0]]

@@ -13,7 +13,7 @@ from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
-from qgen.errors import DanglingReference, EmptyBatch, WrongIndexRole
+from qgen.errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRole
 from qgen.evaluate import (
     TIE_TOLERANCE,
     EmptyStandards,
@@ -67,7 +67,7 @@ def align(embedder, mcq, standards=None, *, unit="stem", question_ref=""):
     """Score ``mcq`` against an index over the bare standard descriptions."""
     standards = standards if standards is not None else STANDARDS
     index = standards_index(embedder, standards, text=lambda s: s.description)
-    ((query, _),) = embed_questions(embedder, [mcq], unit=unit)
+    (query,), _ = embed_questions(embedder, [mcq], unit=unit)
     return sts_alignment(query, index, [s.code for s in standards], question_ref=question_ref)
 
 
@@ -138,6 +138,40 @@ def test_alignment_rounding_tie_takes_lowest_code():
     result = sts_alignment(np.array([1.0, 0.0]), index, ["2.9.9", "2.1.1"])
     assert result.best_standard == "2.1.1"
     assert result.score == scores.max()
+
+
+def reference_alignment(query, index, codes):
+    """Alignment of one query as scored before batching: max, then the lowest tied code."""
+    scores = similarities(index, query)
+    best = scores.max()
+    return float(best), min(codes[i] for i in np.flatnonzero(scores >= best - TIE_TOLERANCE))
+
+
+def test_batched_alignment_equals_scalar_reference():
+    rng = np.random.default_rng(11)
+    c = 1.0 - 2.0 ** -50
+    # Rows 0 and 1 tie in exact arithmetic but differ by ulps; rows 2 and 3
+    # are exact twins; the rest are random. Codes are in no particular order.
+    rows = np.vstack([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0],
+                      [0.0, 1.0, 1.0], [0.0, 1.0, 1.0], rng.standard_normal((8, 3))])
+    codes = ["2.9.9", "2.1.1", "3.5.1", "3.2.7", "1.4.4", "4.1.1", "1.1.2", "2.2.2",
+             "5.0.1", "0.9.9", "3.3.3", "2.5.5"]
+    chunks = [Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt", text="t",
+                    strategy=Strategy.STANDARD_SPLIT) for i in range(len(rows))]
+    index = build_index(chunks, rows, provider_tag="t")
+    queries = np.vstack([[1.0, 0.0, 0.0], [0.0, 2.0, 2.0], rows[4:], rng.standard_normal((20, 3))])
+    refs = [f"q:{i}" for i in range(len(queries))]
+    batched = sts_alignment(queries, index, codes, question_refs=refs)
+    assert [a.question_ref for a in batched] == refs
+    expected = [reference_alignment(q, index, codes) for q in queries]
+    assert [(a.score, a.best_standard) for a in batched] == expected
+    assert batched[0].best_standard == "2.1.1"
+    assert batched[1].best_standard == "3.2.7"
+    single = [sts_alignment(q, index, codes, question_ref=r) for q, r in zip(queries, refs)]
+    assert batched == single
+    assert sts_alignment(np.empty((0, 0)), index, codes, question_refs=[]) == []
+    with pytest.raises(LengthMismatch):
+        sts_alignment(queries, index, codes, question_refs=refs[1:])
 
 
 def test_adding_standard_never_decreases_score(mock_embedder):

@@ -355,3 +355,60 @@ def test_load_refuses_format_version_1(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptIndexFile, match=r"unsupported format_version 1, expected 2"):
         load_index(path)
+
+
+# --- batched queries ---------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=40),
+    dim=st.integers(min_value=2, max_value=70),
+    queries=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_batched_similarities_rows_equal_single_query_calls(size, dim, queries, seed):
+    index = make_index(size, dim=dim, seed=seed)
+    q = np.random.default_rng(seed).standard_normal((queries, dim)) * 3.0
+    table = similarities(index, q)
+    assert table.shape == (queries, size)
+    for row, query in zip(table, q):
+        assert row.tobytes() == similarities(index, query).tobytes()
+        # The scoring rule before batching: one matrix-vector product per query.
+        unit = query / float(np.linalg.norm(query))
+        assert row.tobytes() == np.clip(index.matrix @ unit, -1.0, 1.0).tobytes()
+
+
+def reference_top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    scores = similarities(index, query)
+    ranked = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id))
+    return [(index.chunks[i].chunk_id, float(scores[i])) for i in ranked[:k]]
+
+
+def test_batched_top_k_equals_sorted_reference_with_ties_at_k():
+    rng = np.random.default_rng(7)
+    directions = rng.standard_normal((4, 6))
+    # Five copies of each direction under shuffled chunk ids: whole groups tie.
+    ids = [f"c{i:02d}" for i in rng.permutation(20)]
+    index = build_index([make_chunk(cid) for cid in ids], np.repeat(directions, 5, axis=0), provider_tag="t")
+    queries = np.vstack([directions, rng.standard_normal((8, 6))])
+    straddled = 0
+    for k in range(1, 23):
+        batched = top_k(index, queries, k)
+        assert len(batched) == len(queries)
+        for query, hits in zip(queries, batched):
+            expected = reference_top_k(index, query, k)
+            assert [(h.chunk_id, h.score) for h in hits] == expected
+            assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+            assert hits == top_k(index, query, k)
+            scores = sorted(similarities(index, query), reverse=True)
+            straddled += k < len(index) and scores[k - 1] == scores[k]
+    assert straddled > 100
+
+
+def test_batched_top_k_of_no_queries_is_empty():
+    index = make_index(3)
+    assert top_k(index, np.empty((0, 0)), 2) == []
+    assert top_k(index, np.empty((0, 8)), 2) == []
+    with pytest.raises(DimensionMismatch):
+        top_k(index, np.ones((2, 5)), 1)
