@@ -26,21 +26,22 @@ from typing import Iterator
 
 from .errors import EmptyDocument, MalformedBlocksFile, WrongRole
 
-_WS_RUN = re.compile(r"[ \t]+")
+_WS_RUN = re.compile(r"[^\S\n]+")
 _BLANK_RUN = re.compile(r"\n{3,}")
 
 
 def normalize_ws(text: str) -> str:
-    """Collapse runs of spaces/tabs, trim line edges and keep one blank line at most.
+    """Collapse whitespace runs within lines, trim line edges and keep one blank line at most.
 
     Newlines carry separator semantics for the recursive splitter, so line
-    breaks and paragraph breaks (one blank line) survive. A longer run of
-    blank lines becomes one paragraph break, so no run of spaces, tabs and
-    newlines in block text is longer than two characters. Other whitespace,
-    such as no-break spaces, is kept as it is.
+    breaks and paragraph breaks (one blank line) survive. Every other run
+    of whitespace, no-break spaces and tabs included, becomes one space,
+    and a longer run of blank lines becomes one paragraph break, so no run
+    of whitespace in block text is longer than two characters.
     """
-    if "\n" not in text and "\t" not in text and "  " not in text:
-        # One line with single spaces: the regex passes below would only
+    if "  " not in text and text.isprintable():
+        # Every whitespace character but the space is unprintable, so this is
+        # one line with single spaces: the regex passes below would only
         # strip its edges, at several microseconds each per block.
         return text.strip()
     lines = [_WS_RUN.sub(" ", line).strip() for line in text.split("\n")]

@@ -29,10 +29,10 @@ from .errors import CorruptIndexFile, EmptyBatch, InputError, PipelineStateError
 from .evaluate import (
     MethodReport,
     aggregate,
-    embed_questions,
     ragqa_validity,
     render_report,
     retrieve_standards,
+    score_questions,
     sts_alignment,
 )
 from .generate import GenOutcome, Method, generate_batch
@@ -203,11 +203,12 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_outcomes(work: Workdir) -> list[GenOutcome]:
-    if not work.outcomes.is_dir():
-        raise EmptyBatch(f"no outcomes directory at {work.outcomes}; run the generate stage first")
+def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcome]:
+    """Outcomes of the configured methods, their files read in file-name order."""
     outcomes: list[GenOutcome] = []
-    for path in sorted(work.outcomes.glob("*.jsonl")):
+    for path in sorted({work.outcome_file(m) for m in methods}):
+        if not path.is_file():
+            raise PipelineStateError(f"missing outcome file {path}; run the generate stage first")
         outcomes.extend(GenOutcome.from_dict(row) for row in read_jsonl(path))
     if not outcomes:
         raise EmptyBatch(f"no outcomes found under {work.outcomes}")
@@ -230,22 +231,25 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "rerun the ingest and index stages together"
         )
     codes = [standard.code for standard, _ in standards]
-    outcomes = _load_outcomes(work)
+    outcomes = _load_outcomes(work, cfg.generation.methods)
     parsed = [o for o in outcomes if o.mcq is not None]
 
     ev = cfg.evaluation
     retry = _retry_policy(cfg)
-    sts_vectors, stem_vectors = embed_questions(embedder, [o.mcq for o in parsed], unit=ev.sts_unit,
-                                                retry=retry, max_in_flight=cfg.provider.max_in_flight)
-    # Scoring and retrieval are CPU work and stay on this thread; only the
-    # QA round-trips overlap.
-    alignments = sts_alignment(sts_vectors, rpt_index, codes, question_refs=[o.outcome_id for o in parsed])
-    hits = retrieve_standards(rpt_index, stem_vectors, ev.k)
+    table, sts_rows, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index,
+                                                 unit=ev.sts_unit, retry=retry,
+                                                 max_in_flight=cfg.provider.max_in_flight)
+    # Each distinct text is aligned and ranked once; a question then takes
+    # the results of its rows. Scoring and retrieval are CPU work and stay
+    # on this thread; only the QA round-trips overlap.
+    best = sts_alignment(table, codes)
+    ranked = retrieve_standards(rpt_index, table, ev.k)
+    alignments = [best[r] for r in sts_rows]
+    hits = [ranked[r] for r in stem_rows]
     verdicts = map_in_flight(
         lambda i: ragqa_validity(
             parsed[i].mcq, rpt_index, hits[i], chat,
-            tau=ev.tau, refusal_markers=ev.refusal_markers,
-            question_ref=parsed[i].outcome_id, retry=retry,
+            tau=ev.tau, refusal_markers=ev.refusal_markers, retry=retry,
         ),
         range(len(parsed)), cfg.provider.max_in_flight,
     )

@@ -111,9 +111,5 @@ class EmptyBatch(PipelineStateError):
     pass
 
 
-class DanglingReference(PipelineStateError):
-    pass
-
-
 class WrongIndexRole(PipelineStateError):
     pass

@@ -18,8 +18,8 @@ import numpy as np
 
 from .chat import ChatProvider
 from .chunking import Strategy
-from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts, stack_vectors
-from .errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRole
+from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
+from .errors import EmptyBatch, LengthMismatch, WrongIndexRole
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
 from .prompts import build_prompt_qa
@@ -59,14 +59,12 @@ class EmptyStandards(EmptyBatch):
 
 @dataclass(frozen=True)
 class AlignmentScore:
-    question_ref: str
     score: float
     best_standard: str
 
 
 @dataclass(frozen=True)
 class ValidityVerdict:
-    question_ref: str
     verdict: Verdict
     reason: VerdictReason
     top_score: float
@@ -125,85 +123,63 @@ def _evaluation_text(mcq: Mcq, unit: str) -> str:
     raise ValueError(f"sts unit must be 'stem' or 'full', got {unit!r}")
 
 
-def embed_questions(
+def score_questions(
     embedder: EmbeddingProvider,
     mcqs: Sequence[Mcq],
+    rpt_index: VectorIndex,
     *,
     unit: str = "stem",
     retry: RetryPolicy = RetryPolicy(),
     max_in_flight: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embed every distinct text that evaluation scores, each exactly once.
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Embed and score every distinct text that evaluation reads, each exactly once.
 
-    Returns two ``(m, d)`` matrices with one row per question: the first
-    embeds the ``unit`` text that :func:`sts_alignment` scores, the second
-    the stem that :func:`retrieve_standards` queries with. With unit
-    ``"stem"`` both are the same rows.
+    Returns the :func:`similarities` table of the distinct texts against
+    ``rpt_index``, then per question the table row of its ``unit`` text
+    (what :func:`sts_alignment` reduces) and the row of its stem (what
+    :func:`retrieve_standards` ranks). With unit ``"stem"`` both row lists
+    are the same.
     """
     texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
     distinct = list(dict.fromkeys(t for pair in texts for t in pair))
     row = {text: i for i, text in enumerate(distinct)}
     vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
-    return vectors[[row[text] for text, _ in texts]], vectors[[row[stem] for _, stem in texts]]
+    return similarities(rpt_index, vectors), [row[text] for text, _ in texts], [row[stem] for _, stem in texts]
 
 
-def sts_alignment(
-    queries: np.ndarray,
-    rpt_index: VectorIndex,
-    codes: Sequence[str],
-    *,
-    question_ref: str = "",
-    question_refs: Sequence[str] | None = None,
-) -> AlignmentScore | list[AlignmentScore]:
-    """Max cosine similarity between each question vector and every standard.
+def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentScore]:
+    """Each row's maximum in a :func:`similarities` table over the standards.
 
-    A query vector gives one score, named ``question_ref``; an ``(m, d)``
-    query matrix gives a list of ``m`` scores, named by ``question_refs``
-    (empty names when it is None). ``codes[i]`` is the learning-standard
-    code of ``rpt_index`` row ``i``. Ties on the maximum (scores within
-    ``TIE_TOLERANCE`` of it) are broken by the lowest standard code so
-    results stay deterministic.
+    Column ``i`` of ``scores`` scores the learning standard with code
+    ``codes[i]``; the result has one score per row. Ties on the maximum
+    (scores within ``TIE_TOLERANCE`` of it) are broken by the lowest
+    standard code so results stay deterministic.
     """
     if not codes:
         raise EmptyStandards("alignment scoring needs at least one learning standard")
-    if len(codes) != len(rpt_index):
-        raise LengthMismatch(f"{len(codes)} standard codes for {len(rpt_index)} index rows")
-    scores = similarities(rpt_index, queries)
-    table = np.atleast_2d(scores)
-    if scores.ndim == 1:
-        refs = [question_ref]
-    else:
-        refs = list(question_refs) if question_refs is not None else [""] * len(table)
-        if len(refs) != len(table):
-            raise LengthMismatch(f"{len(refs)} question refs for {len(table)} query vectors")
-    best = table.max(axis=1)
+    if scores.ndim != 2 or scores.shape[1] != len(codes):
+        raise LengthMismatch(f"{len(codes)} standard codes for a score table of shape {scores.shape}")
+    best = scores.max(axis=1)
     # Columns in code order: the first tied column of a row has its lowest tied code.
     by_code = np.argsort(np.asarray(codes), kind="stable")
-    best_rows = by_code[np.argmax((table >= (best - TIE_TOLERANCE)[:, None])[:, by_code], axis=1)]
-    alignments = [
-        AlignmentScore(question_ref=ref, score=float(score), best_standard=codes[i])
-        for ref, score, i in zip(refs, best.tolist(), best_rows.tolist())
+    best_cols = by_code[np.argmax((scores >= (best - TIE_TOLERANCE)[:, None])[:, by_code], axis=1)]
+    return [
+        AlignmentScore(score=float(score), best_standard=codes[i])
+        for score, i in zip(best.tolist(), best_cols.tolist())
     ]
-    return alignments[0] if scores.ndim == 1 else alignments
 
 
-def retrieve_standards(
-    rpt_index: VectorIndex,
-    stem_vectors: np.ndarray | Sequence[np.ndarray],
-    k: int = 3,
-) -> list[list[ScoredHit]]:
-    """Top-``k`` standards for every stem vector, the queries of the validity check.
+def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -> list[list[ScoredHit]]:
+    """Top-``k`` standards for each row of a :func:`similarities` table over ``rpt_index``.
 
-    ``stem_vectors`` is an ``(m, d)`` matrix or a sequence of ``m``
-    vectors, ranked in one :func:`top_k` call. The index must be built
-    exclusively from standard-split chunks; this is checked once for the
-    whole batch.
+    These are the validity check's retrievals. The index must be built
+    exclusively from standard-split chunks.
     """
     if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
         raise WrongIndexRole(
             "validity checking requires an index built exclusively from standard-split chunks"
         )
-    return top_k(rpt_index, stack_vectors(stem_vectors), k)
+    return top_k(rpt_index, scores, k)
 
 
 def ragqa_validity(
@@ -214,7 +190,6 @@ def ragqa_validity(
     *,
     tau: float = 0.5,
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS,
-    question_ref: str = "",
     retry: RetryPolicy = RetryPolicy(),
 ) -> ValidityVerdict:
     """Functional validity check over the standards-only index.
@@ -227,7 +202,6 @@ def ragqa_validity(
     top_score = hits[0].score
     if top_score < tau:
         return ValidityVerdict(
-            question_ref=question_ref,
             verdict=Verdict.INVALID,
             reason=VerdictReason.BELOW_THRESHOLD,
             top_score=top_score,
@@ -240,14 +214,12 @@ def ragqa_validity(
     lowered = answer.lower()
     if any(marker.lower() in lowered for marker in refusal_markers):
         return ValidityVerdict(
-            question_ref=question_ref,
             verdict=Verdict.INVALID,
             reason=VerdictReason.REFUSAL,
             top_score=top_score,
             answer_text=answer,
         )
     return ValidityVerdict(
-        question_ref=question_ref,
         verdict=Verdict.VALID,
         reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED,
         top_score=top_score,
@@ -271,49 +243,28 @@ def aggregate(
 ) -> list[MethodReport]:
     """Fold per-question evaluations into one report per method.
 
-    Parse failures are excluded from the score statistics but included in
-    the failure percentage's denominator; every parsed outcome must have
-    exactly one alignment and one verdict.
+    ``alignments[i]`` and ``verdicts[i]`` evaluate the i-th parsed outcome
+    of ``outcomes``; parse failures have neither. Parse failures are
+    excluded from the score statistics but included in the failure
+    percentage's denominator.
     """
     if not outcomes:
         raise EmptyBatch("cannot aggregate an empty outcome list")
-    by_id = {o.outcome_id: o for o in outcomes}
-    align_by_ref: dict[str, AlignmentScore] = {}
-    for a in alignments:
-        if a.question_ref not in by_id:
-            raise DanglingReference(f"alignment references unknown outcome {a.question_ref!r}")
-        if a.question_ref in align_by_ref:
-            raise DanglingReference(f"outcome {a.question_ref!r} has multiple alignments")
-        align_by_ref[a.question_ref] = a
-    verdict_by_ref: dict[str, ValidityVerdict] = {}
-    for v in verdicts:
-        if v.question_ref not in by_id:
-            raise DanglingReference(f"verdict references unknown outcome {v.question_ref!r}")
-        if v.question_ref in verdict_by_ref:
-            raise DanglingReference(f"outcome {v.question_ref!r} has multiple verdicts")
-        verdict_by_ref[v.question_ref] = v
-
-    for o in outcomes:
-        if o.failed:
-            if o.outcome_id in align_by_ref or o.outcome_id in verdict_by_ref:
-                raise DanglingReference(f"failed outcome {o.outcome_id!r} must not carry evaluations")
-        else:
-            if o.outcome_id not in align_by_ref:
-                raise DanglingReference(f"parsed outcome {o.outcome_id!r} is missing an alignment")
-            if o.outcome_id not in verdict_by_ref:
-                raise DanglingReference(f"parsed outcome {o.outcome_id!r} is missing a verdict")
+    parsed = [o for o in outcomes if not o.failed]
+    if not len(alignments) == len(verdicts) == len(parsed):
+        raise LengthMismatch(
+            f"{len(parsed)} parsed outcomes but {len(alignments)} alignments and {len(verdicts)} verdicts"
+        )
+    evaluated = list(zip(parsed, alignments, verdicts))
 
     reports: list[MethodReport] = []
     for method in METHOD_ORDER:
         group = [o for o in outcomes if o.request.method is method]
         if not group:
             continue
-        parsed = [o for o in group if not o.failed]
-        failures = len(group) - len(parsed)
-        scores = [align_by_ref[o.outcome_id].score for o in parsed]
-        valid = sum(
-            1 for o in parsed if verdict_by_ref[o.outcome_id].verdict is Verdict.VALID
-        )
+        rows = [(a, v) for o, a, v in evaluated if o.request.method is method]
+        scores = [a.score for a, _ in rows]
+        valid = sum(1 for _, v in rows if v.verdict is Verdict.VALID)
         chat_tags = sorted({o.provider_tag for o in group})
         reports.append(
             MethodReport(
@@ -321,8 +272,8 @@ def aggregate(
                 n=len(group),
                 mean_sts=sum(scores) / len(scores) if scores else 0.0,
                 std_sts=_sample_std(scores),
-                validity_pct=100.0 * valid / len(parsed) if parsed else 0.0,
-                parse_failure_pct=100.0 * failures / len(group),
+                validity_pct=100.0 * valid / len(rows) if rows else 0.0,
+                parse_failure_pct=100.0 * (len(group) - len(rows)) / len(group),
                 embedder_tag=embedder_tag,
                 chat_tag=",".join(chat_tags),
             )

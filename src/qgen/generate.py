@@ -18,7 +18,7 @@ from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_
 from .errors import MissingEmbedder, MissingIndex
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
-from .vectorindex import VectorIndex, top_k
+from .vectorindex import VectorIndex, similarities, top_k
 
 
 class Method(Enum):
@@ -252,7 +252,7 @@ def generate_batch(
         vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
         by_query = {
             query: [index.chunk_by_id(h.chunk_id) for h in hits]
-            for query, hits in zip(distinct, top_k(index, vectors, retrieval_k))
+            for query, hits in zip(distinct, top_k(index, similarities(index, vectors), retrieval_k))
         }
         contexts = [by_query[q] for q in queries]
     return map_in_flight(

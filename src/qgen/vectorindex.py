@@ -89,53 +89,51 @@ def build_index(chunks: list[Chunk], vectors: np.ndarray | list[np.ndarray], pro
 
 
 def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
-    """Cosine of each query against every row of ``index``, clamped to [-1, 1].
+    """Cosine of each query row against every row of ``index``, clamped to [-1, 1].
 
-    A query vector ``(d,)`` gives scores ``(n,)``; a query matrix ``(m, d)``
-    gives ``(m, n)``, row ``j`` scoring query ``j``. Element ``i`` of a row
-    scores ``index.chunks[i]``. Each row is its own matrix-vector product,
-    so it is bitwise what the 1-D call on that query returns. Queries need
+    ``queries`` is an ``(m, d)`` matrix; the ``(m, n)`` result scores query
+    ``j`` against ``index.chunks[i]`` at ``[j, i]``. This is the one cosine
+    computation of the vector path: :func:`top_k` and alignment scoring
+    reduce its table. Each row is its own matrix-vector product, so a row
+    is bitwise the same whichever other queries share the call. Queries need
     not be unit length; a zero or non-finite query raises :class:`ZeroVector`.
     """
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 2 and len(q) == 0:
+    if q.shape == (0, 0):
         # No queries: embed_texts returns (0, 0), since no vector fixed a dimension.
         q = q.reshape(0, index.dimension)
-    if q.ndim not in (1, 2) or q.shape[-1] != index.dimension:
-        raise DimensionMismatch(f"query has shape {q.shape}, index dimension is {index.dimension}")
+    if q.ndim != 2 or q.shape[1] != index.dimension:
+        raise DimensionMismatch(f"queries have shape {q.shape}, index dimension is {index.dimension}")
     # Not q @ matrix.T: a matrix-matrix product sums in another order and
     # moves scores by ulps.
     scores = np.matmul(index.matrix, normalize(q)[..., None])[..., 0]
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
-def top_k(index: VectorIndex, queries: np.ndarray, k: int) -> list[ScoredHit] | list[list[ScoredHit]]:
-    """Exhaustive cosine top-k over all entries.
+def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[list[ScoredHit]]:
+    """Rank each row of a :func:`similarities` table over ``index``.
 
-    For a query vector, returns ``min(k, len(index))`` hits sorted by score
-    descending with ties broken by chunk_id ascending; for a query matrix,
-    one such list per row. Ranking is invariant to positive scaling of a
-    query.
+    Returns one list per row of ``min(k, len(index))`` hits sorted by score
+    descending, ties broken by chunk_id ascending.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    scores = similarities(index, queries)
-    table = np.atleast_2d(scores)
+    if scores.ndim != 2 or scores.shape[1] != len(index):
+        raise LengthMismatch(f"score table has shape {scores.shape}, index has {len(index)} rows")
     k = min(k, len(index))
     # Only scores at or above a row's k-th highest can rank; sort just those
     # by row, then score descending, then chunk_id.
     cut = len(index) - k
-    kth = np.partition(table, cut, axis=1)[:, cut]
-    rows, cols = np.nonzero(table >= kth[:, None])
-    order = np.lexsort((index._id_rank[cols], -table[rows, cols], rows))
+    kth = np.partition(scores, cut, axis=1)[:, cut]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((index._id_rank[cols], -scores[rows, cols], rows))
     rows, cols = rows[order], cols[order]
-    starts = np.searchsorted(rows, np.arange(len(table)))
-    hits = [
-        [ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(table[r, i]), rank=rank + 1)
+    starts = np.searchsorted(rows, np.arange(len(scores)))
+    return [
+        [ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(scores[r, i]), rank=rank + 1)
          for rank, i in enumerate(cols[start:start + k].tolist())]
         for r, start in enumerate(starts.tolist())
     ]
-    return hits[0] if scores.ndim == 1 else hits
 
 
 def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:

@@ -30,14 +30,14 @@ from qgen.evaluate import (
     Verdict,
     VerdictReason,
     aggregate,
-    embed_questions,
     ragqa_validity,
     retrieve_standards,
+    score_questions,
     sts_alignment,
 )
 from qgen.generate import Method, generate_batch
 from qgen.mcq import Mcq, McqOption, ParseFailure, parse_mcq_json
-from qgen.vectorindex import build_index, load_index, save_index, top_k
+from qgen.vectorindex import build_index, load_index, save_index, similarities, top_k
 from tests.conftest import FIXTURES, CountingChat, make_doc
 from tests.malformed_corpus import MALFORMED_CASES
 
@@ -77,7 +77,7 @@ def test_criterion_1_retrieval_oracle():
             query = np.array([rng.gauss(0, 1) for _ in range(dim)])
             if float(np.linalg.norm(query)) == 0.0:
                 continue
-            hits = top_k(index, query, k)
+            (hits,) = top_k(index, similarities(index, query[None]), k)
             expected = _brute_force_hits(index.matrix, [c.chunk_id for c in chunks], query, k)
             assert [h.chunk_id for h in hits] == [cid for _, cid in expected]
             assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
@@ -120,7 +120,8 @@ def test_criterion_2_sts_oracle():
             options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
             mcq = Mcq(stem=stem, options=options, answer_key="A")
             query = embed_texts(embedder, [stem])[0]
-            result = sts_alignment(query, _standards_index(pairs), [s.code for s in pairs_std])
+            (result,) = sts_alignment(similarities(_standards_index(pairs), query[None]),
+                                      [s.code for s in pairs_std])
             scored = sorted(
                 ((max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(query, vec)))), s.code)
                  for s, vec in pairs),
@@ -136,8 +137,9 @@ def test_criterion_2_sts_oracle():
         twins = [LearningStandard("3.9.9", "ayat serupa"), LearningStandard("3.1.1", "ayat serupa")]
         vectors = embed_texts(embedder, [s.description for s in twins])
         options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
-        (query,), _ = embed_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")])
-        tie = sts_alignment(query, _standards_index(list(zip(twins, vectors))), [s.code for s in twins])
+        table, (row,), _ = score_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")],
+                                           _standards_index(list(zip(twins, vectors))))
+        tie = sts_alignment(table, [s.code for s in twins])[row]
         assert tie.best_standard == "3.1.1"
 
 
@@ -217,16 +219,13 @@ def test_criterion_5_failure_accounting():
         ]
         rpt_index = build_index(std_chunks, embed_texts(embedder, [c.text for c in std_chunks]),
                                 provider_tag=embedder.tag)
-        sts_vectors, stem_vectors = embed_questions(embedder, [o.mcq for o in parsed])
-        alignments = [
-            sts_alignment(query, align_index, [s.code for s in standards], question_ref=o.outcome_id)
-            for o, query in zip(parsed, sts_vectors)
-        ]
-        stem_hits = retrieve_standards(rpt_index, stem_vectors, 3)
+        stem_vectors = embed_texts(embedder, [o.mcq.stem for o in parsed])
+        alignments = sts_alignment(similarities(align_index, stem_vectors), [s.code for s in standards])
+        table, _, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index)
+        ranked = retrieve_standards(rpt_index, table, 3)
         verdicts = [
-            ragqa_validity(o.mcq, rpt_index, hits, MockChatProvider(),
-                           tau=0.35, question_ref=o.outcome_id)
-            for o, hits in zip(parsed, stem_hits)
+            ragqa_validity(o.mcq, rpt_index, ranked[row], MockChatProvider(), tau=0.35)
+            for o, row in zip(parsed, stem_rows)
         ]
         (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
         assert report.parse_failure_pct == 4.00
@@ -333,7 +332,9 @@ def test_criterion_8_validity_rule_properties():
                                standards=standards)
         questions = [o.mcq for o in rag + plain if o.mcq is not None]
         assert len(questions) == 50
-        stem_hits = retrieve_standards(rpt_index, embed_questions(embedder, questions)[1], 3)
+        table, _, stem_rows = score_questions(embedder, questions, rpt_index)
+        ranked = retrieve_standards(rpt_index, table, 3)
+        stem_hits = [ranked[row] for row in stem_rows]
 
         taus = [i / 10 for i in range(1, 10)]
         previous_invalid: set[int] = set()

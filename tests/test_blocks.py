@@ -90,6 +90,11 @@ def test_normalize_ws_collapses_runs_preserves_newlines():
     assert normalize_ws("a  \t b\n  c   d ") == "a b\nc d"
 
 
+def test_normalize_ws_collapses_every_other_whitespace():
+    assert normalize_ws("a\xa0\xa0 b\u2003c\r\nd\x0be\xa0") == "a b c\nd e"
+    assert normalize_ws("satu " + "\xa0" * 30 + " dua") == "satu dua"
+
+
 @pytest.mark.parametrize(
     ("text", "expected"),
     [
@@ -105,12 +110,12 @@ def test_normalize_ws_keeps_one_blank_line_at_most(text, expected):
 
 
 def reference_normalize_ws(text: str) -> str:
-    lines = [re.sub(r"[ \t]+", " ", line).strip() for line in text.split("\n")]
+    lines = [re.sub(r"[^\S\n]+", " ", line).strip() for line in text.split("\n")]
     return re.sub(r"\n{3,}", "\n\n", "\n".join(lines).strip("\n"))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=st.sampled_from(list(" \t\n\r\xa0ab.")), max_size=40))
+@given(st.text(alphabet=st.sampled_from(list(" \t\n\r\x0b\x85\xa0\u2003\u3000\xadab.")), max_size=40))
 def test_normalize_ws_equals_line_by_line_reference(text):
     assert normalize_ws(text) == reference_normalize_ws(text)
 

@@ -173,6 +173,41 @@ def test_evaluate_without_outcomes_exit_4(tmp_path):
     assert main(["evaluate", "--config", str(config)]) == 4
 
 
+def test_evaluate_reads_only_configured_outcome_files(tmp_path):
+    config = write_config(tmp_path)
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    # Records follow the outcome files in file-name order, not in config order.
+    parsed_ids = [
+        row["outcome_id"]
+        for path in sorted((workdir / "outcomes").glob("*.jsonl"))
+        for row in map(json.loads, path.read_text().splitlines())
+        if row["result"]["kind"] == "mcq"
+    ]
+    records = (workdir / "eval" / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["outcome_id"] for line in records] == parsed_ids
+    evaluated = {name: (workdir / name).read_bytes() for name in ("eval/records.jsonl", "report.json")}
+    (workdir / "outcomes" / "other.jsonl").write_text("not an outcome\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(config)]) == 0
+    assert {name: (workdir / name).read_bytes() for name in evaluated} == evaluated
+
+    # Outcomes of a method that is no longer configured are not scored either.
+    assert main(["evaluate", "--config", str(config), "--methods", "rag_structure"]) == 0
+    reports = json.loads((workdir / "report.json").read_text())
+    assert [r["method"] for r in reports] == ["rag_structure_aware"]
+    records = (workdir / "eval" / "records.jsonl").read_text().splitlines()
+    assert records and {json.loads(line)["method"] for line in records} == {"rag_structure_aware"}
+
+
+def test_evaluate_missing_configured_outcome_file_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run-all", "--config", str(config)]) == 0
+    (tmp_path / "workdir" / "outcomes" / "basic_prompt.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 4
+    assert "basic_prompt.jsonl" in capsys.readouterr().err
+
+
 def test_run_all_and_methods_filter(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run-all", "--config", str(config), "--methods", "rag_structure", "--n", "3"]) == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
-from qgen.errors import DanglingReference, EmptyBatch, LengthMismatch, WrongIndexRole
+from qgen.errors import EmptyBatch, LengthMismatch, WrongIndexRole
 from qgen.evaluate import (
     TIE_TOLERANCE,
     EmptyStandards,
@@ -22,10 +23,10 @@ from qgen.evaluate import (
     VerdictReason,
     _evaluation_text,
     aggregate,
-    embed_questions,
     ragqa_validity,
     render_report,
     retrieve_standards,
+    score_questions,
     sts_alignment,
 )
 from qgen.generate import GenOutcome, GenRequest, Method
@@ -63,20 +64,20 @@ def standards_index(embedder, standards=None, text=lambda s: f"{s.code} {s.descr
     return build_index(chunks, vectors, provider_tag=embedder.tag)
 
 
-def align(embedder, mcq, standards=None, *, unit="stem", question_ref=""):
+def align(embedder, mcq, standards=None, *, unit="stem"):
     """Score ``mcq`` against an index over the bare standard descriptions."""
     standards = standards if standards is not None else STANDARDS
     index = standards_index(embedder, standards, text=lambda s: s.description)
-    (query,), _ = embed_questions(embedder, [mcq], unit=unit)
-    return sts_alignment(query, index, [s.code for s in standards], question_ref=question_ref)
+    table, (row,), _ = score_questions(embedder, [mcq], index, unit=unit)
+    return sts_alignment(table, [s.code for s in standards])[row]
 
 
-def stem_vector(embedder, mcq):
-    return embed_texts(embedder, [mcq.stem])[0]
+def stem_scores(embedder, index, mcq):
+    return similarities(index, embed_texts(embedder, [mcq.stem]))
 
 
 def stem_hits(embedder, index, mcq, k=3):
-    (hits,) = retrieve_standards(index, [stem_vector(embedder, mcq)], k)
+    (hits,) = retrieve_standards(index, stem_scores(embedder, index, mcq), k)
     return hits
 
 
@@ -85,10 +86,9 @@ def stem_hits(embedder, index, mcq, k=3):
 
 def test_identical_stem_scores_one(mock_embedder):
     mcq = make_mcq(STANDARDS[1].description)
-    result = align(mock_embedder, mcq, question_ref="q1")
+    result = align(mock_embedder, mcq)
     assert result.score == pytest.approx(1.0)
     assert result.best_standard == "1.1.2"
-    assert result.question_ref == "q1"
 
 
 def test_token_disjoint_stem_scores_zero(mock_embedder):
@@ -133,16 +133,16 @@ def test_alignment_rounding_tie_takes_lowest_code():
                     strategy=Strategy.STANDARD_SPLIT) for i in range(2)]
     index = build_index(chunks, [np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])],
                         provider_tag="t")
-    scores = similarities(index, np.array([1.0, 0.0]))
+    (scores,) = similarities(index, np.array([[1.0, 0.0]]))
     assert 0.0 < scores[0] - scores[1] < TIE_TOLERANCE
-    result = sts_alignment(np.array([1.0, 0.0]), index, ["2.9.9", "2.1.1"])
+    (result,) = sts_alignment(scores[None], ["2.9.9", "2.1.1"])
     assert result.best_standard == "2.1.1"
     assert result.score == scores.max()
 
 
 def reference_alignment(query, index, codes):
     """Alignment of one query as scored before batching: max, then the lowest tied code."""
-    scores = similarities(index, query)
+    (scores,) = similarities(index, query[None])
     best = scores.max()
     return float(best), min(codes[i] for i in np.flatnonzero(scores >= best - TIE_TOLERANCE))
 
@@ -160,18 +160,19 @@ def test_batched_alignment_equals_scalar_reference():
                     strategy=Strategy.STANDARD_SPLIT) for i in range(len(rows))]
     index = build_index(chunks, rows, provider_tag="t")
     queries = np.vstack([[1.0, 0.0, 0.0], [0.0, 2.0, 2.0], rows[4:], rng.standard_normal((20, 3))])
-    refs = [f"q:{i}" for i in range(len(queries))]
-    batched = sts_alignment(queries, index, codes, question_refs=refs)
-    assert [a.question_ref for a in batched] == refs
+    table = similarities(index, queries)
+    batched = sts_alignment(table, codes)
     expected = [reference_alignment(q, index, codes) for q in queries]
     assert [(a.score, a.best_standard) for a in batched] == expected
     assert batched[0].best_standard == "2.1.1"
     assert batched[1].best_standard == "3.2.7"
-    single = [sts_alignment(q, index, codes, question_ref=r) for q, r in zip(queries, refs)]
+    single = [sts_alignment(similarities(index, q[None]), codes)[0] for q in queries]
     assert batched == single
-    assert sts_alignment(np.empty((0, 0)), index, codes, question_refs=[]) == []
+    assert sts_alignment(similarities(index, np.empty((0, 0))), codes) == []
     with pytest.raises(LengthMismatch):
-        sts_alignment(queries, index, codes, question_refs=refs[1:])
+        sts_alignment(table, codes[1:])
+    with pytest.raises(LengthMismatch):
+        sts_alignment(table[0], codes)
 
 
 def test_adding_standard_never_decreases_score(mock_embedder):
@@ -184,7 +185,7 @@ def test_adding_standard_never_decreases_score(mock_embedder):
 def test_empty_standards_rejected(mock_embedder):
     index = standards_index(mock_embedder)
     with pytest.raises(EmptyStandards):
-        sts_alignment(stem_vector(mock_embedder, make_mcq("apa")), index, [])
+        sts_alignment(stem_scores(mock_embedder, index, make_mcq("apa")), [])
 
 
 def test_sts_unit_full_includes_options(mock_embedder):
@@ -236,6 +237,19 @@ class CountingEmbedder:
         return self.inner.embed(texts)
 
 
+def evaluated_texts(workdir, unit):
+    """The distinct texts evaluate scores: each parsed question's stem and ``unit`` text."""
+    mcqs = [
+        GenOutcome.from_dict(json.loads(line)).mcq
+        for path in sorted((workdir / "outcomes").glob("*.jsonl"))
+        for line in path.read_text().splitlines()
+    ]
+    mcqs = [m for m in mcqs if m is not None]
+    expected = {m.stem for m in mcqs} | {_evaluation_text(m, unit) for m in mcqs}
+    assert len(expected) < 2 * len(mcqs)  # texts repeat, so deduplication is exercised
+    return expected
+
+
 @pytest.mark.parametrize("unit", ["stem", "full"])
 def test_evaluate_embeds_each_distinct_text_once(tmp_path, monkeypatch, unit):
     config = fixture_config(tmp_path, sts_unit=unit)
@@ -245,16 +259,30 @@ def test_evaluate_embeds_each_distinct_text_once(tmp_path, monkeypatch, unit):
     monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (MockChatProvider(), embedder))
     assert main(["evaluate", "--config", str(config)]) == 0
 
-    mcqs = [
-        GenOutcome.from_dict(json.loads(line)).mcq
-        for path in sorted((tmp_path / "workdir" / "outcomes").glob("*.jsonl"))
-        for line in path.read_text().splitlines()
-    ]
-    mcqs = [m for m in mcqs if m is not None]
-    expected = {m.stem for m in mcqs} | {_evaluation_text(m, unit) for m in mcqs}
-    assert len(expected) < 2 * len(mcqs)  # texts repeat, so deduplication is exercised
+    expected = evaluated_texts(tmp_path / "workdir", unit)
     assert Counter(embedder.texts) == Counter(expected)
     assert embedder.calls == math.ceil(len(expected) / 64)
+
+
+@pytest.mark.parametrize("unit", ["stem", "full"])
+def test_evaluate_scores_each_distinct_text_once(tmp_path, monkeypatch, unit):
+    config = fixture_config(tmp_path, sts_unit=unit)
+    for cmd in ("ingest", "index", "generate"):
+        assert main([cmd, "--config", str(config)]) == 0
+    original = similarities
+    rows = []
+
+    def recording(index, queries):
+        rows.append(len(queries))
+        return original(index, queries)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "qgen" and getattr(m, "similarities", None) is original]
+    assert bound
+    for module in bound:
+        monkeypatch.setattr(module, "similarities", recording)
+    assert main(["evaluate", "--config", str(config)]) == 0
+    assert rows == [len(evaluated_texts(tmp_path / "workdir", unit))]
 
 
 # --- ragqa_validity -------------------------------------------------------------
@@ -298,7 +326,7 @@ def test_wrong_index_role_rejected(mock_embedder, mock_chat):
     index = build_index(chunks, vectors, provider_tag="t")
     mcq = make_mcq("apa")
     with pytest.raises(WrongIndexRole):
-        retrieve_standards(index, [stem_vector(mock_embedder, mcq)])
+        retrieve_standards(index, stem_scores(mock_embedder, index, mcq))
 
 
 def test_tau_monotonicity(mock_embedder):
@@ -338,26 +366,26 @@ def _outcome(outcome_id: str, method: Method, failed: bool = False) -> GenOutcom
     )
 
 
-def _alignment(ref: str, score: float):
+def _alignment(score: float):
     from qgen.evaluate import AlignmentScore
 
-    return AlignmentScore(question_ref=ref, score=score, best_standard="1.1.1")
+    return AlignmentScore(score=score, best_standard="1.1.1")
 
 
-def _verdict(ref: str, valid: bool):
+def _verdict(valid: bool):
     from qgen.evaluate import ValidityVerdict
 
     if valid:
-        return ValidityVerdict(question_ref=ref, verdict=Verdict.VALID,
+        return ValidityVerdict(verdict=Verdict.VALID,
                                reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=0.9)
-    return ValidityVerdict(question_ref=ref, verdict=Verdict.INVALID,
+    return ValidityVerdict(verdict=Verdict.INVALID,
                            reason=VerdictReason.BELOW_THRESHOLD, top_score=0.1)
 
 
 def test_aggregate_hand_arithmetic():
     outcomes = [_outcome(f"q{i}", Method.BASIC_PROMPT) for i in range(3)]
-    alignments = [_alignment("q0", 0.8), _alignment("q1", 0.9), _alignment("q2", 1.0)]
-    verdicts = [_verdict("q0", True), _verdict("q1", True), _verdict("q2", False)]
+    alignments = [_alignment(0.8), _alignment(0.9), _alignment(1.0)]
+    verdicts = [_verdict(True), _verdict(True), _verdict(False)]
     (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag="e")
     assert report.mean_sts == pytest.approx(0.9)
     assert report.std_sts == pytest.approx(0.1)
@@ -369,13 +397,27 @@ def test_aggregate_hand_arithmetic():
 def test_aggregate_excludes_failures_from_stats():
     outcomes = [_outcome(f"q{i:03d}", Method.BASIC_PROMPT, failed=i < 4) for i in range(100)]
     parsed = [o for o in outcomes if not o.failed]
-    alignments = [_alignment(o.outcome_id, 0.5) for o in parsed]
-    verdicts = [_verdict(o.outcome_id, True) for o in parsed]
+    alignments = [_alignment(0.5) for _ in parsed]
+    verdicts = [_verdict(True) for _ in parsed]
     (report,) = aggregate(outcomes, alignments, verdicts)
     assert report.parse_failure_pct == pytest.approx(4.0)
     assert report.n == 100
     assert report.mean_sts == pytest.approx(0.5)
     assert report.validity_pct == pytest.approx(100.0)
+
+
+def test_aggregate_pairs_evaluations_with_parsed_outcomes_by_position():
+    outcomes = [_outcome("q0", Method.BASIC_PROMPT), _outcome("q1", Method.RAG_GENERIC),
+                _outcome("q2", Method.BASIC_PROMPT, failed=True), _outcome("q3", Method.RAG_GENERIC),
+                _outcome("q4", Method.BASIC_PROMPT)]
+    alignments = [_alignment(s) for s in (0.2, 0.8, 0.4, 0.6)]
+    verdicts = [_verdict(v) for v in (True, False, False, True)]
+    basic, rag = aggregate(outcomes, alignments, verdicts)
+    assert (basic.method, basic.n, basic.validity_pct) == (Method.BASIC_PROMPT, 3, 100.0)
+    assert basic.mean_sts == pytest.approx(0.4)
+    assert basic.parse_failure_pct == pytest.approx(100 / 3)
+    assert (rag.method, rag.n, rag.validity_pct) == (Method.RAG_GENERIC, 2, 0.0)
+    assert rag.mean_sts == pytest.approx(0.6)
 
 
 def test_aggregate_empty_batch():
@@ -385,22 +427,22 @@ def test_aggregate_empty_batch():
 
 def test_aggregate_dangling_verdict():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT)]
-    alignments = [_alignment("q0", 0.5)]
-    verdicts = [_verdict("q0", True), _verdict("ghost", True)]
-    with pytest.raises(DanglingReference):
+    alignments = [_alignment(0.5)]
+    verdicts = [_verdict(True), _verdict(True)]
+    with pytest.raises(LengthMismatch):
         aggregate(outcomes, alignments, verdicts)
 
 
 def test_aggregate_missing_alignment():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT)]
-    with pytest.raises(DanglingReference):
-        aggregate(outcomes, [], [_verdict("q0", True)])
+    with pytest.raises(LengthMismatch):
+        aggregate(outcomes, [], [_verdict(True)])
 
 
 def test_aggregate_failed_outcome_must_not_have_eval():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT, failed=True)]
-    with pytest.raises(DanglingReference):
-        aggregate(outcomes, [_alignment("q0", 0.5)], [_verdict("q0", True)])
+    with pytest.raises(LengthMismatch):
+        aggregate(outcomes, [_alignment(0.5)], [_verdict(True)])
 
 
 def test_aggregate_sanity_bounds(mock_embedder):
@@ -408,16 +450,17 @@ def test_aggregate_sanity_bounds(mock_embedder):
     outcomes = []
     alignments = []
     verdicts = []
+    scores = {}
     for method in (Method.BASIC_PROMPT, Method.RAG_GENERIC):
         for i in range(12):
             oid = f"{method.value}:{i}"
             failed = rng.random() < 0.2
             outcomes.append(_outcome(oid, method, failed=failed))
             if not failed:
-                alignments.append(_alignment(oid, rng.uniform(-1, 1)))
-                verdicts.append(_verdict(oid, rng.random() < 0.5))
+                alignments.append(_alignment(rng.uniform(-1, 1)))
+                verdicts.append(_verdict(rng.random() < 0.5))
+                scores[oid] = alignments[-1].score
     reports = aggregate(outcomes, alignments, verdicts)
-    scores = {a.question_ref: a.score for a in alignments}
     for r in reports:
         assert 0.0 <= r.validity_pct <= 100.0
         assert r.std_sts >= 0.0

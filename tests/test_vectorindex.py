@@ -53,7 +53,7 @@ def brute_force_cosine(a, b) -> float:
 def cosine(a, b) -> float:
     """Cosine of ``a`` against a one-row index holding ``b``."""
     index = build_index([make_chunk("b")], [np.asarray(b, dtype=np.float64)], provider_tag="t")
-    (score,) = similarities(index, np.asarray(a, dtype=np.float64))
+    (score,) = similarities(index, np.asarray(a, dtype=np.float64)[None])[0]
     return float(score)
 
 
@@ -135,10 +135,15 @@ def test_index_matrix_is_read_only():
 # --- top_k ---------------------------------------------------------------------
 
 
+def rank(index: VectorIndex, query: np.ndarray, k: int):
+    """top_k of one query vector."""
+    return top_k(index, similarities(index, np.asarray(query)[None]), k)[0]
+
+
 def test_self_similarity_rank_one():
     index = make_index(5, seed=3)
     query = np.array(index.matrix[2])
-    hits = top_k(index, query, k=1)
+    hits = rank(index, query, k=1)
     assert hits[0].chunk_id == "c002"
     assert hits[0].score == pytest.approx(1.0)
     assert hits[0].rank == 1
@@ -146,7 +151,7 @@ def test_self_similarity_rank_one():
 
 def test_k_larger_than_index_saturates():
     index = make_index(4)
-    hits = top_k(index, np.ones(8), k=100)
+    hits = rank(index, np.ones(8), k=100)
     assert len(hits) == 4
     assert [h.rank for h in hits] == [1, 2, 3, 4]
 
@@ -155,7 +160,7 @@ def test_top_k_matches_brute_force_oracle():
     rng = random.Random(42)
     index = make_index(50, dim=6, seed=9)
     query = np.array([rng.gauss(0, 1) for _ in range(6)])
-    hits = top_k(index, query, k=5)
+    hits = rank(index, query, k=5)
     expected = sorted(
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
         key=lambda t: (-t[0], t[1]),
@@ -169,22 +174,22 @@ def test_tie_break_by_chunk_id_ascending():
     chunks = [make_chunk("zz"), make_chunk("aa"), make_chunk("mm")]
     same = np.array([1.0, 1.0, 0.0])
     index = build_index(chunks, [same, same, same], provider_tag="t")
-    hits = top_k(index, np.array([1.0, 1.0, 0.0]), k=3)
+    hits = rank(index, np.array([1.0, 1.0, 0.0]), k=3)
     assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
 
 
 def test_query_scale_invariance():
     index = make_index(20, seed=5)
     query = np.array(index.matrix[7]) + 0.1
-    base = top_k(index, query, k=6)
-    scaled = top_k(index, 37.5 * query, k=6)
+    base = rank(index, query, k=6)
+    scaled = rank(index, 37.5 * query, k=6)
     assert [(h.chunk_id, h.rank) for h in base] == [(h.chunk_id, h.rank) for h in scaled]
 
 
 def test_query_dimension_checked():
     index = make_index(3, dim=8)
     with pytest.raises(DimensionMismatch):
-        top_k(index, np.ones(5), k=1)
+        rank(index, np.ones(5), k=1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +205,7 @@ def test_top_k_equals_brute_force_property(size, dim, k, seed):
     query = np.array([rng.gauss(0, 1) for _ in range(dim)])
     if np.linalg.norm(query) == 0:
         return
-    hits = top_k(index, query, k=k)
+    hits = rank(index, query, k=k)
     expected = sorted(
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
         key=lambda t: (-t[0], t[1]),
@@ -373,14 +378,14 @@ def test_batched_similarities_rows_equal_single_query_calls(size, dim, queries, 
     table = similarities(index, q)
     assert table.shape == (queries, size)
     for row, query in zip(table, q):
-        assert row.tobytes() == similarities(index, query).tobytes()
+        assert row.tobytes() == similarities(index, query[None])[0].tobytes()
         # The scoring rule before batching: one matrix-vector product per query.
         unit = query / float(np.linalg.norm(query))
         assert row.tobytes() == np.clip(index.matrix @ unit, -1.0, 1.0).tobytes()
 
 
 def reference_top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    scores = similarities(index, query)
+    scores = similarities(index, query[None])[0]
     ranked = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id))
     return [(index.chunks[i].chunk_id, float(scores[i])) for i in ranked[:k]]
 
@@ -394,21 +399,33 @@ def test_batched_top_k_equals_sorted_reference_with_ties_at_k():
     queries = np.vstack([directions, rng.standard_normal((8, 6))])
     straddled = 0
     for k in range(1, 23):
-        batched = top_k(index, queries, k)
+        batched = top_k(index, similarities(index, queries), k)
         assert len(batched) == len(queries)
         for query, hits in zip(queries, batched):
             expected = reference_top_k(index, query, k)
             assert [(h.chunk_id, h.score) for h in hits] == expected
             assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
-            assert hits == top_k(index, query, k)
-            scores = sorted(similarities(index, query), reverse=True)
+            assert hits == rank(index, query, k)
+            scores = sorted(similarities(index, query[None])[0], reverse=True)
             straddled += k < len(index) and scores[k - 1] == scores[k]
     assert straddled > 100
 
 
 def test_batched_top_k_of_no_queries_is_empty():
     index = make_index(3)
-    assert top_k(index, np.empty((0, 0)), 2) == []
-    assert top_k(index, np.empty((0, 8)), 2) == []
+    assert top_k(index, similarities(index, np.empty((0, 0))), 2) == []
+    assert top_k(index, similarities(index, np.empty((0, 8))), 2) == []
     with pytest.raises(DimensionMismatch):
-        top_k(index, np.ones((2, 5)), 1)
+        similarities(index, np.ones((2, 5)))
+
+
+def test_vector_api_takes_matrices_only():
+    index = make_index(3, dim=8)
+    with pytest.raises(DimensionMismatch):
+        similarities(index, np.ones(8))
+    with pytest.raises(DimensionMismatch):
+        similarities(index, np.empty((0, 5)))
+    with pytest.raises(LengthMismatch):
+        top_k(index, np.ones(3), 1)
+    with pytest.raises(LengthMismatch):
+        top_k(index, np.ones((2, 4)), 1)
