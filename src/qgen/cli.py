@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .blocks import DocRole, load_document
 from .chat import ChatProvider, HttpChatProvider, MockChatProvider
 from .chunking import Chunk, LearningStandard, chunk_recursive, chunk_rpt_standards, chunk_structure_aware
@@ -37,7 +39,7 @@ from .evaluate import (
 )
 from .generate import GenOutcome, Method, generate_batch
 from .jsonio import read_jsonl, write_json, write_jsonl, write_text
-from .vectorindex import build_index, load_index, save_index
+from .vectorindex import VectorIndex, build_index, load_index, save_index
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -168,6 +170,19 @@ def cmd_index(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _load_matching_index(path: Path, embedder: EmbeddingProvider) -> VectorIndex:
+    """Load an index, refusing one that another embedder made: queries would land in a foreign space."""
+    if not path.is_file():
+        raise PipelineStateError(f"missing index {path}; run the index stage first")
+    index = load_index(path)
+    if index.provider_tag != embedder.tag:
+        raise PipelineStateError(
+            f"{path} was embedded by {index.provider_tag!r}, but the configured embedder is "
+            f"{embedder.tag!r}; rerun `qgen index`"
+        )
+    return index
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     """Generate n outcomes per enabled method, cycling the standards."""
     work = Workdir(cfg.paths.workdir)
@@ -175,15 +190,14 @@ def cmd_generate(cfg: RunConfig) -> int:
     chat, embedder = build_providers(cfg)
     standards = [s for s, _ in _read_standards(work)]
     gen = cfg.generation
+    # Every index is checked before any method runs, so a refusal writes no outcome file.
+    indexes = {
+        method: _load_matching_index(work.index_file(
+            "knowledge_recursive" if method is Method.RAG_GENERIC else "knowledge_structure_aware"
+        ), embedder)
+        for method in gen.methods if method.is_rag
+    }
     for method in gen.methods:
-        index = None
-        if method.is_rag:
-            index_path = work.index_file(
-                "knowledge_recursive" if method is Method.RAG_GENERIC else "knowledge_structure_aware"
-            )
-            if not index_path.is_file():
-                raise PipelineStateError(f"missing index {index_path}; run the index stage first")
-            index = load_index(index_path)
         outcomes = generate_batch(
             chat,
             method,
@@ -191,7 +205,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             topic=gen.topic,
             standards=standards,
             retrieval_k=gen.retrieval_k,
-            index=index,
+            index=indexes.pop(method, None),
             embedder=embedder if method.is_rag else None,
             temperature=gen.temperature,
             retry=_retry_policy(cfg),
@@ -215,15 +229,25 @@ def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcom
     return outcomes
 
 
+def _rows_read(table: np.ndarray, rows: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The rows of ``table`` that ``rows`` names, in table order, and ``rows`` renumbered into them.
+
+    A table whose every row is read comes back as it is, not copied.
+    """
+    kept = sorted(set(rows))
+    if len(kept) == len(table):
+        return table, rows
+    renumber = {r: i for i, r in enumerate(kept)}
+    return table[kept], [renumber[r] for r in rows]
+
+
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score every parsed outcome and write records plus the method report."""
     work = Workdir(cfg.paths.workdir)
     _echo_config(cfg, work)
     chat, embedder = build_providers(cfg)
     standards_index_path = work.index_file("standards")
-    if not standards_index_path.is_file():
-        raise PipelineStateError(f"missing index {standards_index_path}; run the index stage first")
-    rpt_index = load_index(standards_index_path)
+    rpt_index = _load_matching_index(standards_index_path, embedder)
     standards = _read_standards(work)
     if [chunk_id for _, chunk_id in standards] != [c.chunk_id for c in rpt_index.chunks]:
         raise PipelineStateError(
@@ -239,20 +263,26 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     table, sts_rows, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index,
                                                  unit=ev.sts_unit, retry=retry,
                                                  max_in_flight=cfg.provider.max_in_flight)
-    # Each distinct text is aligned and ranked once; a question then takes
-    # the results of its rows. Scoring and retrieval are CPU work and stay
-    # on this thread; only the QA round-trips overlap.
-    best = sts_alignment(table, codes)
-    ranked = retrieve_standards(rpt_index, table, ev.k)
-    alignments = [best[r] for r in sts_rows]
-    hits = [ranked[r] for r in stem_rows]
-    verdicts = map_in_flight(
-        lambda i: ragqa_validity(
-            parsed[i].mcq, rpt_index, hits[i], chat,
+    # Each distinct text is aligned and ranked once, and each distinct stem
+    # is asked once: the QA request is a pure function of the stem, so
+    # identical stems share one verdict. A question then takes the results
+    # of its rows. Table rows keep first-occurrence order, so the QA
+    # requests go out in that order. Scoring and retrieval are CPU work and
+    # stay on this thread; only the QA round-trips overlap.
+    sts_table, sts_rows = _rows_read(table, sts_rows)
+    stem_table, stem_rows = _rows_read(table, stem_rows)
+    best = sts_alignment(sts_table, codes)
+    ranked = retrieve_standards(rpt_index, stem_table, ev.k)
+    outcome_of = dict(zip(stem_rows, parsed))
+    asked = map_in_flight(
+        lambda r: ragqa_validity(
+            outcome_of[r].mcq, rpt_index, ranked[r], chat,
             tau=ev.tau, refusal_markers=ev.refusal_markers, retry=retry,
         ),
-        range(len(parsed)), cfg.provider.max_in_flight,
+        range(len(ranked)), cfg.provider.max_in_flight,
     )
+    alignments = [best[r] for r in sts_rows]
+    verdicts = [asked[r] for r in stem_rows]
     records = [
         {
             "outcome_id": outcome.outcome_id,

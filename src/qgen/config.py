@@ -34,6 +34,11 @@ def parse_method(name: str) -> Method:
     return _METHOD_ALIASES[key]
 
 
+def parse_methods(names) -> tuple[Method, ...]:
+    """Methods by name or alias, each kept once, in first-occurrence order."""
+    return tuple(dict.fromkeys(parse_method(n) for n in names))
+
+
 @dataclass(frozen=True)
 class PathsConfig:
     knowledge_blocks: str = ""
@@ -138,7 +143,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if "generation" in data:
         sections["generation"] = _merge_section(
             cfg.generation, data["generation"], "generation",
-            methods=lambda names: tuple(parse_method(n) for n in names),
+            methods=parse_methods,
         )
     if "evaluation" in data:
         sections["evaluation"] = _merge_section(
@@ -198,8 +203,7 @@ def apply_flags(
             raise ConfigError(f"--n must be >= 1, got {n}")
         cfg = replace(cfg, generation=replace(cfg.generation, n_per_method=n))
     if methods is not None:
-        parsed = tuple(parse_method(m) for m in methods)
-        cfg = replace(cfg, generation=replace(cfg.generation, methods=parsed))
+        cfg = replace(cfg, generation=replace(cfg.generation, methods=parse_methods(methods)))
     if tau is not None:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"--tau must be within [0, 1], got {tau}")

@@ -14,7 +14,7 @@ from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider
 from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, CountingChat
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -437,3 +437,45 @@ def test_run_all_identical_across_max_in_flight(tmp_path):
         snapshots.append(snapshot)
     assert snapshots[0] == snapshots[1]
     assert b"parse_failure" in snapshots[0]["outcomes/basic_prompt.jsonl"]
+
+
+def test_duplicate_methods_run_once(tmp_path, monkeypatch, capsys):
+    n = 5
+    config = write_config(tmp_path, provider={"mock": True, "max_in_flight": 1},
+                          generation={"n_per_method": n})
+    assert main(["ingest", "--config", str(config)]) == 0
+    chat = CountingChat()
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (chat, MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--methods", "basic,basic_prompt"]) == 0
+    assert chat.calls == n
+    assert capsys.readouterr().out.count("method=basic_prompt") == 1
+    resolved = json.loads((tmp_path / "workdir" / "resolved_config.json").read_text())
+    assert resolved["generation"]["methods"] == ["basic_prompt"]
+
+
+class ForeignEmbedder(MockEmbeddingProvider):
+    """The mock embedder's dimension under another model's tag."""
+
+    def __init__(self, dim):
+        super().__init__(dim=dim)
+        self.tag = f"another-model:d{dim}"
+
+
+@pytest.mark.parametrize("stage", ["generate", "evaluate"])
+def test_stage_refuses_index_from_another_embedder(tmp_path, monkeypatch, capsys, stage):
+    config = write_config(tmp_path)
+    workdir = tmp_path / "workdir"
+    for cmd in ("ingest", "index", "generate")[:2 if stage == "generate" else 3]:
+        assert main([cmd, "--config", str(config)]) == 0
+    before = workdir_snapshot(workdir)
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (MockChatProvider(), ForeignEmbedder(cfg.provider.mock_dim)))
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 4
+    assert "rerun `qgen index`" in capsys.readouterr().err
+    assert workdir_snapshot(workdir) == before
+    assert not (workdir / "eval" / "records.jsonl").exists()
+    if stage == "generate":
+        assert not (workdir / "outcomes").exists()

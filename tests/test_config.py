@@ -45,6 +45,13 @@ def test_method_aliases():
         parse_method("quantum")
 
 
+def test_repeated_methods_kept_once_in_first_order():
+    cfg = config_from_dict({"generation": {"methods": ["basic", "rag_generic", "basic_prompt", "BASIC"]}})
+    assert cfg.generation.methods == (Method.BASIC_PROMPT, Method.RAG_GENERIC)
+    cfg = apply_flags(cfg, methods=["structured", "basic", "structured_prompt"])
+    assert cfg.generation.methods == (Method.STRUCTURED_PROMPT, Method.BASIC_PROMPT)
+
+
 def test_flag_precedence_over_file():
     cfg = config_from_dict({"generation": {"n_per_method": 50}, "evaluation": {"tau": 0.9}})
     cfg = apply_flags(cfg, n=7, tau=0.2, methods=["basic"], workdir="elsewhere")

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -13,8 +14,9 @@ import qgen.cli
 from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.cli import main
+from qgen.config import load_config
 from qgen.embedding import MockEmbeddingProvider, embed_texts
-from qgen.errors import EmptyBatch, LengthMismatch, WrongIndexRole
+from qgen.errors import EmptyBatch, LengthMismatch, ProviderError, WrongIndexRole
 from qgen.evaluate import (
     TIE_TOLERANCE,
     EmptyStandards,
@@ -31,7 +33,7 @@ from qgen.evaluate import (
 )
 from qgen.generate import GenOutcome, GenRequest, Method
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
-from qgen.vectorindex import build_index, similarities
+from qgen.vectorindex import build_index, load_index, similarities
 from tests.conftest import FIXTURES, CountingChat
 
 STANDARDS = [
@@ -237,14 +239,23 @@ class CountingEmbedder:
         return self.inner.embed(texts)
 
 
-def evaluated_texts(workdir, unit):
-    """The distinct texts evaluate scores: each parsed question's stem and ``unit`` text."""
-    mcqs = [
-        GenOutcome.from_dict(json.loads(line)).mcq
+def parsed_outcomes(workdir):
+    """The parsed outcomes evaluate reads, in its order: outcome files by name, then line."""
+    outcomes = [
+        GenOutcome.from_dict(json.loads(line))
         for path in sorted((workdir / "outcomes").glob("*.jsonl"))
         for line in path.read_text().splitlines()
     ]
-    mcqs = [m for m in mcqs if m is not None]
+    return [o for o in outcomes if o.mcq is not None]
+
+
+def read_records(workdir):
+    return [json.loads(line) for line in (workdir / "eval" / "records.jsonl").read_text().splitlines()]
+
+
+def evaluated_texts(workdir, unit):
+    """The distinct texts evaluate scores: each parsed question's stem and ``unit`` text."""
+    mcqs = [o.mcq for o in parsed_outcomes(workdir)]
     expected = {m.stem for m in mcqs} | {_evaluation_text(m, unit) for m in mcqs}
     assert len(expected) < 2 * len(mcqs)  # texts repeat, so deduplication is exercised
     return expected
@@ -281,8 +292,106 @@ def test_evaluate_scores_each_distinct_text_once(tmp_path, monkeypatch, unit):
     assert bound
     for module in bound:
         monkeypatch.setattr(module, "similarities", recording)
+    reduced = {}
+
+    def recording_alignment(table, codes):
+        reduced["align"] = table
+        return sts_alignment(table, codes)
+
+    def recording_retrieval(index, table, k):
+        reduced["retrieve"] = table
+        return retrieve_standards(index, table, k)
+
+    monkeypatch.setattr(qgen.cli, "sts_alignment", recording_alignment)
+    monkeypatch.setattr(qgen.cli, "retrieve_standards", recording_retrieval)
     assert main(["evaluate", "--config", str(config)]) == 0
     assert rows == [len(evaluated_texts(tmp_path / "workdir", unit))]
+    # Each reduction reads only the rows it serves; under "stem" both share the table uncopied.
+    mcqs = [o.mcq for o in parsed_outcomes(tmp_path / "workdir")]
+    assert len(reduced["align"]) == len({_evaluation_text(m, unit) for m in mcqs})
+    assert len(reduced["retrieve"]) == len({m.stem for m in mcqs})
+    assert (reduced["align"] is reduced["retrieve"]) == (unit == "stem")
+
+
+class RecordingChat(MockChatProvider):
+    """Mock chat that records every prompt pair it answers, from any thread."""
+
+    def __init__(self):
+        super().__init__()
+        self.prompts = []
+        self.lock = threading.Lock()
+
+    def complete(self, system, user, **kwargs):
+        with self.lock:
+            self.prompts.append((system, user))
+        return super().complete(system, user, **kwargs)
+
+
+def test_evaluate_asks_each_distinct_stem_once(tmp_path, monkeypatch):
+    config = fixture_config(tmp_path)
+    for cmd in ("ingest", "index", "generate"):
+        assert main([cmd, "--config", str(config)]) == 0
+    chat = RecordingChat()
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (chat, MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    assert main(["evaluate", "--config", str(config)]) == 0
+
+    workdir = tmp_path / "workdir"
+    tau = load_config(config).evaluation.tau
+    stems = {o.outcome_id: o.mcq.stem for o in parsed_outcomes(workdir)}
+    asked = [stems[r["outcome_id"]] for r in read_records(workdir) if r["top_score"] >= tau]
+    assert len(set(asked)) < len(asked)  # stems repeat above tau, so coalescing is exercised
+    assert max(Counter(chat.prompts).values()) == 1
+    assert len(chat.prompts) == len(set(asked))
+
+
+@pytest.mark.parametrize("unit", ["stem", "full"])
+def test_evaluate_records_equal_per_question_reference(tmp_path, unit):
+    config = fixture_config(tmp_path, sts_unit=unit)
+    assert main(["run-all", "--config", str(config)]) == 0
+
+    workdir = tmp_path / "workdir"
+    ev = load_config(config).evaluation
+    rpt_index = load_index(workdir / "indexes" / "standards.index.json")
+    codes = [json.loads(line)["code"]
+             for line in (workdir / "chunks" / "learning_standards.jsonl").read_text().splitlines()]
+    embedder, chat = MockEmbeddingProvider(dim=64), MockChatProvider()
+    expected = []
+    for outcome in parsed_outcomes(workdir):
+        table, (sts_row,), (stem_row,) = score_questions(embedder, [outcome.mcq], rpt_index, unit=unit)
+        alignment = sts_alignment(table, codes)[sts_row]
+        hits = retrieve_standards(rpt_index, table, ev.k)[stem_row]
+        verdict = ragqa_validity(outcome.mcq, rpt_index, hits, chat,
+                                 tau=ev.tau, refusal_markers=ev.refusal_markers)
+        expected.append({
+            "outcome_id": outcome.outcome_id,
+            "method": outcome.request.method.value,
+            "score": alignment.score,
+            "best_standard": alignment.best_standard,
+            "verdict": verdict.verdict.value,
+            "reason": verdict.reason.value,
+            "top_score": verdict.top_score,
+        })
+    assert {r["reason"] for r in expected} >= {"AboveThresholdAnswered", "BelowThreshold"}
+    assert read_records(workdir) == expected
+
+
+class QaRejected(MockChatProvider):
+    def complete(self, system, user, **kwargs):
+        raise ProviderError(400, "rejected question", retryable=False)
+
+
+def test_evaluate_qa_failure_exits_3_without_records(tmp_path, monkeypatch, capsys):
+    config = fixture_config(tmp_path)
+    for cmd in ("ingest", "index", "generate"):
+        assert main([cmd, "--config", str(config)]) == 0
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (QaRejected(), MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 3
+    assert "rejected question" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "eval" / "records.jsonl").exists()
+    assert not (tmp_path / "workdir" / "report.json").exists()
 
 
 # --- ragqa_validity -------------------------------------------------------------
