@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import DocRole, load_document
 from .chat import ChatProvider, HttpChatProvider, MockChatProvider
 from .chunking import Chunk, LearningStandard, chunk_recursive, chunk_rpt_standards, chunk_structure_aware
-from .config import RunConfig, apply_flags, load_config
+from .config import RunConfig, load_config
 from .embedding import (
     EmbeddingProvider,
     HttpEmbeddingProvider,
@@ -27,7 +27,7 @@ from .embedding import (
     embed_texts,
     map_in_flight,
 )
-from .errors import CorruptIndexFile, EmptyBatch, InputError, PipelineStateError, ProviderError, QgenError
+from .errors import EmptyBatch, InputError, PipelineStateError, ProviderError, QgenError
 from .evaluate import (
     MethodReport,
     aggregate,
@@ -109,19 +109,30 @@ def _echo_config(cfg: RunConfig, work: Workdir) -> None:
     write_json(work.resolved_config, cfg.to_dict())
 
 
-def _read_chunks(path: Path) -> list[Chunk]:
+def _read_artifact(path: Path, stage: str, from_dict) -> list:
+    """The rows of a workdir artifact that ``stage`` writes, each through ``from_dict``.
+
+    A missing file, or a row that ``from_dict`` cannot read, is a
+    pipeline-state error naming the file and the row.
+    """
     if not path.is_file():
-        raise PipelineStateError(f"missing chunk file {path}; run the ingest stage first")
-    return [Chunk.from_dict(row) for row in read_jsonl(path)]
+        raise PipelineStateError(f"missing {path}; run the {stage} stage first")
+    rows = []
+    try:
+        for row in read_jsonl(path) if path.suffix == ".jsonl" else json.loads(path.read_text(encoding="utf-8")):
+            rows.append(from_dict(row))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PipelineStateError(
+            f"{path}: row {len(rows) + 1} is damaged ({type(exc).__name__}: {exc}); rerun the {stage} stage"
+        ) from exc
+    return rows
 
 
 def _read_standards(work: Workdir) -> list[tuple[LearningStandard, str]]:
-    if not work.standards_file.is_file():
-        raise PipelineStateError(f"missing {work.standards_file}; run the ingest stage first")
-    return [
-        (LearningStandard(row["code"], row["description"]), row["chunk_id"])
-        for row in read_jsonl(work.standards_file)
-    ]
+    return _read_artifact(
+        work.standards_file, "ingest",
+        lambda row: (LearningStandard(row["code"], row["description"]), row["chunk_id"]),
+    )
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -160,7 +171,7 @@ def cmd_index(cfg: RunConfig) -> int:
     retry = _retry_policy(cfg)
     counts = []
     for name in ("knowledge_recursive", "knowledge_structure_aware", "standards"):
-        chunks = _read_chunks(work.chunk_file(name))
+        chunks = _read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict)
         vectors = embed_texts(embedder, [c.text for c in chunks], retry=retry,
                               max_in_flight=cfg.provider.max_in_flight)
         index = build_index(chunks, vectors, provider_tag=embedder.tag)
@@ -221,9 +232,7 @@ def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcom
     """Outcomes of the configured methods, their files read in file-name order."""
     outcomes: list[GenOutcome] = []
     for path in sorted({work.outcome_file(m) for m in methods}):
-        if not path.is_file():
-            raise PipelineStateError(f"missing outcome file {path}; run the generate stage first")
-        outcomes.extend(GenOutcome.from_dict(row) for row in read_jsonl(path))
+        outcomes.extend(_read_artifact(path, "generate", GenOutcome.from_dict))
     if not outcomes:
         raise EmptyBatch(f"no outcomes found under {work.outcomes}")
     return outcomes
@@ -307,9 +316,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     """Print the stored report in the configured format."""
     work = Workdir(cfg.paths.workdir)
-    if not work.report_json.is_file():
-        raise PipelineStateError(f"missing {work.report_json}; run the evaluate stage first")
-    reports = [MethodReport.from_dict(d) for d in json.loads(work.report_json.read_text(encoding="utf-8"))]
+    reports = _read_artifact(work.report_json, "evaluate", MethodReport.from_dict)
     print(render_report(reports, cfg.report_format))
     return EXIT_OK
 
@@ -351,16 +358,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config)
-    return apply_flags(
-        cfg,
-        mock=args.mock,
-        n=args.n,
-        methods=args.methods.split(",") if args.methods else None,
-        tau=args.tau,
-        k=args.k,
-        workdir=args.workdir,
-    )
+    """The config file with the flags that were given laid over it, checked as one."""
+    flags = {
+        "provider": {"mock": args.mock or None},
+        "generation": {"n_per_method": args.n, "methods": args.methods.split(",") if args.methods else None},
+        "evaluation": {"tau": args.tau, "k": args.k},
+        "paths": {"workdir": args.workdir},
+    }
+    return load_config(args.config, {section: {key: value for key, value in keys.items() if value is not None}
+                                     for section, keys in flags.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -374,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (PipelineStateError, CorruptIndexFile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE
     except QgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE

@@ -1,14 +1,15 @@
 """Run configuration: defaults, JSON config files and flag overrides.
 
-Precedence is flag > file > default. The fully resolved configuration is
-echoed into the workdir so every run leaves one reproducible artifact
-describing exactly what it did.
+Precedence is flag > file > default. Flags and file values merge into one
+dict, which passes one set of type and range checks. The fully resolved
+configuration is echoed into the workdir so every run leaves one
+reproducible artifact describing exactly what it did.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .chunking import DEFAULT_UNIT_KEYWORDS
@@ -86,6 +87,12 @@ class GenerationConfig:
     topic: str = "Nombor Nisbah"
     retrieval_k: int = 3
 
+    def __post_init__(self):
+        if self.n_per_method < 1:
+            raise ConfigError(f"generation.n_per_method must be >= 1, got {self.n_per_method}")
+        if self.retrieval_k < 1:
+            raise ConfigError(f"generation.retrieval_k must be >= 1, got {self.retrieval_k}")
+
 
 @dataclass(frozen=True)
 class EvaluationConfig:
@@ -93,6 +100,14 @@ class EvaluationConfig:
     k: int = 3
     sts_unit: str = "stem"
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS
+
+    def __post_init__(self):
+        if not 0 <= self.tau <= 1:
+            raise ConfigError(f"evaluation.tau must be within [0, 1], got {self.tau}")
+        if self.k < 1:
+            raise ConfigError(f"evaluation.k must be >= 1, got {self.k}")
+        if self.sts_unit not in ("stem", "full"):
+            raise ConfigError(f"evaluation.sts_unit must be 'stem' or 'full', got {self.sts_unit!r}")
 
 
 @dataclass(frozen=True)
@@ -104,76 +119,82 @@ class RunConfig:
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     report_format: str = "markdown"
 
+    def __post_init__(self):
+        if self.report_format not in ("markdown", "json"):
+            raise ConfigError(f"report_format must be 'markdown' or 'json', got {self.report_format!r}")
+
     def to_dict(self) -> dict:
         data = asdict(self)
         data["generation"]["methods"] = [m.value for m in self.generation.methods]
         return data
 
 
-def _merge_section(defaults, data: dict, path: str, **coercions):
+def _checked(name: str, value, default):
+    """``value`` if it has the JSON type of ``default``; a list setting comes back as a tuple."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        # An int stays an int, so the resolved config echoes the file's bytes.
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        ok, kind = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value), "a list of strings"
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if name == "generation.methods":
+        return parse_methods(value)
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _from_dict(cls, data, prefix: str):
+    """Build ``cls`` from ``data``, checking each key against the type of its default."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {prefix.rstrip('.') or 'top level'} must be an object")
+    defaults = cls()
+    names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if not hasattr(defaults, key):
-            raise ConfigError(f"unknown config key {path}.{key}")
-        kwargs[key] = coercions[key](value) if key in coercions else value
-    try:
-        return replace(defaults, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in config section {path}: {exc}") from exc
+        if key not in names:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            kwargs[key] = _from_dict(type(default), value, f"{prefix}{key}.")
+        else:
+            kwargs[key] = _checked(f"{prefix}{key}", value, default)
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config top level must be an object")
-    cfg = RunConfig()
-    known = {"paths", "chunking", "provider", "generation", "evaluation", "report_format"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    sections: dict = {}
-    if "paths" in data:
-        sections["paths"] = _merge_section(cfg.paths, data["paths"], "paths")
-    if "chunking" in data:
-        sections["chunking"] = _merge_section(
-            cfg.chunking, data["chunking"], "chunking",
-            unit_keywords=tuple,
-        )
-    if "provider" in data:
-        sections["provider"] = _merge_section(cfg.provider, data["provider"], "provider")
-    if "generation" in data:
-        sections["generation"] = _merge_section(
-            cfg.generation, data["generation"], "generation",
-            methods=parse_methods,
-        )
-    if "evaluation" in data:
-        sections["evaluation"] = _merge_section(
-            cfg.evaluation, data["evaluation"], "evaluation",
-            refusal_markers=tuple,
-        )
-    if "report_format" in data:
-        if data["report_format"] not in ("markdown", "json"):
-            raise ConfigError(f"report_format must be 'markdown' or 'json', got {data['report_format']!r}")
-        sections["report_format"] = data["report_format"]
-    return replace(cfg, **sections)
+    return _from_dict(RunConfig, data, "")
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Load a JSON config file, or the full default set when ``path`` is None.
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """Load a JSON config file, or the defaults when ``path`` is None, with ``overrides`` laid over it.
 
-    Relative input-document paths are resolved against the config file's
-    directory, so a config shipped inside a repo works from any cwd; the
-    workdir stays relative to the cwd.
+    ``overrides`` maps section names to the keys they set, as the file does.
+    Both pass the same checks. Relative input-document paths are resolved
+    against the config file's directory, so a config shipped inside a repo
+    works from any cwd; the workdir stays relative to the cwd.
     """
-    if path is None:
-        return RunConfig()
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    data = {}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(data, dict):
+        for section, values in (overrides or {}).items():
+            given = data.get(section, {})
+            data[section] = {**given, **values} if isinstance(given, dict) else given
     cfg = config_from_dict(data)
+    if path is None:
+        return cfg
     base = path.resolve().parent
     resolved = {}
     for key in ("knowledge_blocks", "standards_blocks"):
@@ -182,36 +203,4 @@ def load_config(path: str | Path | None) -> RunConfig:
             resolved[key] = str(base / value)
     if resolved:
         cfg = replace(cfg, paths=replace(cfg.paths, **resolved))
-    return cfg
-
-
-def apply_flags(
-    cfg: RunConfig,
-    *,
-    mock: bool | None = None,
-    n: int | None = None,
-    methods: list[str] | None = None,
-    tau: float | None = None,
-    k: int | None = None,
-    workdir: str | None = None,
-) -> RunConfig:
-    """Overlay command-line flags; only explicitly supplied flags override."""
-    if mock:
-        cfg = replace(cfg, provider=replace(cfg.provider, mock=True))
-    if n is not None:
-        if n < 1:
-            raise ConfigError(f"--n must be >= 1, got {n}")
-        cfg = replace(cfg, generation=replace(cfg.generation, n_per_method=n))
-    if methods is not None:
-        cfg = replace(cfg, generation=replace(cfg.generation, methods=parse_methods(methods)))
-    if tau is not None:
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigError(f"--tau must be within [0, 1], got {tau}")
-        cfg = replace(cfg, evaluation=replace(cfg.evaluation, tau=tau))
-    if k is not None:
-        if k < 1:
-            raise ConfigError(f"--k must be >= 1, got {k}")
-        cfg = replace(cfg, evaluation=replace(cfg.evaluation, k=k))
-    if workdir is not None:
-        cfg = replace(cfg, paths=replace(cfg.paths, workdir=workdir))
     return cfg

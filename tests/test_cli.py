@@ -479,3 +479,59 @@ def test_stage_refuses_index_from_another_embedder(tmp_path, monkeypatch, capsys
     assert not (workdir / "eval" / "records.jsonl").exists()
     if stage == "generate":
         assert not (workdir / "outcomes").exists()
+
+
+def test_run_all_refuses_bad_config_value_before_any_stage(tmp_path, capsys):
+    config = write_config(tmp_path, evaluation={"sts_unit": "Full"})
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert "evaluation.sts_unit" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "outcomes").exists()
+    assert not (tmp_path / "workdir").exists()
+
+
+def rewrite_row(path: Path, index: int, edit) -> None:
+    """Apply ``edit`` to the ``index``-th JSON row of a JSONL file."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(rows[index])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def test_index_damaged_chunk_row_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["ingest", "--config", str(config)]) == 0
+    chunk_file = tmp_path / "workdir" / "chunks" / "knowledge_structure_aware.jsonl"
+    rewrite_row(chunk_file, 1, lambda row: row.update(strategy="bogus"))
+    assert main(["index", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert "knowledge_structure_aware.jsonl: row 2" in err and "rerun the ingest stage" in err
+
+
+def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run-all", "--config", str(config)]) == 0
+    rewrite_row(tmp_path / "workdir" / "outcomes" / "rag_generic.jsonl", 2, lambda row: row.pop("topic"))
+    before = (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert "rag_generic.jsonl: row 3" in err and "'topic'" in err and "rerun the generate stage" in err
+    assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
+
+
+def test_report_damaged_entry_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run-all", "--config", str(config)]) == 0
+    report = tmp_path / "workdir" / "report.json"
+    entries = json.loads(report.read_text())
+    del entries[1]["n"]
+    report.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert "report.json: row 2" in err and "'n'" in err and "rerun the evaluate stage" in err
+
+
+def test_report_without_evaluate_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["report", "--config", str(config)]) == 4
+    assert "run the evaluate stage first" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from qgen.config import RunConfig, apply_flags, config_from_dict, load_config, parse_method
+from qgen.cli import _build_parser, resolve_config
+from qgen.config import RunConfig, config_from_dict, load_config, parse_method
 from qgen.errors import ConfigError
 from qgen.generate import METHOD_ORDER, Method
 
@@ -45,30 +48,97 @@ def test_method_aliases():
         parse_method("quantum")
 
 
+def flags(*argv: str) -> RunConfig:
+    return resolve_config(_build_parser().parse_args(["run-all", *argv]))
+
+
 def test_repeated_methods_kept_once_in_first_order():
     cfg = config_from_dict({"generation": {"methods": ["basic", "rag_generic", "basic_prompt", "BASIC"]}})
     assert cfg.generation.methods == (Method.BASIC_PROMPT, Method.RAG_GENERIC)
-    cfg = apply_flags(cfg, methods=["structured", "basic", "structured_prompt"])
+    cfg = load_config(None, {"generation": {"methods": ["structured", "basic", "structured_prompt"]}})
     assert cfg.generation.methods == (Method.STRUCTURED_PROMPT, Method.BASIC_PROMPT)
 
 
-def test_flag_precedence_over_file():
-    cfg = config_from_dict({"generation": {"n_per_method": 50}, "evaluation": {"tau": 0.9}})
-    cfg = apply_flags(cfg, n=7, tau=0.2, methods=["basic"], workdir="elsewhere")
+def test_flag_precedence_over_file(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"generation": {"n_per_method": 50, "topic": "Pecahan"},
+                                  "evaluation": {"tau": 0.9}}))
+    cfg = flags("--config", str(config), "--n", "7", "--tau", "0.2", "--methods", "basic",
+                "--workdir", "elsewhere")
     assert cfg.generation.n_per_method == 7
     assert cfg.evaluation.tau == 0.2
     assert cfg.generation.methods == (Method.BASIC_PROMPT,)
     assert cfg.paths.workdir == "elsewhere"
+    assert cfg.generation.topic == "Pecahan"
 
 
 def test_flag_validation():
-    cfg = RunConfig()
     with pytest.raises(ConfigError):
-        apply_flags(cfg, n=0)
+        load_config(None, {"generation": {"n_per_method": 0}})
     with pytest.raises(ConfigError):
-        apply_flags(cfg, tau=1.5)
+        load_config(None, {"evaluation": {"tau": 1.5}})
     with pytest.raises(ConfigError):
-        apply_flags(cfg, k=0)
+        load_config(None, {"evaluation": {"k": 0}})
+
+
+# Each value is refused from the file and, where a flag sets the same key, from the flag.
+@pytest.mark.parametrize("section, key, value, flag", [
+    ("evaluation", "sts_unit", "Full", None),
+    ("evaluation", "k", 0, ["--k", "0"]),
+    ("generation", "retrieval_k", 0, None),
+    ("generation", "n_per_method", "5", None),
+    ("generation", "n_per_method", 0, ["--n", "0"]),
+    ("evaluation", "tau", 7, ["--tau", "7"]),
+    ("evaluation", "refusal_markers", "tidak", None),
+    ("provider", "mock", "false", None),
+    ("chunking", "unit_keywords", "Contoh", None),
+])
+def test_bad_values_refused_naming_the_setting(tmp_path, section, key, value, flag):
+    setting = re.escape(f"{section}.{key} must")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=setting):
+        load_config(config)
+    if flag:
+        with pytest.raises(ConfigError, match=setting):
+            flags(*flag)
+
+
+@pytest.mark.parametrize("value", [7, 7.5, True, None, ["a", 1], {"a": 1}])
+def test_each_setting_takes_only_the_json_type_of_its_default(value):
+    defaults = RunConfig().to_dict()
+    for section, keys in defaults.items():
+        if not isinstance(keys, dict):
+            continue
+        for key, default in keys.items():
+            number = type(default) in (int, float) and type(value) in (int, float)
+            if type(value) is type(default) or (isinstance(default, float) and number):
+                continue
+            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must")):
+                config_from_dict({section: {key: value}})
+
+
+def test_float_setting_keeps_an_int_as_given():
+    cfg = config_from_dict({"evaluation": {"tau": 1}, "provider": {"backoff_base": 0}})
+    assert type(cfg.evaluation.tau) is int and cfg.evaluation.tau == 1
+    assert cfg.to_dict()["provider"]["backoff_base"] == 0
+
+
+def test_non_object_section_refused_with_or_without_overrides(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"evaluation": 5}))
+    for overrides in (None, {"evaluation": {"tau": 0.3}}):
+        with pytest.raises(ConfigError, match="config evaluation must be an object"):
+            load_config(config, overrides)
+    with pytest.raises(ConfigError, match="config top level must be an object"):
+        config_from_dict([1])
+
+
+def test_readme_configuration_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
+    assert config_from_dict(json.loads(block)) == RunConfig()
 
 
 def test_relative_input_paths_resolve_against_config_dir(tmp_path):
