@@ -9,7 +9,6 @@ pipeline-state error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .evaluate import (
     sts_alignment,
 )
 from .generate import GenOutcome, Method, generate_batch
-from .jsonio import read_jsonl, write_json, write_jsonl, write_text
+from .jsonio import loads, read_jsonl, write_json, write_jsonl, write_text
 from .vectorindex import VectorIndex, build_index, load_index, save_index
 
 EXIT_OK = 0
@@ -119,7 +118,7 @@ def _read_artifact(path: Path, stage: str, from_dict) -> list:
         raise PipelineStateError(f"missing {path}; run the {stage} stage first")
     rows = []
     try:
-        for row in read_jsonl(path) if path.suffix == ".jsonl" else json.loads(path.read_text(encoding="utf-8")):
+        for row in read_jsonl(path) if path.suffix == ".jsonl" else loads(path.read_bytes()):
             rows.append(from_dict(row))
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineStateError(

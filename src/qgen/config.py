@@ -9,6 +9,7 @@ reproducible artifact describing exactly what it did.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -88,8 +89,13 @@ class GenerationConfig:
     retrieval_k: int = 3
 
     def __post_init__(self):
+        if not self.methods:
+            raise ConfigError("generation.methods must name at least one method")
         if self.n_per_method < 1:
             raise ConfigError(f"generation.n_per_method must be >= 1, got {self.n_per_method}")
+        # The sampling range of the OpenAI chat API, which serves the paper's GPT-4o.
+        if not 0 <= self.temperature <= 2:
+            raise ConfigError(f"generation.temperature must be within [0, 2], got {self.temperature}")
         if self.retrieval_k < 1:
             raise ConfigError(f"generation.retrieval_k must be >= 1, got {self.retrieval_k}")
 
@@ -137,7 +143,9 @@ def _checked(name: str, value, default):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         # An int stays an int, so the resolved config echoes the file's bytes.
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        # json.loads reads NaN and Infinity, which no setting can use.
+        finite = isinstance(value, float) and math.isfinite(value)
+        ok, kind = finite or isinstance(value, int) and not isinstance(value, bool), "a finite number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     else:

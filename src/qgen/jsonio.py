@@ -1,4 +1,13 @@
-"""Deterministic JSON/JSONL helpers for run artifacts.
+"""The one codec for workdir artifacts: canonical JSON and JSONL through orjson.
+
+Every artifact the stages write or read passes through this module, so no
+other module knows the codec. Keys are sorted and the text is UTF-8 with no
+spaces, except in :func:`write_json`'s indented files. Floats are written
+in their shortest round-trip form; a magnitude below 1e-4 or at least 1e16
+is written ``0.000025`` or ``1e16``, where Python's ``repr`` gives
+``2.5e-05`` or ``1e+16``. ``NaN`` and ``Infinity`` are not JSON: they are
+refused when read, and orjson would write them as ``null``, so no caller
+may hand a writer a non-finite float.
 
 Every artifact write is atomic: the content goes to a temporary file in
 the target's directory, which then replaces the target. A write that fails
@@ -7,22 +16,27 @@ partway leaves the previous file as it was and no temporary file behind.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator
 
-from .errors import MalformedBlocksFile
+import orjson
 
 
-def dumps_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+def dumps(obj) -> bytes:
+    """``obj`` as canonical JSON: sorted keys, no spaces, UTF-8."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
+
+
+def loads(data: bytes):
+    """The value of one JSON document; raises ``ValueError`` for text that is not JSON."""
+    return orjson.loads(data)
 
 
 @contextmanager
-def _replacing(path: str | Path) -> Iterator[TextIO]:
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
     """Open a temporary file beside ``path``; it replaces ``path`` once the block succeeds.
 
     The temporary name ends in ``.tmp``, so the stages' ``*.jsonl`` and
@@ -32,7 +46,7 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with tmp.open("x", encoding="utf-8") as fh:
+        with tmp.open("xb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -40,36 +54,36 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one compact JSON object per line; returns the row count."""
+    """Write one canonical JSON object per line; returns the row count."""
     count = 0
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(dumps_line(row) + "\n")
+            fh.write(orjson.dumps(row, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
             count += 1
     return count
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one object per non-empty line; bad lines carry their line number."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    """Yield one object per non-empty line; a bad line raises ``ValueError`` naming its number."""
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedBlocksFile(str(path), f"line {lineno}: invalid JSON: {exc}") from exc
+                obj = loads(line)
+            except orjson.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON: {exc.msg} at column {exc.colno}") from exc
             if not isinstance(obj, dict):
-                raise MalformedBlocksFile(str(path), f"line {lineno}: expected an object")
+                raise ValueError(f"line {lineno}: expected an object")
             yield obj
 
 
 def write_text(path: str | Path, text: str) -> None:
     with _replacing(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
 def write_json(path: str | Path, obj) -> None:
-    write_text(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as sorted JSON indented by two spaces, ending in a newline."""
+    with _replacing(path) as fh:
+        fh.write(orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))

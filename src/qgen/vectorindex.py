@@ -8,7 +8,6 @@ at insertion, reducing cosine similarity to a dot product.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .errors import (
     EmptyIndex,
     LengthMismatch,
 )
-from .jsonio import write_text
+from .jsonio import dumps, loads, write_jsonl
 
 INDEX_FORMAT_VERSION = 2
 
@@ -138,14 +137,13 @@ def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[list[ScoredHit
 
 def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:
     """sha256 of the chunks' canonical JSON, then the vectors as little-endian float64."""
-    canonical = json.dumps(chunk_dicts, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8"))
+    digest = hashlib.sha256(dumps(chunk_dicts))
     digest.update(np.ascontiguousarray(matrix, dtype="<f8"))
     return digest.hexdigest()
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Persist an index as a versioned, checksummed JSON container."""
+    """Persist an index as a versioned, checksummed JSON object on one line."""
     chunk_dicts = [c.to_dict() for c in index.chunks]
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
@@ -155,7 +153,8 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         "checksum": _checksum(chunk_dicts, index.matrix),
         "entries": [{"chunk": d, "vector": v} for d, v in zip(chunk_dicts, index.matrix.tolist())],
     }
-    write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
+    # The index is one JSON object, so a one-row JSONL file holds it compactly.
+    write_jsonl(path, [payload])
 
 
 def load_index(path: str | Path) -> VectorIndex:
@@ -164,8 +163,8 @@ def load_index(path: str | Path) -> VectorIndex:
     if not path.is_file():
         raise FileNotFoundError(f"index file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = loads(path.read_bytes())
+    except ValueError as exc:
         raise CorruptIndexFile(f"{path}: not a valid index file: {exc}") from exc
     if not isinstance(payload, dict):
         raise CorruptIndexFile(f"{path}: top level must be an object")

@@ -88,14 +88,15 @@ def test_index_produces_loadable_indexes(tmp_path):
         assert index.provider_tag.startswith("mock-bow")
 
 
-def test_index_corrupt_chunk_line_exit_2(tmp_path, capsys):
+def test_index_corrupt_chunk_line_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["ingest", "--config", str(config)]) == 0
     chunk_file = tmp_path / "workdir" / "chunks" / "knowledge_recursive.jsonl"
     lines = chunk_file.read_text().splitlines()
     lines[1] = "{broken json"
     chunk_file.write_text("\n".join(lines) + "\n")
-    assert main(["index", "--config", str(config)]) == 2
+    # A damaged stage output is a pipeline-state error, not an input error.
+    assert main(["index", "--config", str(config)]) == 4
     assert "line 2" in capsys.readouterr().err
 
 
@@ -254,6 +255,13 @@ def test_unknown_method_flag_exit_2(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["generate", "--config", str(config), "--methods", "quantum"]) == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_empty_methods_exit_2_before_ingest(tmp_path, capsys):
+    config = write_config(tmp_path, generation={"methods": []})
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert "generation.methods" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "chunks").exists()
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -92,6 +93,13 @@ def test_flag_validation():
     ("evaluation", "refusal_markers", "tidak", None),
     ("provider", "mock", "false", None),
     ("chunking", "unit_keywords", "Contoh", None),
+    ("generation", "methods", [], None),
+    ("provider", "backoff_base", math.nan, None),
+    ("chunking", "structure_heading_font_delta", math.inf, None),
+    ("provider", "mock_malformed_rate", -math.inf, None),
+    ("evaluation", "tau", math.nan, ["--tau", "nan"]),
+    ("generation", "temperature", -5.0, None),
+    ("generation", "temperature", 2.5, None),
 ])
 def test_bad_values_refused_naming_the_setting(tmp_path, section, key, value, flag):
     setting = re.escape(f"{section}.{key} must")

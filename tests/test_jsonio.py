@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import ast
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgen.jsonio
 from qgen.chunking import Chunk, Strategy
@@ -72,3 +79,82 @@ def test_writes_replace_previous_file(tmp_path, writer):
         assert list(read_jsonl(path)) == [{"b": 1}]
     else:
         assert path.read_text(encoding="utf-8") in ('{\n  "b": 1\n}\n', "neu\n")
+
+
+_scalars = (
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-(2**63), max_value=2**64 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+_rows = st.lists(st.dictionaries(st.text(max_size=6), _values, max_size=5), max_size=6)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its bit pattern, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _floats(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_rows)
+def test_jsonl_round_trip_is_exact_and_canonical(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    assert write_jsonl(path, rows) == len(rows)
+    assert [_bits(r) for r in read_jsonl(path)] == [_bits(r) for r in rows]
+    # The bytes are the stdlib's canonical JSON, except the float text of
+    # tiny and huge magnitudes: 0.000025 for 2.5e-05 and 1e16 for 1e+16.
+    if all(f == 0 or 1e-4 <= abs(f) < 1e16 for f in _floats(rows)):
+        canonical = "".join(
+            json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n" for r in rows
+        )
+        assert path.read_bytes() == canonical.encode("utf-8")
+
+
+def test_float_text_of_tiny_and_huge_magnitudes(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"x": [2.5e-05, 1e16, -1e-300, 0.5]}])
+    assert path.read_bytes() == b'{"x":[0.000025,1e16,-1e-300,0.5]}\n'
+    assert [f for row in read_jsonl(path) for f in row["x"]] == [2.5e-05, 1e16, -1e-300, 0.5]
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("{broken json", "invalid JSON: unexpected character at column 2$"),
+    ('{"score": NaN}', "invalid JSON"),
+    ('{"score": -Infinity}', "invalid JSON"),
+    ("[1, 2]", "expected an object"),
+])
+def test_damaged_line_is_named(tmp_path, line, problem):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line 2: {problem}"):
+        list(read_jsonl(path))
+
+
+def test_only_jsonio_imports_orjson():
+    src = Path(qgen.jsonio.__file__).parent
+    importers = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "orjson" for name in names):
+                importers.append(path.relative_to(src).as_posix())
+    assert importers == ["jsonio.py"]

@@ -304,6 +304,18 @@ def test_saved_checksum_is_format_2_definition(tmp_path):
     assert payload["checksum"] == checksum_v2(payload["entries"])
 
 
+def test_spaced_layout_loads_equal(tmp_path):
+    # Earlier releases wrote the same object with spaces after separators.
+    index = make_index(5, dim=16, seed=4)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    compact = path.read_bytes()
+    payload = json.loads(compact)
+    path.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
+    assert path.read_bytes() != compact
+    assert load_index(path) == index
+
+
 def scale_entry_1(payload):
     payload["entries"][1]["vector"] = [2.0 * x for x in payload["entries"][1]["vector"]]
 
@@ -316,12 +328,21 @@ def inf_in_entry_1(payload):
     payload["entries"][1]["vector"][3] = math.inf
 
 
+# json.dumps writes NaN and Infinity as literals, which are not JSON, so
+# those files are refused when parsed, before any vector is read.
+BAD_VECTOR_REFUSAL = {
+    scale_entry_1: r"entry 1 vector is not finite and unit-norm",
+    nan_in_entry_1: r"idx\.json: not a valid index file",
+    inf_in_entry_1: r"idx\.json: not a valid index file",
+}
+
+
 @pytest.mark.parametrize("edit", [scale_entry_1, nan_in_entry_1, inf_in_entry_1])
 def test_load_names_first_bad_vector(tmp_path, edit):
     path = tmp_path / "idx.json"
     save_index(make_index(3), path)
     rewrite_with_valid_checksum(path, edit)
-    with pytest.raises(CorruptIndexFile, match=r"entry 1 vector is not finite and unit-norm"):
+    with pytest.raises(CorruptIndexFile, match=BAD_VECTOR_REFUSAL[edit]):
         load_index(path)
 
 
