@@ -24,7 +24,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .errors import EmptyDocument, MalformedBlocksFile, WrongRole
+from .errors import InputError
+from .jsonio import encodable
 
 _WS_RUN = re.compile(r"[^\S\n]+")
 _BLANK_RUN = re.compile(r"\n{3,}")
@@ -117,16 +118,16 @@ def flatten_text(doc: SourceDocument) -> str:
 
 def _require(cond: bool, path: str, detail: str) -> None:
     if not cond:
-        raise MalformedBlocksFile(path, detail)
+        raise InputError(f"{path}: {detail}")
 
 
 def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocument:
     """Load a Blocks-JSON file into a :class:`SourceDocument`.
 
     ``role``, when given, asserts the document role declared in the file;
-    a mismatch raises :class:`WrongRole`. Structural problems raise
-    :class:`MalformedBlocksFile` with a field-level diagnostic, and a file
-    with zero blocks raises :class:`EmptyDocument`.
+    a mismatch, a structural problem, a string that is not UTF-8 or a file
+    with zero blocks raises :class:`InputError` naming the file and, where
+    one is at fault, the field.
     """
     path = Path(path)
     spath = str(path)
@@ -135,18 +136,19 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedBlocksFile(spath, f"invalid JSON: {exc}") from exc
+        raise InputError(f"{spath}: invalid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), spath, "top level must be an object")
     doc_id = raw.get("doc_id")
     _require(isinstance(doc_id, str) and doc_id.strip() != "", spath, "doc_id must be a non-empty string")
+    _require(encodable(doc_id), spath, "doc_id must be UTF-8 text, without lone surrogates")
     role_raw = raw.get("role")
     try:
         file_role = DocRole(role_raw)
     except ValueError:
-        raise MalformedBlocksFile(spath, f"role must be 'knowledge' or 'standards', got {role_raw!r}") from None
+        raise InputError(f"{spath}: role must be 'knowledge' or 'standards', got {role_raw!r}") from None
     if role is not None and file_role is not role:
-        raise WrongRole(f"{spath}: expected role {role.value!r}, file declares {file_role.value!r}")
+        raise InputError(f"{spath}: expected role {role.value!r}, file declares {file_role.value!r}")
 
     pages_raw = raw.get("pages")
     _require(isinstance(pages_raw, list), spath, "pages must be a list")
@@ -170,6 +172,7 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
             _require(isinstance(b, dict), spath, f"{bwhere} must be an object")
             text = b.get("text")
             _require(isinstance(text, str), spath, f"{bwhere}.text must be a string")
+            _require(encodable(text), spath, f"{bwhere}.text must be UTF-8 text, without lone surrogates")
             bbox = b.get("bbox")
             _require(isinstance(bbox, list) and len(bbox) == 4
                      and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),
@@ -189,10 +192,10 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
                     font_name=font_name,
                 ))
             except ValueError as exc:
-                raise MalformedBlocksFile(spath, f"{bwhere}: {exc}") from None
+                raise InputError(f"{spath}: {bwhere}: {exc}") from None
         pages.append(Page(number=page_no, blocks=tuple(blocks)))
 
     doc = SourceDocument(doc_id=doc_id, role=file_role, pages=tuple(pages))
     if doc.block_count == 0:
-        raise EmptyDocument(f"{spath}: document contains no blocks")
+        raise InputError(f"{spath}: document contains no blocks")
     return doc

@@ -15,7 +15,7 @@ import re
 from typing import Callable, Protocol
 
 from . import wire
-from .errors import ConfigError, ProviderError
+from .errors import InputError, ProviderError
 
 
 class ChatProvider(Protocol):
@@ -73,7 +73,7 @@ class MockChatProvider:
 
     def __init__(self, malformed_rate: float = 0.0, refuse_questions: bool = False):
         if not 0.0 <= malformed_rate <= 1.0:
-            raise ConfigError(f"malformed_rate must be within [0, 1], got {malformed_rate}")
+            raise InputError(f"malformed_rate must be within [0, 1], got {malformed_rate}")
         self.tag = "mock-chat-v1"
         self.malformed_rate = malformed_rate
         self.refuse_questions = refuse_questions
@@ -148,10 +148,10 @@ class HttpChatProvider:
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
                  transport: Callable[..., dict] | None = None, timeout: float = 120.0):
         if not endpoint:
-            raise ConfigError("chat endpoint must be configured for non-mock runs")
+            raise InputError("chat endpoint must be configured for non-mock runs")
         key = os.environ.get(api_key_env, "")
         if not key:
-            raise ConfigError(f"environment variable {api_key_env} must be set for non-mock runs")
+            raise InputError(f"environment variable {api_key_env} must be set for non-mock runs")
         self.endpoint = endpoint
         self.model = model
         self.tag = f"http:{model}"

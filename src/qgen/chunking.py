@@ -14,13 +14,7 @@ from enum import Enum
 from statistics import median
 
 from .blocks import DocRole, SourceDocument, flatten_text
-from .errors import (
-    DuplicateStandardCode,
-    EmptyDocument,
-    InvalidChunkParams,
-    NoStandardsFound,
-    WrongRole,
-)
+from .errors import InputError
 
 
 class Strategy(Enum):
@@ -142,11 +136,11 @@ def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 2
     at ``max_chars`` characters instead, splitting the token that follows.
     """
     if max_chars < 1:
-        raise InvalidChunkParams(f"max_chars must be positive, got {max_chars}")
+        raise InputError(f"max_chars must be positive, got {max_chars}")
     if overlap < 0 or overlap >= max_chars:
-        raise InvalidChunkParams(f"overlap must satisfy 0 <= overlap < max_chars, got overlap={overlap}, max_chars={max_chars}")
+        raise InputError(f"overlap must satisfy 0 <= overlap < max_chars, got overlap={overlap}, max_chars={max_chars}")
     if doc.block_count == 0:
-        raise EmptyDocument(f"{doc.doc_id}: no blocks to chunk")
+        raise InputError(f"{doc.doc_id}: no blocks to chunk")
 
     text = flatten_text(doc)
     # Legal cut positions: every atomic piece's end offset.
@@ -211,10 +205,10 @@ def chunk_structure_aware(
     every block lands in exactly one chunk.
     """
     if max_chars < 1:
-        raise InvalidChunkParams(f"max_chars must be positive, got {max_chars}")
+        raise InputError(f"max_chars must be positive, got {max_chars}")
     blocks = list(doc.iter_blocks())
     if not blocks:
-        raise EmptyDocument(f"{doc.doc_id}: no blocks to chunk")
+        raise InputError(f"{doc.doc_id}: no blocks to chunk")
 
     med = median(b.font_size for b in blocks)
 
@@ -264,18 +258,18 @@ def chunk_rpt_standards(doc: SourceDocument) -> list[tuple[LearningStandard, Chu
     trimmed) and keeps the code inside its text.
     """
     if doc.role is not DocRole.STANDARDS_BLUEPRINT:
-        raise WrongRole(f"{doc.doc_id}: standard splitting requires a standards-blueprint document, got role {doc.role.value!r}")
+        raise InputError(f"{doc.doc_id}: standard splitting requires a standards-blueprint document, got role {doc.role.value!r}")
     text = flatten_text(doc)
     matches = list(STANDARD_CODE_RE.finditer(text))
     if not matches:
-        raise NoStandardsFound(f"{doc.doc_id}: no learning-standard code (digit.digit.digit at line start) found")
+        raise InputError(f"{doc.doc_id}: no learning-standard code (digit.digit.digit at line start) found")
 
     seen: set[str] = set()
     out: list[tuple[LearningStandard, Chunk]] = []
     for i, m in enumerate(matches):
         code = m.group(1)
         if code in seen:
-            raise DuplicateStandardCode(f"{doc.doc_id}: standard code {code} appears more than once")
+            raise InputError(f"{doc.doc_id}: standard code {code} appears more than once")
         seen.add(code)
         start = m.start()
         end = matches[i + 1].start() if i + 1 < len(matches) else len(text)

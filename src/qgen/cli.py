@@ -26,7 +26,7 @@ from .embedding import (
     embed_texts,
     map_in_flight,
 )
-from .errors import EmptyBatch, InputError, PipelineStateError, ProviderError, QgenError
+from .errors import InputError, PipelineStateError, ProviderError, QgenError
 from .evaluate import (
     MethodReport,
     aggregate,
@@ -233,7 +233,7 @@ def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcom
     for path in sorted({work.outcome_file(m) for m in methods}):
         outcomes.extend(_read_artifact(path, "generate", GenOutcome.from_dict))
     if not outcomes:
-        raise EmptyBatch(f"no outcomes found under {work.outcomes}")
+        raise PipelineStateError(f"no outcomes found under {work.outcomes}")
     return outcomes
 
 

@@ -14,9 +14,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .chunking import DEFAULT_UNIT_KEYWORDS
-from .errors import ConfigError
+from .errors import InputError
 from .evaluate import DEFAULT_REFUSAL_MARKERS
 from .generate import METHOD_ORDER, Method
+from .jsonio import encodable
 
 _METHOD_ALIASES = {
     "structured": Method.STRUCTURED_PROMPT,
@@ -32,7 +33,7 @@ _METHOD_ALIASES = {
 def parse_method(name: str) -> Method:
     key = name.strip().lower()
     if key not in _METHOD_ALIASES:
-        raise ConfigError(f"unknown method {name!r}; valid: {sorted(_METHOD_ALIASES)}")
+        raise InputError(f"unknown method {name!r}; valid: {sorted(_METHOD_ALIASES)}")
     return _METHOD_ALIASES[key]
 
 
@@ -73,11 +74,11 @@ class ProviderConfig:
 
     def __post_init__(self):
         if self.max_in_flight < 1:
-            raise ConfigError(f"provider.max_in_flight must be >= 1, got {self.max_in_flight}")
+            raise InputError(f"provider.max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.max_retries < 0:
-            raise ConfigError(f"provider.max_retries must be >= 0, got {self.max_retries}")
+            raise InputError(f"provider.max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0:
-            raise ConfigError(f"provider.backoff_base must be >= 0, got {self.backoff_base}")
+            raise InputError(f"provider.backoff_base must be >= 0, got {self.backoff_base}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ class GenerationConfig:
 
     def __post_init__(self):
         if not self.methods:
-            raise ConfigError("generation.methods must name at least one method")
+            raise InputError("generation.methods must name at least one method")
         if self.n_per_method < 1:
-            raise ConfigError(f"generation.n_per_method must be >= 1, got {self.n_per_method}")
+            raise InputError(f"generation.n_per_method must be >= 1, got {self.n_per_method}")
         # The sampling range of the OpenAI chat API, which serves the paper's GPT-4o.
         if not 0 <= self.temperature <= 2:
-            raise ConfigError(f"generation.temperature must be within [0, 2], got {self.temperature}")
+            raise InputError(f"generation.temperature must be within [0, 2], got {self.temperature}")
         if self.retrieval_k < 1:
-            raise ConfigError(f"generation.retrieval_k must be >= 1, got {self.retrieval_k}")
+            raise InputError(f"generation.retrieval_k must be >= 1, got {self.retrieval_k}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,11 @@ class EvaluationConfig:
 
     def __post_init__(self):
         if not 0 <= self.tau <= 1:
-            raise ConfigError(f"evaluation.tau must be within [0, 1], got {self.tau}")
+            raise InputError(f"evaluation.tau must be within [0, 1], got {self.tau}")
         if self.k < 1:
-            raise ConfigError(f"evaluation.k must be >= 1, got {self.k}")
+            raise InputError(f"evaluation.k must be >= 1, got {self.k}")
         if self.sts_unit not in ("stem", "full"):
-            raise ConfigError(f"evaluation.sts_unit must be 'stem' or 'full', got {self.sts_unit!r}")
+            raise InputError(f"evaluation.sts_unit must be 'stem' or 'full', got {self.sts_unit!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.report_format not in ("markdown", "json"):
-            raise ConfigError(f"report_format must be 'markdown' or 'json', got {self.report_format!r}")
+            raise InputError(f"report_format must be 'markdown' or 'json', got {self.report_format!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -151,7 +152,11 @@ def _checked(name: str, value, default):
     else:
         ok, kind = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value), "a list of strings"
     if not ok:
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    # Every setting is echoed into the workdir, whose codec writes only UTF-8.
+    texts = [value] if isinstance(default, str) else value if isinstance(default, tuple) else []
+    if not all(map(encodable, texts)):
+        raise InputError(f"{name} must be UTF-8 text, without lone surrogates, got {value!r}")
     if name == "generation.methods":
         return parse_methods(value)
     return tuple(value) if isinstance(default, tuple) else value
@@ -160,13 +165,13 @@ def _checked(name: str, value, default):
 def _from_dict(cls, data, prefix: str):
     """Build ``cls`` from ``data``, checking each key against the type of its default."""
     if not isinstance(data, dict):
-        raise ConfigError(f"config {prefix.rstrip('.') or 'top level'} must be an object")
+        raise InputError(f"config {prefix.rstrip('.') or 'top level'} must be an object")
     defaults = cls()
     names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in names:
-            raise ConfigError(f"unknown config key {prefix}{key}")
+            raise InputError(f"unknown config key {prefix}{key}")
         default = getattr(defaults, key)
         if is_dataclass(default):
             kwargs[key] = _from_dict(type(default), value, f"{prefix}{key}.")
@@ -191,11 +196,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     if path is not None:
         path = Path(path)
         if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+            raise InputError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         for section, values in (overrides or {}).items():
             given = data.get(section, {})

@@ -8,8 +8,10 @@ consumes unit-norm float64 vectors.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from . import wire
-from .errors import ConfigError, DimensionMismatch, EmptyText, ProviderError, ZeroVector
+from .errors import InputError, PipelineStateError, ProviderError
 
 
 class EmbeddingProvider(Protocol):
@@ -148,7 +150,7 @@ class MockEmbeddingProvider:
 
     def __init__(self, dim: int = 64):
         if dim < 2:
-            raise ConfigError(f"embedding dimension must be >= 2, got {dim}")
+            raise InputError(f"embedding dimension must be >= 2, got {dim}")
         self.dim = dim
         self.tag = f"mock-bow-sha1-v1:d{dim}"
         self._buckets = _BucketMemo(dim)
@@ -170,22 +172,36 @@ class MockEmbeddingProvider:
         return {self._buckets[t] for t in _TOKEN_RE.findall(text.lower())}
 
 
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number that a finite float64 holds.
+
+    ``np.asarray`` would read a string as a number, null as NaN and a bool
+    as 0 or 1, and ``json.loads`` reads ``NaN`` and ``Infinity``, which are
+    not JSON numbers; all are refused here.
+    """
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
 class HttpEmbeddingProvider:
     """Adapter for an HTTP embedding endpoint.
 
     Wire contract: POST ``{"model": ..., "input": [texts]}`` with a bearer
     token from the configured environment variable; the response carries one
     vector per input, either ``{"data": [{"embedding": [...]}, ...]}`` or
-    ``{"embeddings": [[...], ...]}``.
+    ``{"embeddings": [[...], ...]}``, each a flat list of finite JSON
+    numbers. Any other body is a non-retryable :class:`ProviderError`
+    naming the item.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
                  transport: Callable[..., dict] | None = None, timeout: float = 60.0):
         if not endpoint:
-            raise ConfigError("embedding endpoint must be configured for non-mock runs")
+            raise InputError("embedding endpoint must be configured for non-mock runs")
         key = os.environ.get(api_key_env, "")
         if not key:
-            raise ConfigError(f"environment variable {api_key_env} must be set for non-mock runs")
+            raise InputError(f"environment variable {api_key_env} must be set for non-mock runs")
         self.endpoint = endpoint
         self.model = model
         self.tag = f"http:{model}"
@@ -198,14 +214,24 @@ class HttpEmbeddingProvider:
         payload = {"model": self.model, "input": list(texts)}
         headers = {"Authorization": f"Bearer {self._key}"}
         body = transport(self.endpoint, payload, headers, timeout=self.timeout)
+        if not isinstance(body, dict):
+            raise ProviderError(0, "embedding response is not a JSON object", retryable=False)
         if isinstance(body.get("data"), list):
-            rows = [item.get("embedding") for item in body["data"]]
+            rows, field = [], "data"
+            for i, item in enumerate(body["data"]):
+                if not isinstance(item, dict):
+                    raise ProviderError(0, f"embedding response data[{i}] is not an object", retryable=False)
+                rows.append(item.get("embedding"))
         elif isinstance(body.get("embeddings"), list):
-            rows = body["embeddings"]
+            rows, field = body["embeddings"], "embeddings"
         else:
             raise ProviderError(0, "embedding response missing 'data' or 'embeddings'", retryable=False)
         if len(rows) != len(texts) or any(not isinstance(r, list) for r in rows):
             raise ProviderError(0, "embedding response does not contain one vector per input", retryable=False)
+        for i, row in enumerate(rows):
+            if not all(map(_is_finite_number, row)):
+                raise ProviderError(0, f"embedding response {field}[{i}] is not a flat list of finite numbers",
+                                    retryable=False)
         return [np.asarray(r, dtype=np.float64) for r in rows]
 
 
@@ -214,7 +240,7 @@ def stack_vectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 
     An ``(n, d)`` array with ``d >= 2`` passes through, and no vectors give
     a ``(0, 0)`` array; otherwise the first vector of another shape raises
-    :class:`DimensionMismatch`.
+    :class:`PipelineStateError`.
     """
     if len(vectors) == 0:
         return np.empty((0, 0))
@@ -224,11 +250,11 @@ def stack_vectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     dim = None
     for i, arr in enumerate(rows):
         if arr.ndim != 1 or arr.shape[0] < 2:
-            raise DimensionMismatch(f"vector {i} has invalid shape {arr.shape}")
+            raise PipelineStateError(f"vector {i} has invalid shape {arr.shape}")
         if dim is None:
             dim = arr.shape[0]
         elif arr.shape[0] != dim:
-            raise DimensionMismatch(f"vector {i} has dimension {arr.shape[0]}, expected {dim}")
+            raise PipelineStateError(f"vector {i} has dimension {arr.shape[0]}, expected {dim}")
     return np.stack(rows)
 
 
@@ -241,10 +267,10 @@ def normalize(vectors: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ZeroVector("vector contains non-finite values")
+        raise PipelineStateError("vector contains non-finite values")
     norms = np.sqrt(np.vecdot(arr, arr))
     if np.any(norms == 0.0):
-        raise ZeroVector("cannot normalize a zero vector")
+        raise PipelineStateError("cannot normalize a zero vector")
     return arr / norms[..., None]
 
 
@@ -262,14 +288,14 @@ def embed_texts(
 
     Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
     of ``texts[i]``; all vectors must share a dimension or
-    :class:`DimensionMismatch` is raised. No texts give a ``(0, 0)`` array.
+    :class:`PipelineStateError` is raised. No texts give a ``(0, 0)`` array.
     Empty or whitespace-only inputs are rejected up front. Large inputs
     are split into sub-batches, sent through :func:`map_in_flight`, so
     results always come back in input order.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
-            raise EmptyText(f"texts[{i}] is empty")
+            raise InputError(f"texts[{i}] is empty")
     if not texts:
         return stack_vectors([])
 

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the pipeline.
+"""The pipeline's errors: one class per CLI exit code.
 
-``InputError`` subclasses map to CLI exit code 2, ``ProviderError`` to 3 and
-``PipelineStateError`` subclasses to 4.
+``InputError`` maps to exit 2, ``ProviderError`` to 3 and
+``PipelineStateError`` to 4. A failure is known only by its category, so
+there are no other error classes; the message says what went wrong.
 """
 
 from __future__ import annotations
@@ -13,49 +14,6 @@ class QgenError(Exception):
 
 class InputError(QgenError):
     """Bad or malformed user-supplied input (blocks files, config, params)."""
-
-
-class MalformedBlocksFile(InputError):
-    def __init__(self, path: str, detail: str):
-        super().__init__(f"{path}: {detail}")
-        self.path = path
-        self.detail = detail
-
-
-class EmptyDocument(InputError):
-    pass
-
-
-class WrongRole(InputError):
-    pass
-
-
-class InvalidChunkParams(InputError):
-    pass
-
-
-class NoStandardsFound(InputError):
-    pass
-
-
-class DuplicateStandardCode(InputError):
-    pass
-
-
-class ConfigError(InputError):
-    pass
-
-
-class EmptyText(InputError):
-    pass
-
-
-class EmptyTopic(InputError):
-    pass
-
-
-class EmptyContext(InputError):
-    pass
 
 
 class ProviderError(QgenError):
@@ -71,45 +29,5 @@ class ProviderError(QgenError):
         self.retry_after = retry_after
 
 
-class DimensionMismatch(QgenError):
-    pass
-
-
-class ZeroVector(QgenError):
-    pass
-
-
-class LengthMismatch(QgenError):
-    pass
-
-
-class DuplicateChunkId(QgenError):
-    pass
-
-
-class EmptyIndex(QgenError):
-    pass
-
-
-class CorruptIndexFile(QgenError):
-    pass
-
-
-class MissingIndex(QgenError):
-    pass
-
-
-class MissingEmbedder(QgenError):
-    pass
-
-
 class PipelineStateError(QgenError):
-    """A stage was invoked without the artifacts an earlier stage produces."""
-
-
-class EmptyBatch(PipelineStateError):
-    pass
-
-
-class WrongIndexRole(PipelineStateError):
-    pass
+    """Inputs or artifacts a stage cannot use: missing, damaged or inconsistent."""

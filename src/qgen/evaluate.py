@@ -19,7 +19,7 @@ import numpy as np
 from .chat import ChatProvider
 from .chunking import Strategy
 from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
-from .errors import EmptyBatch, LengthMismatch, WrongIndexRole
+from .errors import PipelineStateError
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
 from .prompts import build_prompt_qa
@@ -51,10 +51,6 @@ DEFAULT_REFUSAL_MARKERS = (
 # terms sit at different positions of the rows being summed; alignment
 # treats scores this close to the maximum as tied.
 TIE_TOLERANCE = 1e-12
-
-
-class EmptyStandards(EmptyBatch):
-    pass
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,9 @@ def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentSco
     standard code so results stay deterministic.
     """
     if not codes:
-        raise EmptyStandards("alignment scoring needs at least one learning standard")
+        raise PipelineStateError("alignment scoring needs at least one learning standard")
     if scores.ndim != 2 or scores.shape[1] != len(codes):
-        raise LengthMismatch(f"{len(codes)} standard codes for a score table of shape {scores.shape}")
+        raise PipelineStateError(f"{len(codes)} standard codes for a score table of shape {scores.shape}")
     best = scores.max(axis=1)
     # Columns in code order: the first tied column of a row has its lowest tied code.
     by_code = np.argsort(np.asarray(codes), kind="stable")
@@ -176,7 +172,7 @@ def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -
     exclusively from standard-split chunks.
     """
     if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
-        raise WrongIndexRole(
+        raise PipelineStateError(
             "validity checking requires an index built exclusively from standard-split chunks"
         )
     return top_k(rpt_index, scores, k)
@@ -249,10 +245,10 @@ def aggregate(
     percentage's denominator.
     """
     if not outcomes:
-        raise EmptyBatch("cannot aggregate an empty outcome list")
+        raise PipelineStateError("cannot aggregate an empty outcome list")
     parsed = [o for o in outcomes if not o.failed]
     if not len(alignments) == len(verdicts) == len(parsed):
-        raise LengthMismatch(
+        raise PipelineStateError(
             f"{len(parsed)} parsed outcomes but {len(alignments)} alignments and {len(verdicts)} verdicts"
         )
     evaluated = list(zip(parsed, alignments, verdicts))
@@ -288,7 +284,7 @@ _MD_RULE = "| --- | ---: | ---: | ---: | ---: |"
 def render_report(reports: list[MethodReport], format: str = "markdown") -> str:
     """Render method reports as a markdown table or a JSON document."""
     if not reports:
-        raise EmptyBatch("cannot render an empty report list")
+        raise PipelineStateError("cannot render an empty report list")
     if format == "json":
         return json.dumps([r.to_dict() for r in reports], ensure_ascii=False, indent=2, sort_keys=True)
     if format == "markdown":

@@ -15,7 +15,7 @@ from typing import Sequence
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
 from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts, map_in_flight
-from .errors import MissingEmbedder, MissingIndex
+from .errors import PipelineStateError
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -244,9 +244,9 @@ def generate_batch(
     contexts: list[Sequence[Chunk]] = [()] * n
     if method.is_rag:
         if index is None:
-            raise MissingIndex(f"{method.value} requires a vector index")
+            raise PipelineStateError(f"{method.value} requires a vector index")
         if embedder is None:
-            raise MissingEmbedder(f"{method.value} requires an embedding provider")
+            raise PipelineStateError(f"{method.value} requires an embedding provider")
         queries = [_rag_query_text(r) for r in requests]
         distinct = list(dict.fromkeys(queries))
         vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)

@@ -30,6 +30,19 @@ def dumps(obj) -> bytes:
     return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
 
 
+def encodable(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, as every string an artifact holds must.
+
+    A lone surrogate, which a JSON escape such as ``"\\ud800"`` can carry
+    into a ``str``, does not.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def loads(data: bytes):
     """The value of one JSON document; raises ``ValueError`` for text that is not JSON."""
     return orjson.loads(data)

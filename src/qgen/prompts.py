@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .chunking import Chunk
-from .errors import EmptyContext, EmptyTopic
+from .errors import InputError
 
 TEMPLATE_VERSION = "v1"
 
@@ -68,7 +68,7 @@ class PromptBundle:
 
 def _check_topic(topic: str) -> str:
     if not topic or not topic.strip():
-        raise EmptyTopic("prompt topic must be non-empty")
+        raise InputError("prompt topic must be non-empty")
     return topic.strip()
 
 
@@ -105,7 +105,7 @@ def build_prompt_rag(topic: str, context: list[Chunk]) -> PromptBundle:
     """
     topic = _check_topic(topic)
     if not context:
-        raise EmptyContext("RAG prompt requires at least one context chunk")
+        raise InputError("RAG prompt requires at least one context chunk")
     return PromptBundle(
         system_text=_template("system"),
         user_text=_template("rag_user").format(topic=topic, context=format_context(context)),
@@ -116,9 +116,9 @@ def build_prompt_rag(topic: str, context: list[Chunk]) -> PromptBundle:
 def build_prompt_qa(question: str, context: list[Chunk]) -> PromptBundle:
     """Answer-this-question prompt for the retrieval-QA validity check."""
     if not question or not question.strip():
-        raise EmptyTopic("QA question must be non-empty")
+        raise InputError("QA question must be non-empty")
     if not context:
-        raise EmptyContext("QA prompt requires at least one context chunk")
+        raise InputError("QA prompt requires at least one context chunk")
     return PromptBundle(
         system_text=_template("qa_system"),
         user_text=_template("qa_user").format(question=question.strip(), context=format_context(context)),

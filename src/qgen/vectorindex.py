@@ -15,13 +15,7 @@ import numpy as np
 
 from .chunking import Chunk
 from .embedding import normalize, stack_vectors
-from .errors import (
-    CorruptIndexFile,
-    DimensionMismatch,
-    DuplicateChunkId,
-    EmptyIndex,
-    LengthMismatch,
-)
+from .errors import PipelineStateError
 from .jsonio import dumps, loads, write_jsonl
 
 INDEX_FORMAT_VERSION = 2
@@ -76,13 +70,13 @@ def build_index(chunks: list[Chunk], vectors: np.ndarray | list[np.ndarray], pro
     list of ``n`` vectors; either way it is normalized as one matrix.
     """
     if len(chunks) != len(vectors):
-        raise LengthMismatch(f"{len(chunks)} chunks but {len(vectors)} vectors")
+        raise PipelineStateError(f"{len(chunks)} chunks but {len(vectors)} vectors")
     if not chunks:
-        raise EmptyIndex("an index needs at least one entry")
+        raise PipelineStateError("an index needs at least one entry")
     seen: set[str] = set()
     for c in chunks:
         if c.chunk_id in seen:
-            raise DuplicateChunkId(f"duplicate chunk_id {c.chunk_id!r}")
+            raise PipelineStateError(f"duplicate chunk_id {c.chunk_id!r}")
         seen.add(c.chunk_id)
     return VectorIndex(chunks=chunks, matrix=normalize(stack_vectors(vectors)), provider_tag=provider_tag)
 
@@ -95,14 +89,15 @@ def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
     computation of the vector path: :func:`top_k` and alignment scoring
     reduce its table. Each row is its own matrix-vector product, so a row
     is bitwise the same whichever other queries share the call. Queries need
-    not be unit length; a zero or non-finite query raises :class:`ZeroVector`.
+    not be unit length; a zero or non-finite query raises
+    :class:`PipelineStateError`.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.shape == (0, 0):
         # No queries: embed_texts returns (0, 0), since no vector fixed a dimension.
         q = q.reshape(0, index.dimension)
     if q.ndim != 2 or q.shape[1] != index.dimension:
-        raise DimensionMismatch(f"queries have shape {q.shape}, index dimension is {index.dimension}")
+        raise PipelineStateError(f"queries have shape {q.shape}, index dimension is {index.dimension}")
     # Not q @ matrix.T: a matrix-matrix product sums in another order and
     # moves scores by ulps.
     scores = np.matmul(index.matrix, normalize(q)[..., None])[..., 0]
@@ -118,7 +113,7 @@ def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[list[ScoredHit
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if scores.ndim != 2 or scores.shape[1] != len(index):
-        raise LengthMismatch(f"score table has shape {scores.shape}, index has {len(index)} rows")
+        raise PipelineStateError(f"score table has shape {scores.shape}, index has {len(index)} rows")
     k = min(k, len(index))
     # Only scores at or above a row's k-th highest can rank; sort just those
     # by row, then score descending, then chunk_id.
@@ -165,23 +160,23 @@ def load_index(path: str | Path) -> VectorIndex:
     try:
         payload = loads(path.read_bytes())
     except ValueError as exc:
-        raise CorruptIndexFile(f"{path}: not a valid index file: {exc}") from exc
+        raise PipelineStateError(f"{path}: not a valid index file: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CorruptIndexFile(f"{path}: top level must be an object")
+        raise PipelineStateError(f"{path}: top level must be an object")
     if payload.get("format_version") != INDEX_FORMAT_VERSION:
-        raise CorruptIndexFile(
+        raise PipelineStateError(
             f"{path}: unsupported format_version {payload.get('format_version')!r}, expected {INDEX_FORMAT_VERSION}"
         )
     entries = payload.get("entries")
     if not isinstance(entries, list) or not entries:
-        raise CorruptIndexFile(f"{path}: entries missing or empty")
+        raise PipelineStateError(f"{path}: entries missing or empty")
     if payload.get("count") != len(entries):
-        raise CorruptIndexFile(f"{path}: declared count {payload.get('count')!r} != {len(entries)} entries")
+        raise PipelineStateError(f"{path}: declared count {payload.get('count')!r} != {len(entries)} entries")
     declared_dim = payload.get("dimension")
     try:
         for i, e in enumerate(entries):
             if len(e["vector"]) != declared_dim:
-                raise CorruptIndexFile(
+                raise PipelineStateError(
                     f"{path}: entry {i} vector dimension {len(e['vector'])} != declared dimension {declared_dim}"
                 )
         matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
@@ -190,18 +185,18 @@ def load_index(path: str | Path) -> VectorIndex:
         chunk_dicts = [e["chunk"] for e in entries]
         chunks = [Chunk.from_dict(d) for d in chunk_dicts]
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptIndexFile(f"{path}: malformed entry: {exc}") from exc
+        raise PipelineStateError(f"{path}: malformed entry: {exc}") from exc
     if payload.get("checksum") != _checksum(chunk_dicts, matrix):
-        raise CorruptIndexFile(f"{path}: checksum mismatch, file is damaged")
+        raise PipelineStateError(f"{path}: checksum mismatch, file is damaged")
     seen: set[str] = set()
     for c in chunks:
         if c.chunk_id in seen:
-            raise CorruptIndexFile(f"{path}: duplicate chunk_id {c.chunk_id!r}")
+            raise PipelineStateError(f"{path}: duplicate chunk_id {c.chunk_id!r}")
         seen.add(c.chunk_id)
     # NaN and infinite rows fail the comparison too.
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= 1e-6))
     if bad.size:
-        raise CorruptIndexFile(f"{path}: entry {bad[0]} vector is not finite and unit-norm")
+        raise PipelineStateError(f"{path}: entry {bad[0]} vector is not finite and unit-norm")
     # Vectors were normalized at build time; keep the stored floats exactly
     # so save/load round-trips are lossless.
     return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))

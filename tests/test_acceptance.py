@@ -25,7 +25,7 @@ from qgen.chunking import (
 )
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
-from qgen.errors import CorruptIndexFile
+from qgen.errors import PipelineStateError
 from qgen.evaluate import (
     Verdict,
     VerdictReason,
@@ -299,13 +299,13 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
         payload = index_path.read_bytes()
         truncated = tmp_path / "broken.index.json"
         truncated.write_bytes(payload[: len(payload) // 3])
-        with pytest.raises(CorruptIndexFile):
+        with pytest.raises(PipelineStateError, match="not a valid index file"):
             load_index(truncated)
         tampered = json.loads(payload)
         tampered["entries"][0]["vector"][0] += 0.25
         bad = tmp_path / "tampered.index.json"
         bad.write_text(json.dumps(tampered))
-        with pytest.raises(CorruptIndexFile):
+        with pytest.raises(PipelineStateError, match="checksum mismatch"):
             load_index(bad)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgen.blocks import Block, DocRole, flatten_text, load_document, normalize_ws
-from qgen.errors import EmptyDocument, MalformedBlocksFile, WrongRole
+from qgen.errors import InputError
 
 
 def test_load_nota_fixture_roundtrip(nota_doc):
@@ -35,19 +35,19 @@ def _block(text="hello", bbox=(0, 0, 10, 10), font_size=11.0):
 
 def test_degenerate_bbox_rejected(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": [_block(bbox=(5, 5, 5, 9))]}])
-    with pytest.raises(MalformedBlocksFile, match="x0 < x1"):
+    with pytest.raises(InputError, match="x0 < x1"):
         load_document(path)
 
 
 def test_zero_blocks_is_empty_document(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": []}])
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(InputError, match="document contains no blocks"):
         load_document(path)
 
 
 def test_whitespace_only_text_rejected(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": [_block(text="   \t ")]}])
-    with pytest.raises(MalformedBlocksFile, match="non-whitespace"):
+    with pytest.raises(InputError, match="non-whitespace"):
         load_document(path)
 
 
@@ -57,32 +57,32 @@ def test_non_increasing_pages_rejected(tmp_path):
         {"page": 2, "blocks": [_block()]},
     ]
     path = _write_blocks(tmp_path, pages)
-    with pytest.raises(MalformedBlocksFile, match="does not increase"):
+    with pytest.raises(InputError, match="does not increase"):
         load_document(path)
 
 
 def test_bad_role_value_rejected(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": [_block()]}], role="textbook")
-    with pytest.raises(MalformedBlocksFile, match="role"):
+    with pytest.raises(InputError, match="role"):
         load_document(path)
 
 
 def test_role_mismatch_raises_wrong_role(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": [_block()]}], role="knowledge")
-    with pytest.raises(WrongRole):
+    with pytest.raises(InputError, match="expected role 'standards', file declares 'knowledge'"):
         load_document(path, DocRole.STANDARDS_BLUEPRINT)
 
 
 def test_invalid_json_has_diagnostic(tmp_path):
     path = tmp_path / "broken.blocks.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(MalformedBlocksFile, match="invalid JSON"):
+    with pytest.raises(InputError, match="invalid JSON"):
         load_document(path)
 
 
 def test_bad_font_size_diagnostic_names_field(tmp_path):
     path = _write_blocks(tmp_path, [{"page": 1, "blocks": [_block(font_size=-2.0)]}])
-    with pytest.raises(MalformedBlocksFile, match=r"blocks\[0\]"):
+    with pytest.raises(InputError, match=r"blocks\[0\]"):
         load_document(path)
 
 

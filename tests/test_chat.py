@@ -9,7 +9,7 @@ import urllib.error
 import pytest
 
 from qgen.chat import REFUSAL_TEXT, HttpChatProvider, MockChatProvider
-from qgen.errors import ConfigError, ProviderError
+from qgen.errors import InputError, ProviderError
 from qgen.mcq import Mcq, parse_mcq_json
 from qgen.prompts import MCQ_RESPONSE_SCHEMA, build_prompt_basic, build_prompt_qa, build_prompt_rag
 from qgen.wire import http_post_json
@@ -86,7 +86,7 @@ def test_mock_malformed_schedule_is_independent_of_call_order():
 
 
 def test_mock_malformed_rate_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="malformed_rate must be within"):
         MockChatProvider(malformed_rate=1.5)
 
 
@@ -134,7 +134,7 @@ def test_http_chat_structured_rejects_non_json(monkeypatch):
 
 def test_http_chat_requires_api_key(monkeypatch):
     monkeypatch.delenv("QGEN_API_KEY", raising=False)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="environment variable QGEN_API_KEY must be set"):
         HttpChatProvider("https://api.example.test/chat", "m")
 
 

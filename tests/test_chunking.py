@@ -15,13 +15,7 @@ from qgen.chunking import (
     chunk_rpt_standards,
     chunk_structure_aware,
 )
-from qgen.errors import (
-    DuplicateStandardCode,
-    EmptyDocument,
-    InvalidChunkParams,
-    NoStandardsFound,
-    WrongRole,
-)
+from qgen.errors import InputError
 from tests.conftest import make_doc
 
 # A separator-free token is a maximal non-whitespace run: sentence ends only
@@ -73,9 +67,9 @@ def test_short_text_single_chunk():
 
 def test_overlap_ge_max_chars_rejected():
     doc = make_doc(["teks"])
-    with pytest.raises(InvalidChunkParams):
+    with pytest.raises(InputError, match="overlap=60, max_chars=50"):
         chunk_recursive(doc, max_chars=50, overlap=60)
-    with pytest.raises(InvalidChunkParams):
+    with pytest.raises(InputError, match="overlap=50, max_chars=50"):
         chunk_recursive(doc, max_chars=50, overlap=50)
 
 
@@ -281,7 +275,7 @@ def test_structure_empty_document():
     from qgen.blocks import SourceDocument
 
     doc = SourceDocument(doc_id="empty", role=DocRole.KNOWLEDGE_SOURCE, pages=())
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(InputError, match="empty: no blocks to chunk"):
         chunk_structure_aware(doc)
 
 
@@ -318,13 +312,13 @@ def test_rpt_chunk_includes_code_and_description(rpt_doc):
 
 def test_no_codes_raises():
     doc = make_doc(["tiada kod di sini", "masih tiada"], role=DocRole.STANDARDS_BLUEPRINT)
-    with pytest.raises(NoStandardsFound):
+    with pytest.raises(InputError, match="no learning-standard code"):
         chunk_rpt_standards(doc)
 
 
 def test_wrong_role_raises():
     doc = make_doc(["1.1.1 Sesuatu."], role=DocRole.KNOWLEDGE_SOURCE)
-    with pytest.raises(WrongRole):
+    with pytest.raises(InputError, match="standard splitting requires a standards-blueprint document"):
         chunk_rpt_standards(doc)
 
 
@@ -339,7 +333,7 @@ def test_single_standard_spans_full_text():
 
 def test_duplicate_code_rejected():
     doc = make_doc(["1.1.1 Pertama.", "1.1.1 Kedua."], role=DocRole.STANDARDS_BLUEPRINT)
-    with pytest.raises(DuplicateStandardCode):
+    with pytest.raises(InputError, match=r"standard code 1\.1\.1 appears more than once"):
         chunk_rpt_standards(doc)
 
 

@@ -543,3 +543,28 @@ def test_report_without_evaluate_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["report", "--config", str(config)]) == 4
     assert "run the evaluate stage first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("pages[0].blocks[0].text", lambda doc: doc["pages"][0]["blocks"][0].update(
+        text=doc["pages"][0]["blocks"][0]["text"] + " \ud800")),
+    ("doc_id", lambda doc: doc.update(doc_id="nota\ud800")),
+], ids=["text", "doc_id"])
+def test_ingest_refuses_lone_surrogate_exit_2(tmp_path, capsys, field, edit):
+    doc = json.loads((FIXTURES / "nota_mini.blocks.json").read_text(encoding="utf-8"))
+    edit(doc)
+    knowledge = tmp_path / "nota.blocks.json"
+    # json.dumps writes the surrogate as the escape "\ud800", which json.loads reads back.
+    knowledge.write_text(json.dumps(doc), encoding="utf-8")
+    config = write_config(tmp_path, paths={"knowledge_blocks": str(knowledge)})
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"nota.blocks.json: {field} must be UTF-8 text" in err
+    assert not (tmp_path / "workdir" / "chunks").exists()
+
+
+def test_config_lone_surrogate_exit_2_before_any_stage(tmp_path, capsys):
+    config = write_config(tmp_path, generation={"topic": "Nombor \ud800"})
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert "generation.topic must be UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "workdir").exists()

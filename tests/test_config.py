@@ -9,7 +9,7 @@ import pytest
 
 from qgen.cli import _build_parser, resolve_config
 from qgen.config import RunConfig, config_from_dict, load_config, parse_method
-from qgen.errors import ConfigError
+from qgen.errors import InputError
 from qgen.generate import METHOD_ORDER, Method
 
 
@@ -32,12 +32,12 @@ def test_load_none_gives_defaults():
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(InputError, match="unknown config key"):
         config_from_dict({"paths": {}, "surprise": 1})
 
 
 def test_unknown_section_key_rejected():
-    with pytest.raises(ConfigError, match="chunking.max_tokens"):
+    with pytest.raises(InputError, match="chunking.max_tokens"):
         config_from_dict({"chunking": {"max_tokens": 512}})
 
 
@@ -45,7 +45,7 @@ def test_method_aliases():
     assert parse_method("structured") is Method.STRUCTURED_PROMPT
     assert parse_method("rag_structure") is Method.RAG_STRUCTURE_AWARE
     assert parse_method("RAG_GENERIC") is Method.RAG_GENERIC
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="unknown method 'quantum'"):
         parse_method("quantum")
 
 
@@ -74,11 +74,11 @@ def test_flag_precedence_over_file(tmp_path):
 
 
 def test_flag_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="generation.n_per_method must be >= 1"):
         load_config(None, {"generation": {"n_per_method": 0}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match=r"evaluation.tau must be within \[0, 1\]"):
         load_config(None, {"evaluation": {"tau": 1.5}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="evaluation.k must be >= 1"):
         load_config(None, {"evaluation": {"k": 0}})
 
 
@@ -100,15 +100,18 @@ def test_flag_validation():
     ("evaluation", "tau", math.nan, ["--tau", "nan"]),
     ("generation", "temperature", -5.0, None),
     ("generation", "temperature", 2.5, None),
+    ("generation", "topic", "Nombor \ud800", None),
+    ("evaluation", "refusal_markers", ["tidak", "\ud800"], None),
+    ("paths", "workdir", "out\udcff", ["--workdir", "out\udcff"]),
 ])
 def test_bad_values_refused_naming_the_setting(tmp_path, section, key, value, flag):
     setting = re.escape(f"{section}.{key} must")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({section: {key: value}}))
-    with pytest.raises(ConfigError, match=setting):
+    with pytest.raises(InputError, match=setting):
         load_config(config)
     if flag:
-        with pytest.raises(ConfigError, match=setting):
+        with pytest.raises(InputError, match=setting):
             flags(*flag)
 
 
@@ -122,7 +125,7 @@ def test_each_setting_takes_only_the_json_type_of_its_default(value):
             number = type(default) in (int, float) and type(value) in (int, float)
             if type(value) is type(default) or (isinstance(default, float) and number):
                 continue
-            with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must")):
+            with pytest.raises(InputError, match=re.escape(f"{section}.{key} must")):
                 config_from_dict({section: {key: value}})
 
 
@@ -136,9 +139,9 @@ def test_non_object_section_refused_with_or_without_overrides(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"evaluation": 5}))
     for overrides in (None, {"evaluation": {"tau": 0.3}}):
-        with pytest.raises(ConfigError, match="config evaluation must be an object"):
+        with pytest.raises(InputError, match="config evaluation must be an object"):
             load_config(config, overrides)
-    with pytest.raises(ConfigError, match="config top level must be an object"):
+    with pytest.raises(InputError, match="config top level must be an object"):
         config_from_dict([1])
 
 
@@ -166,7 +169,7 @@ def test_relative_input_paths_resolve_against_config_dir(tmp_path):
 
 
 def test_report_format_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="report_format must be 'markdown' or 'json'"):
         config_from_dict({"report_format": "pdf"})
 
 
@@ -183,5 +186,5 @@ def test_to_dict_round_trip():
     ("max_retries", -1), ("backoff_base", -1),
 ])
 def test_provider_numbers_validated(key, value):
-    with pytest.raises(ConfigError, match=f"provider.{key}"):
+    with pytest.raises(InputError, match=f"provider.{key}"):
         config_from_dict({"provider": {key: value}})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import email.message
 import io
 import json
+import math
 import os
 import random
 import re
@@ -25,7 +26,7 @@ from qgen.embedding import (
     map_in_flight,
     normalize,
 )
-from qgen.errors import ConfigError, DimensionMismatch, EmptyText, ProviderError
+from qgen.errors import InputError, PipelineStateError, ProviderError
 from qgen.wire import http_post_json
 
 
@@ -53,9 +54,9 @@ def test_shared_vocabulary_scores_higher(mock_embedder):
 
 
 def test_empty_text_rejected(mock_embedder):
-    with pytest.raises(EmptyText):
+    with pytest.raises(InputError, match=r"texts\[1\] is empty"):
         embed_texts(mock_embedder, ["ok", ""])
-    with pytest.raises(EmptyText):
+    with pytest.raises(InputError, match=r"texts\[0\] is empty"):
         embed_texts(mock_embedder, ["   "])
 
 
@@ -80,7 +81,7 @@ def test_mock_determinism_across_processes(mock_embedder):
 
 
 def test_mock_dim_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="embedding dimension must be >= 2"):
         MockEmbeddingProvider(dim=1)
 
 
@@ -242,7 +243,7 @@ class RaggedProvider:
 
 
 def test_inconsistent_dimensions_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match="vector 1 has dimension 5, expected 4"):
         embed_texts(RaggedProvider(), ["a", "b"])
 
 
@@ -265,7 +266,7 @@ def test_http_adapter_wire_format(monkeypatch):
 
 def test_http_adapter_requires_api_key(monkeypatch):
     monkeypatch.delenv("QGEN_API_KEY", raising=False)
-    with pytest.raises(ConfigError, match="QGEN_API_KEY"):
+    with pytest.raises(InputError, match="QGEN_API_KEY"):
         HttpEmbeddingProvider("https://api.example.test/embed", "embed-small")
 
 
@@ -277,6 +278,31 @@ def test_http_adapter_alternate_response_shape(monkeypatch):
     )
     (v,) = embed_texts(provider, ["x"])
     assert v.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("body, refusal", [
+    ([[1.0, 0.0], [0.0, 1.0]], "embedding response is not a JSON object"),
+    ({"data": [{"embedding": [1.0, 0.0]}, [0.0, 1.0]]}, r"embedding response data\[1\] is not an object"),
+    ({"embeddings": [[1.0, 0.0], [0.0, "1.0"]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+    ({"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, None]}]}, r"data\[1\] is not a flat list of finite numbers"),
+    ({"embeddings": [[1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+    ({"embeddings": [[1.0, 0.0], [False, True]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+    ({"embeddings": [[1.0, 0.0], [math.nan, 1.0]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+    ({"embeddings": [[1.0, 0.0], [10 ** 400, 1.0]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+])
+def test_http_adapter_refuses_malformed_vectors(monkeypatch, body, refusal):
+    monkeypatch.setenv("QGEN_API_KEY", "secret-key")
+    calls = []
+
+    def fake_transport(url, payload, headers, timeout):
+        calls.append(payload)
+        return body
+
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m", transport=fake_transport)
+    with pytest.raises(ProviderError, match=refusal) as refused:
+        embed_texts(provider, ["satu", "dua"], sleep=lambda _: None)
+    assert not refused.value.retryable
+    assert len(calls) == 1
 
 
 # --- bitwise contracts of the matrix path ---------------------------------------

@@ -16,10 +16,9 @@ from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.cli import main
 from qgen.config import load_config
 from qgen.embedding import MockEmbeddingProvider, embed_texts
-from qgen.errors import EmptyBatch, LengthMismatch, ProviderError, WrongIndexRole
+from qgen.errors import PipelineStateError, ProviderError
 from qgen.evaluate import (
     TIE_TOLERANCE,
-    EmptyStandards,
     MethodReport,
     Verdict,
     VerdictReason,
@@ -171,9 +170,9 @@ def test_batched_alignment_equals_scalar_reference():
     single = [sts_alignment(similarities(index, q[None]), codes)[0] for q in queries]
     assert batched == single
     assert sts_alignment(similarities(index, np.empty((0, 0))), codes) == []
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="standard codes for a score table of shape"):
         sts_alignment(table, codes[1:])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="standard codes for a score table of shape"):
         sts_alignment(table[0], codes)
 
 
@@ -186,7 +185,7 @@ def test_adding_standard_never_decreases_score(mock_embedder):
 
 def test_empty_standards_rejected(mock_embedder):
     index = standards_index(mock_embedder)
-    with pytest.raises(EmptyStandards):
+    with pytest.raises(PipelineStateError, match="needs at least one learning standard"):
         sts_alignment(stem_scores(mock_embedder, index, make_mcq("apa")), [])
 
 
@@ -434,7 +433,7 @@ def test_wrong_index_role_rejected(mock_embedder, mock_chat):
     vectors = embed_texts(mock_embedder, ["nota biasa"])
     index = build_index(chunks, vectors, provider_tag="t")
     mcq = make_mcq("apa")
-    with pytest.raises(WrongIndexRole):
+    with pytest.raises(PipelineStateError, match="requires an index built exclusively from standard-split chunks"):
         retrieve_standards(index, stem_scores(mock_embedder, index, mcq))
 
 
@@ -530,7 +529,7 @@ def test_aggregate_pairs_evaluations_with_parsed_outcomes_by_position():
 
 
 def test_aggregate_empty_batch():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(PipelineStateError, match="cannot aggregate an empty outcome list"):
         aggregate([], [], [])
 
 
@@ -538,19 +537,19 @@ def test_aggregate_dangling_verdict():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT)]
     alignments = [_alignment(0.5)]
     verdicts = [_verdict(True), _verdict(True)]
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="1 parsed outcomes but 1 alignments and 2 verdicts"):
         aggregate(outcomes, alignments, verdicts)
 
 
 def test_aggregate_missing_alignment():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT)]
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="1 parsed outcomes but 0 alignments and 1 verdicts"):
         aggregate(outcomes, [], [_verdict(True)])
 
 
 def test_aggregate_failed_outcome_must_not_have_eval():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT, failed=True)]
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="0 parsed outcomes but 1 alignments and 1 verdicts"):
         aggregate(outcomes, [_alignment(0.5)], [_verdict(True)])
 
 
@@ -616,7 +615,7 @@ def test_json_report_round_trip():
 
 
 def test_render_empty_rejected():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(PipelineStateError, match="cannot render an empty report list"):
         render_report([], "markdown")
 
 

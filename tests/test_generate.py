@@ -7,7 +7,7 @@ import pytest
 from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.embedding import embed_texts
-from qgen.errors import MissingEmbedder, MissingIndex
+from qgen.errors import PipelineStateError
 from qgen.generate import GenOutcome, GenRequest, Method, generate_batch, generate_mcq
 from qgen.mcq import Mcq, ParseFailure
 from qgen.vectorindex import build_index
@@ -92,10 +92,10 @@ def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index
 
 
 def test_missing_index_and_embedder(mock_chat, mock_embedder, knowledge_index):
-    with pytest.raises(MissingIndex):
+    with pytest.raises(PipelineStateError, match="requires a vector index"):
         generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
                        retrieval_k=2, index=None, embedder=mock_embedder)
-    with pytest.raises(MissingEmbedder):
+    with pytest.raises(PipelineStateError, match="requires an embedding provider"):
         generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
                        retrieval_k=2, index=knowledge_index, embedder=None)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgen.chunking import Chunk, Strategy
-from qgen.errors import EmptyContext, EmptyTopic
+from qgen.errors import InputError
 from qgen.prompts import (
     MCQ_RESPONSE_SCHEMA,
     build_prompt_basic,
@@ -28,9 +28,9 @@ def test_structured_bundle_contract():
 
 
 def test_empty_topic_rejected():
-    with pytest.raises(EmptyTopic):
+    with pytest.raises(InputError, match="prompt topic must be non-empty"):
         build_prompt_structured("")
-    with pytest.raises(EmptyTopic):
+    with pytest.raises(InputError, match="prompt topic must be non-empty"):
         build_prompt_basic("   ")
 
 
@@ -76,7 +76,7 @@ def test_rag_bundle_embeds_chunks_verbatim_in_order():
 
 
 def test_rag_empty_context_rejected():
-    with pytest.raises(EmptyContext):
+    with pytest.raises(InputError, match="RAG prompt requires at least one context chunk"):
         build_prompt_rag("topik", [])
 
 
@@ -85,7 +85,7 @@ def test_qa_bundle_contains_question_and_context():
     bundle = build_prompt_qa("Apakah integer?", [chunk])
     assert "Apakah integer?" in bundle.user_text
     assert chunk.text in bundle.user_text
-    with pytest.raises(EmptyContext):
+    with pytest.raises(InputError, match="QA prompt requires at least one context chunk"):
         build_prompt_qa("Apakah integer?", [])
 
 

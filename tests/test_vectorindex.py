@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgen.chunking import Chunk, Strategy
-from qgen.errors import (
-    CorruptIndexFile,
-    DimensionMismatch,
-    DuplicateChunkId,
-    EmptyIndex,
-    LengthMismatch,
-    ZeroVector,
-)
+from qgen.errors import PipelineStateError
 from qgen.vectorindex import (
     VectorIndex,
     build_index,
@@ -73,12 +66,12 @@ def test_cosine_hand_computed():
 
 
 def test_cosine_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match="index dimension is 4"):
         cosine(np.ones(3), np.ones(4))
 
 
 def test_cosine_zero_vector():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(PipelineStateError, match="cannot normalize a zero vector"):
         cosine(np.zeros(3), np.ones(3))
 
 
@@ -111,18 +104,18 @@ def test_build_index_holds_all_pairs():
 
 
 def test_build_index_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match="3 chunks but 2 vectors"):
         build_index([make_chunk("a"), make_chunk("b"), make_chunk("c")],
                     [np.ones(4), np.ones(4)], provider_tag="t")
 
 
 def test_build_index_duplicate_id():
-    with pytest.raises(DuplicateChunkId):
+    with pytest.raises(PipelineStateError, match="duplicate chunk_id 'a'"):
         build_index([make_chunk("a"), make_chunk("a")], [np.ones(4), np.ones(4)], provider_tag="t")
 
 
 def test_build_index_empty():
-    with pytest.raises(EmptyIndex):
+    with pytest.raises(PipelineStateError, match="an index needs at least one entry"):
         build_index([], [], provider_tag="t")
 
 
@@ -188,7 +181,7 @@ def test_query_scale_invariance():
 
 def test_query_dimension_checked():
     index = make_index(3, dim=8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match=r"queries have shape \(1, 5\), index dimension is 8"):
         rank(index, np.ones(5), k=1)
 
 
@@ -239,7 +232,7 @@ def test_load_truncated_file(tmp_path):
     save_index(index, path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CorruptIndexFile):
+    with pytest.raises(PipelineStateError, match="not a valid index file"):
         load_index(path)
 
 
@@ -250,7 +243,7 @@ def test_load_mismatched_dimension(tmp_path):
     payload = json.loads(path.read_text())
     payload["dimension"] = 16
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptIndexFile, match="dimension|checksum"):
+    with pytest.raises(PipelineStateError, match="dimension|checksum"):
         load_index(path)
 
 
@@ -261,7 +254,7 @@ def test_load_checksum_mismatch(tmp_path):
     payload = json.loads(path.read_text())
     payload["entries"][0]["vector"][0] = 0.123456
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptIndexFile, match="checksum"):
+    with pytest.raises(PipelineStateError, match="checksum"):
         load_index(path)
 
 
@@ -272,7 +265,7 @@ def test_load_bad_version(tmp_path):
     payload = json.loads(path.read_text())
     payload["format_version"] = 99
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptIndexFile, match="format_version"):
+    with pytest.raises(PipelineStateError, match="format_version"):
         load_index(path)
 
 
@@ -342,7 +335,7 @@ def test_load_names_first_bad_vector(tmp_path, edit):
     path = tmp_path / "idx.json"
     save_index(make_index(3), path)
     rewrite_with_valid_checksum(path, edit)
-    with pytest.raises(CorruptIndexFile, match=BAD_VECTOR_REFUSAL[edit]):
+    with pytest.raises(PipelineStateError, match=BAD_VECTOR_REFUSAL[edit]):
         load_index(path)
 
 
@@ -354,7 +347,7 @@ def test_load_duplicate_chunk_id(tmp_path):
         payload["entries"][2]["chunk"]["chunk_id"] = payload["entries"][0]["chunk"]["chunk_id"]
 
     rewrite_with_valid_checksum(path, duplicate)
-    with pytest.raises(CorruptIndexFile, match=r"duplicate chunk_id 'c000'"):
+    with pytest.raises(PipelineStateError, match=r"duplicate chunk_id 'c000'"):
         load_index(path)
 
 
@@ -366,7 +359,7 @@ def test_load_ragged_vectors(tmp_path):
         payload["entries"][1]["vector"].pop()
 
     rewrite_with_valid_checksum(path, shorten)
-    with pytest.raises(CorruptIndexFile, match=r"entry 1 vector dimension 7 != declared dimension 8"):
+    with pytest.raises(PipelineStateError, match=r"entry 1 vector dimension 7 != declared dimension 8"):
         load_index(path)
 
 
@@ -379,7 +372,7 @@ def test_load_refuses_format_version_1(tmp_path):
     canonical = json.dumps(payload["entries"], ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptIndexFile, match=r"unsupported format_version 1, expected 2"):
+    with pytest.raises(PipelineStateError, match=r"unsupported format_version 1, expected 2"):
         load_index(path)
 
 
@@ -436,17 +429,17 @@ def test_batched_top_k_of_no_queries_is_empty():
     index = make_index(3)
     assert top_k(index, similarities(index, np.empty((0, 0))), 2) == []
     assert top_k(index, similarities(index, np.empty((0, 8))), 2) == []
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match=r"queries have shape \(2, 5\)"):
         similarities(index, np.ones((2, 5)))
 
 
 def test_vector_api_takes_matrices_only():
     index = make_index(3, dim=8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match=r"queries have shape \(8,\)"):
         similarities(index, np.ones(8))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineStateError, match=r"queries have shape \(0, 5\)"):
         similarities(index, np.empty((0, 5)))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match=r"score table has shape \(3,\), index has 3 rows"):
         top_k(index, np.ones(3), 1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineStateError, match=r"score table has shape \(2, 4\), index has 3 rows"):
         top_k(index, np.ones((2, 4)), 1)
