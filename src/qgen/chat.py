@@ -142,7 +142,8 @@ class HttpChatProvider:
     ``"response_schema"`` for schema-constrained requests and ``"seed"``
     when given; bearer token from the configured environment variable. The
     response carries the completion at ``choices[0].message.content`` (or a
-    top-level ``content``), JSON-encoded for structured requests.
+    top-level ``content``), a string, JSON-encoded for structured requests;
+    content of any other type is a non-retryable :class:`ProviderError`.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
@@ -177,11 +178,13 @@ class HttpChatProvider:
         body = transport(self.endpoint, payload, {"Authorization": f"Bearer {self._key}"},
                          timeout=self.timeout)
         try:
-            if "choices" in body:
-                return str(body["choices"][0]["message"]["content"])
-            return str(body["content"])
+            content = body["choices"][0]["message"]["content"] if "choices" in body else body["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(0, f"chat response missing completion content: {exc}", retryable=False) from exc
+        if not isinstance(content, str):
+            raise ProviderError(0, f"chat response content is {type(content).__name__}, not a string",
+                                retryable=False)
+        return content
 
     def complete(self, system: str, user: str, *, temperature: float = 0.7,
                  seed: int | None = None) -> str:

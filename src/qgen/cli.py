@@ -22,7 +22,7 @@ from .embedding import (
     EmbeddingProvider,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
-    RetryPolicy,
+    ProviderPolicy,
     embed_texts,
     map_in_flight,
 )
@@ -99,8 +99,9 @@ def build_providers(cfg: RunConfig) -> tuple[ChatProvider, EmbeddingProvider]:
     return chat, embedder
 
 
-def _retry_policy(cfg: RunConfig) -> RetryPolicy:
-    return RetryPolicy(max_retries=cfg.provider.max_retries, base_delay=cfg.provider.backoff_base)
+def _provider_policy(cfg: RunConfig) -> ProviderPolicy:
+    p = cfg.provider
+    return ProviderPolicy(max_retries=p.max_retries, base_delay=p.backoff_base, max_in_flight=p.max_in_flight)
 
 
 def _echo_config(cfg: RunConfig, work: Workdir) -> None:
@@ -167,12 +168,11 @@ def cmd_index(cfg: RunConfig) -> int:
     work = Workdir(cfg.paths.workdir)
     _echo_config(cfg, work)
     _, embedder = build_providers(cfg)
-    retry = _retry_policy(cfg)
+    policy = _provider_policy(cfg)
     counts = []
     for name in ("knowledge_recursive", "knowledge_structure_aware", "standards"):
         chunks = _read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict)
-        vectors = embed_texts(embedder, [c.text for c in chunks], retry=retry,
-                              max_in_flight=cfg.provider.max_in_flight)
+        vectors = embed_texts(embedder, [c.text for c in chunks], policy)
         index = build_index(chunks, vectors, provider_tag=embedder.tag)
         save_index(index, work.index_file(name))
         counts.append(f"{name}={len(index)}")
@@ -200,6 +200,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     chat, embedder = build_providers(cfg)
     standards = [s for s, _ in _read_standards(work)]
     gen = cfg.generation
+    policy = _provider_policy(cfg)
     # Every index is checked before any method runs, so a refusal writes no outcome file.
     indexes = {
         method: _load_matching_index(work.index_file(
@@ -218,8 +219,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             index=indexes.pop(method, None),
             embedder=embedder if method.is_rag else None,
             temperature=gen.temperature,
-            retry=_retry_policy(cfg),
-            max_in_flight=cfg.provider.max_in_flight,
+            policy=policy,
         )
         write_jsonl(work.outcome_file(method), (o.to_dict() for o in outcomes))
         failed = sum(1 for o in outcomes if o.failed)
@@ -267,10 +267,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     parsed = [o for o in outcomes if o.mcq is not None]
 
     ev = cfg.evaluation
-    retry = _retry_policy(cfg)
+    policy = _provider_policy(cfg)
     table, sts_rows, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index,
-                                                 unit=ev.sts_unit, retry=retry,
-                                                 max_in_flight=cfg.provider.max_in_flight)
+                                                 unit=ev.sts_unit, policy=policy)
     # Each distinct text is aligned and ranked once, and each distinct stem
     # is asked once: the QA request is a pure function of the stem, so
     # identical stems share one verdict. A question then takes the results
@@ -285,9 +284,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     asked = map_in_flight(
         lambda r: ragqa_validity(
             outcome_of[r].mcq, rpt_index, ranked[r], chat,
-            tau=ev.tau, refusal_markers=ev.refusal_markers, retry=retry,
+            tau=ev.tau, refusal_markers=ev.refusal_markers,
         ),
-        range(len(ranked)), cfg.provider.max_in_flight,
+        range(len(ranked)), policy,
     )
     alignments = [best[r] for r in sts_rows]
     verdicts = [asked[r] for r in stem_rows]

@@ -1,8 +1,11 @@
-"""Embedding providers and the normalizing, retrying ``embed_texts`` front door.
+"""Embedding providers, the ``embed_texts`` front door, and the one provider round-trip path.
 
 Two providers ship here: a deterministic offline mock (hashed bag of words)
 and a thin HTTP adapter for a real embedding endpoint. Everything downstream
-consumes unit-norm float64 vectors.
+consumes unit-norm float64 vectors. :func:`map_in_flight` runs every
+provider round-trip of the pipeline (embedding batches, generation chats
+and validity QA chats) under one :class:`ProviderPolicy`, and is the only
+code that retries.
 """
 
 from __future__ import annotations
@@ -36,51 +39,49 @@ class EmbeddingProvider(Protocol):
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Retry retryable provider failures with exponential backoff."""
+class ProviderPolicy:
+    """How provider round-trips run: how often to retry, how long to back off, how many at once."""
 
     max_retries: int = 3
     base_delay: float = 0.5
+    max_in_flight: int = 1
 
     def delay(self, attempt: int) -> float:
         return self.base_delay * (2 ** attempt)
-
-
-def call_with_retries(fn, retry: RetryPolicy = RetryPolicy(),
-                      sleep: Callable[[float], None] | None = None):
-    """Invoke ``fn`` retrying retryable provider errors, then surface them.
-
-    Each backoff lasts the policy's delay, or the provider's ``Retry-After``
-    when that is longer. ``sleep`` waits it out; it defaults to
-    :func:`time.sleep`, looked up at call time.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except ProviderError as exc:
-            if exc.retryable and attempt < retry.max_retries:
-                (sleep or time.sleep)(max(retry.delay(attempt), exc.retry_after or 0.0))
-                attempt += 1
-                continue
-            raise
 
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def map_in_flight(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int) -> list[R]:
-    """Apply ``fn`` to every item, at most ``max_in_flight`` calls at a time.
+def _call_with_retries(fn: Callable[[T], R], item: T, policy: ProviderPolicy) -> R:
+    attempt = 0
+    while True:
+        try:
+            return fn(item)
+        except ProviderError as exc:
+            if exc.retryable and attempt < policy.max_retries:
+                time.sleep(max(policy.delay(attempt), exc.retry_after or 0.0))
+                attempt += 1
+                continue
+            raise
 
-    Results come back in input order. The calls run serially when
-    ``max_in_flight`` is 1 or there is only one item, and otherwise on
-    ``min(max_in_flight, len(items))`` threads that take the items in
-    order. Once a call raises, no further item starts, and the exception of
-    the lowest failed item is raised after the running calls finish.
+
+def map_in_flight(fn: Callable[[T], R], items: Sequence[T], policy: ProviderPolicy) -> list[R]:
+    """Apply ``fn`` to every item, retried and at most ``max_in_flight`` at a time as ``policy`` says.
+
+    A call that raises a retryable :class:`ProviderError` is made again for
+    its item alone, after the policy's delay or the provider's
+    ``Retry-After`` if longer (waited out by :func:`time.sleep`), until
+    ``max_retries`` run out. Results come back in input order. The calls
+    run serially when ``max_in_flight`` is 1 or there is only one item, and
+    otherwise on ``min(max_in_flight, len(items))`` threads that take the
+    items in order. Once a call fails for good, no further item starts, and
+    the exception of the lowest failed item is raised after the running
+    calls finish.
     """
-    if max_in_flight <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if policy.max_in_flight <= 1 or len(items) <= 1:
+        return [_call_with_retries(fn, item, policy) for item in items]
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     stop = threading.Event()
@@ -94,13 +95,13 @@ def map_in_flight(fn: Callable[[T], R], items: Sequence[T], max_in_flight: int) 
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
+                results[i] = _call_with_retries(fn, items[i], policy)
             except BaseException as exc:  # raised again on the calling thread
                 with lock:
                     failures[i] = exc
                     stop.set()
 
-    threads = [threading.Thread(target=work) for _ in range(min(max_in_flight, len(items)))]
+    threads = [threading.Thread(target=work) for _ in range(min(policy.max_in_flight, len(items)))]
     for thread in threads:
         thread.start()
     try:
@@ -280,11 +281,9 @@ _EMBED_BATCH_SIZE = 64
 def embed_texts(
     provider: EmbeddingProvider,
     texts: Sequence[str],
-    retry: RetryPolicy = RetryPolicy(),
-    sleep: Callable[[float], None] | None = None,
-    max_in_flight: int = 1,
+    policy: ProviderPolicy = ProviderPolicy(),
 ) -> np.ndarray:
-    """Embed ``texts`` in order, retrying retryable provider failures.
+    """Embed ``texts`` in order, each provider round-trip under ``policy``.
 
     Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
     of ``texts[i]``; all vectors must share a dimension or
@@ -300,12 +299,7 @@ def embed_texts(
         return stack_vectors([])
 
     batches = [list(texts[i:i + _EMBED_BATCH_SIZE]) for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
-
-    results = map_in_flight(
-        lambda batch: call_with_retries(lambda: provider.embed(batch), retry, sleep),
-        batches, max_in_flight,
-    )
-    raw = [vec for batch in results for vec in batch]
+    raw = [vec for batch in map_in_flight(provider.embed, batches, policy) for vec in batch]
 
     if len(raw) != len(texts):
         raise ProviderError(0, f"provider returned {len(raw)} vectors for {len(texts)} texts", retryable=False)

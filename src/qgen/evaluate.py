@@ -18,7 +18,7 @@ import numpy as np
 
 from .chat import ChatProvider
 from .chunking import Strategy
-from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts
+from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts
 from .errors import PipelineStateError
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .mcq import Mcq
@@ -125,8 +125,7 @@ def score_questions(
     rpt_index: VectorIndex,
     *,
     unit: str = "stem",
-    retry: RetryPolicy = RetryPolicy(),
-    max_in_flight: int = 1,
+    policy: ProviderPolicy = ProviderPolicy(),
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Embed and score every distinct text that evaluation reads, each exactly once.
 
@@ -139,7 +138,7 @@ def score_questions(
     texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
     distinct = list(dict.fromkeys(t for pair in texts for t in pair))
     row = {text: i for i, text in enumerate(distinct)}
-    vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
+    vectors = embed_texts(embedder, distinct, policy)
     return similarities(rpt_index, vectors), [row[text] for text, _ in texts], [row[stem] for _, stem in texts]
 
 
@@ -186,14 +185,14 @@ def ragqa_validity(
     *,
     tau: float = 0.5,
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS,
-    retry: RetryPolicy = RetryPolicy(),
 ) -> ValidityVerdict:
     """Functional validity check over the standards-only index.
 
     ``hits`` are the stem's top-k standards from :func:`retrieve_standards`;
     below-threshold retrieval is Invalid without ever calling the chat
     provider, otherwise the provider answers from the retrieved standards
-    and a refusal marks the question Invalid.
+    and a refusal marks the question Invalid. The chat round-trip is made
+    once; the caller retries it, through :func:`map_in_flight`.
     """
     top_score = hits[0].score
     if top_score < tau:
@@ -204,9 +203,7 @@ def ragqa_validity(
         )
     context = [rpt_index.chunk_by_id(h.chunk_id) for h in hits]
     bundle = build_prompt_qa(mcq.stem, context)
-    answer = call_with_retries(
-        lambda: chat.complete(bundle.system_text, bundle.user_text, temperature=0.0), retry
-    )
+    answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0)
     lowered = answer.lower()
     if any(marker.lower() in lowered for marker in refusal_markers):
         return ValidityVerdict(

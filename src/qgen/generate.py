@@ -14,8 +14,9 @@ from typing import Sequence
 
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
-from .embedding import EmbeddingProvider, RetryPolicy, call_with_retries, embed_texts, map_in_flight
-from .errors import PipelineStateError
+from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
+from .errors import PipelineStateError, ProviderError
+from .jsonio import encodable
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -137,13 +138,10 @@ def _rag_query_text(request: GenRequest) -> str:
 
 
 def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: float,
-                       seed: int | None, retry: RetryPolicy) -> Mcq | ParseFailure:
-    payload = call_with_retries(
-        lambda: chat.complete_structured(
-            bundle.system_text, bundle.user_text, bundle.response_schema or {},
-            temperature=temperature, seed=seed,
-        ),
-        retry,
+                       seed: int | None) -> Mcq | ParseFailure:
+    payload = chat.complete_structured(
+        bundle.system_text, bundle.user_text, bundle.response_schema or {},
+        temperature=temperature, seed=seed,
     )
     # The schema contract should make this parse trivially; a provider that
     # violates it still becomes an accounted failure rather than a crash.
@@ -158,6 +156,13 @@ def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: fl
     return parsed
 
 
+def _result_texts(result: Mcq | ParseFailure) -> tuple[str, ...]:
+    """The free-text strings an outcome file holds for ``result``."""
+    if isinstance(result, ParseFailure):
+        return result.raw_text, result.message
+    return result.stem, result.explanation, *(o.text for o in result.options)
+
+
 def generate_mcq(
     chat: ChatProvider,
     request: GenRequest,
@@ -165,14 +170,14 @@ def generate_mcq(
     *,
     outcome_id: str = "q:0000",
     temperature: float = 0.7,
-    retry: RetryPolicy = RetryPolicy(),
 ) -> GenOutcome:
     """Run one request's prompt, chat round-trip and parse; always return an outcome.
 
     RAG methods ground the prompt in ``context``, the chunks retrieved for
     the request in descending score order (see :func:`generate_batch`);
-    non-RAG methods ignore it. Only transport-level provider errors
-    propagate, and only after the retry policy is exhausted.
+    non-RAG methods ignore it. The chat round-trip is made once, and only
+    provider errors propagate: the provider's own, and a non-retryable one
+    naming ``outcome_id`` when the outcome would hold a lone surrogate.
     """
     retrieved: tuple[str, ...] = ()
     if request.method.is_rag:
@@ -184,16 +189,14 @@ def generate_mcq(
         bundle = build_prompt_basic(request.topic)
 
     if request.method is Method.STRUCTURED_PROMPT:
-        result: Mcq | ParseFailure = _structured_result(
-            chat, bundle, temperature, request.seed_hint, retry
-        )
+        result: Mcq | ParseFailure = _structured_result(chat, bundle, temperature, request.seed_hint)
     else:
-        raw = call_with_retries(
-            lambda: chat.complete(bundle.system_text, bundle.user_text,
-                                  temperature=temperature, seed=request.seed_hint),
-            retry,
-        )
+        raw = chat.complete(bundle.system_text, bundle.user_text,
+                            temperature=temperature, seed=request.seed_hint)
         result = parse_mcq_json(raw)
+    if not all(map(encodable, _result_texts(result))):
+        raise ProviderError(0, f"{outcome_id}: chat completion holds a lone surrogate, which is not UTF-8",
+                            retryable=False)
 
     return GenOutcome(
         outcome_id=outcome_id,
@@ -216,8 +219,7 @@ def generate_batch(
     index: VectorIndex | None = None,
     embedder: EmbeddingProvider | None = None,
     temperature: float = 0.7,
-    retry: RetryPolicy = RetryPolicy(),
-    max_in_flight: int = 1,
+    policy: ProviderPolicy = ProviderPolicy(),
 ) -> list[GenOutcome]:
     """Generate exactly ``n`` outcomes, cycling standards round-robin.
 
@@ -225,9 +227,9 @@ def generate_batch(
     uniform; parse failures are recorded in place, never dropped. RAG
     methods embed each distinct retrieval query once and retrieve the top
     ``retrieval_k`` chunks of all of them from ``index`` in one
-    :func:`top_k` call on the calling thread; the chat
-    round-trips then run up to ``max_in_flight`` at a time, and outcomes
-    come back in request order.
+    :func:`top_k` call on the calling thread; the chat round-trips then
+    run through :func:`map_in_flight` under ``policy``, and outcomes come
+    back in request order.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -249,7 +251,7 @@ def generate_batch(
             raise PipelineStateError(f"{method.value} requires an embedding provider")
         queries = [_rag_query_text(r) for r in requests]
         distinct = list(dict.fromkeys(queries))
-        vectors = embed_texts(embedder, distinct, retry=retry, max_in_flight=max_in_flight)
+        vectors = embed_texts(embedder, distinct, policy)
         by_query = {
             query: [index.chunk_by_id(h.chunk_id) for h in hits]
             for query, hits in zip(distinct, top_k(index, similarities(index, vectors), retrieval_k))
@@ -258,7 +260,7 @@ def generate_batch(
     return map_in_flight(
         lambda i: generate_mcq(
             chat, requests[i], contexts[i],
-            outcome_id=f"{method.value}:{i:04d}", temperature=temperature, retry=retry,
+            outcome_id=f"{method.value}:{i:04d}", temperature=temperature,
         ),
-        range(n), max_in_flight,
+        range(n), policy,
     )

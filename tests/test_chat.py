@@ -132,6 +132,27 @@ def test_http_chat_structured_rejects_non_json(monkeypatch):
         chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA)
 
 
+@pytest.mark.parametrize("content", [None, 7, {"text": "jawapan"}, ["jawapan"]],
+                         ids=["null", "number", "object", "array"])
+@pytest.mark.parametrize("structured", [False, True], ids=["plain", "structured"])
+def test_http_chat_refuses_content_that_is_not_a_string(monkeypatch, content, structured):
+    monkeypatch.setenv("QGEN_API_KEY", "k123")
+    calls = []
+
+    def fake_transport(url, payload, headers, timeout):
+        calls.append(payload)
+        return {"choices": [{"message": {"content": content}}]}
+
+    chat = HttpChatProvider("https://api.example.test/chat", "m", transport=fake_transport)
+    with pytest.raises(ProviderError, match=f"content is {type(content).__name__}, not a string") as refused:
+        if structured:
+            chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA)
+        else:
+            chat.complete("s", "u")
+    assert not refused.value.retryable
+    assert len(calls) == 1
+
+
 def test_http_chat_requires_api_key(monkeypatch):
     monkeypatch.delenv("QGEN_API_KEY", raising=False)
     with pytest.raises(InputError, match="environment variable QGEN_API_KEY must be set"):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -342,35 +344,75 @@ def test_report_json_format(tmp_path, capsys):
     assert {"method", "mean_sts", "std_sts", "validity_pct", "parse_failure_pct"} <= set(rows[0])
 
 
-class FirstQaCallFails:
-    """Mock chat whose first completion raises a retryable provider error."""
+class FirstAttemptFails:
+    """Mock provider whose first attempt at each distinct request raises a retryable 503."""
 
-    def __init__(self):
-        self.inner = MockChatProvider()
-        self.tag = self.inner.tag
-        self.failed = False
+    def __init__(self, inner):
+        self.inner = inner
+        self.tag = inner.tag
+        self.failed = set()
         self.lock = threading.Lock()
 
-    def complete(self, system, user, **kwargs):
+    def _fail_first(self, *request):
         with self.lock:
-            first, self.failed = not self.failed, True
+            first = request not in self.failed
+            self.failed.add(request)
         if first:
             raise ProviderError(503, "busy", retryable=True)
+
+    def embed(self, texts):
+        self._fail_first(*texts)
+        return self.inner.embed(texts)
+
+    def complete(self, system, user, **kwargs):
+        self._fail_first(system, user, *sorted(kwargs.items()))
         return self.inner.complete(system, user, **kwargs)
 
+    def complete_structured(self, system, user, schema, **kwargs):
+        self._fail_first(system, user, json.dumps(schema), *sorted(kwargs.items()))
+        return self.inner.complete_structured(system, user, schema, **kwargs)
 
-@pytest.mark.parametrize("max_retries, exit_code, expected_sleeps", [(0, 3, []), (1, 0, [0.0])])
-def test_evaluate_honours_configured_retry_policy(tmp_path, monkeypatch, max_retries, exit_code,
-                                                  expected_sleeps):
-    config = write_config(tmp_path, provider={"mock": True, "max_retries": max_retries, "backoff_base": 0.0})
-    for cmd in ("ingest", "index", "generate"):
-        assert main([cmd, "--config", str(config)]) == 0
+
+STAGE_OUTPUTS = {
+    "index": ("indexes",),
+    "generate": ("outcomes",),
+    "evaluate": ("eval", "report.md", "report.json"),
+}
+
+
+@pytest.mark.parametrize("max_retries", [0, 1], ids=["max_retries_0", "max_retries_1"])
+@pytest.mark.parametrize("stage, method", [
+    ("index", None),
+    ("generate", "structured"),
+    ("generate", "basic"),
+    ("generate", "rag_generic"),
+    ("generate", "rag_structure"),
+    ("evaluate", None),
+], ids=["index", "generate_structured", "generate_basic", "generate_rag_generic", "generate_rag_structure",
+        "evaluate"])
+def test_stage_honours_configured_retry_policy(tmp_path, monkeypatch, stage, method, max_retries):
+    config = write_config(tmp_path, provider={"mock": True, "max_retries": max_retries, "backoff_base": 0.0},
+                          generation={"methods": [method]} if method else {})
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    clean = workdir_snapshot(workdir)
+    for output in STAGE_OUTPUTS[stage]:
+        path = workdir / output
+        shutil.rmtree(path) if path.is_dir() else path.unlink()
+    upstream = workdir_snapshot(workdir)
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
-    monkeypatch.setattr(qgen.cli, "build_providers",
-                        lambda cfg: (FirstQaCallFails(), MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
-    assert main(["evaluate", "--config", str(config)]) == exit_code
-    assert sleeps == expected_sleeps
+    chat, embedder = FirstAttemptFails(MockChatProvider()), FirstAttemptFails(MockEmbeddingProvider(dim=64))
+    monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (chat, embedder))
+    if max_retries:
+        assert main([stage, "--config", str(config)]) == 0
+        assert workdir_snapshot(workdir) == clean
+        assert sleeps == [0.0] * (len(chat.failed) + len(embedder.failed))
+        assert sleeps
+    else:
+        assert main([stage, "--config", str(config)]) == 3
+        assert workdir_snapshot(workdir) == upstream
+        assert sleeps == []
 
 
 @pytest.mark.parametrize("edit", ["rename", "reorder"])
@@ -568,3 +610,34 @@ def test_config_lone_surrogate_exit_2_before_any_stage(tmp_path, capsys):
     assert main(["run-all", "--config", str(config)]) == 2
     assert "generation.topic must be UTF-8 text" in capsys.readouterr().err
     assert not (tmp_path / "workdir").exists()
+
+
+@pytest.mark.parametrize("method", ["structured", "basic"])
+@pytest.mark.parametrize("surrogate", ["raw", "escaped"])
+def test_generate_refuses_lone_surrogate_completion_exit_3(tmp_path, monkeypatch, capsys, surrogate, method):
+    embedder = MockEmbeddingProvider(dim=64)
+    mcq = {"stem": "Apakah \ud800 integer?", "answer_key": "A",
+           "options": [{"label": label, "text": f"pilihan {label}"} for label in "ABCD"]}
+    # "raw": the body's JSON escape puts the surrogate itself in the content;
+    # "escaped": the content is the model's JSON text, which escapes it.
+    content = json.dumps(mcq, ensure_ascii=surrogate == "escaped")
+
+    def urlopen(request, timeout):
+        payload = json.loads(request.data)
+        if request.full_url.endswith("/embed"):
+            body = {"embeddings": embedder.embed(payload["input"]).tolist()}
+        else:
+            body = {"choices": [{"message": {"content": content}}]}
+        return io.BytesIO(json.dumps(body).encode())
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    monkeypatch.setenv("QGEN_API_KEY", "k")
+    config = write_config(tmp_path, provider={
+        "mock": False,
+        "chat_endpoint": "https://api.example.test/chat", "chat_model": "m",
+        "embed_endpoint": "https://api.example.test/embed", "embed_model": "e",
+    }, generation={"methods": [method]})
+    assert main(["run-all", "--config", str(config)]) == 3
+    name = "structured_prompt" if method == "structured" else "basic_prompt"
+    assert f"{name}:0000: chat completion holds a lone surrogate" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "outcomes").exists()

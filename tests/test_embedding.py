@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import email.message
 import io
 import json
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import qgen
 from qgen.embedding import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
-    RetryPolicy,
+    ProviderPolicy,
     _bucket,
     embed_texts,
     map_in_flight,
@@ -107,39 +109,40 @@ class FlakyProvider:
         return [np.ones(self.dim) for _ in texts]
 
 
-def test_retryable_errors_are_retried_with_backoff():
+def test_retryable_errors_are_retried_with_backoff(monkeypatch):
     provider = FlakyProvider([
         ProviderError(429, "rate limited", retryable=True),
         ProviderError(503, "unavailable", retryable=True),
     ])
     sleeps = []
-    vectors = embed_texts(provider, ["a"], retry=RetryPolicy(max_retries=3, base_delay=0.5),
-                          sleep=sleeps.append)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    vectors = embed_texts(provider, ["a"], ProviderPolicy(max_retries=3, base_delay=0.5))
     assert provider.calls == 3
     assert len(vectors) == 1
     assert sleeps == [0.5, 1.0]
 
 
-def test_retries_exhausted_surfaces_error():
+def test_retries_exhausted_surfaces_error(monkeypatch):
     provider = FlakyProvider([ProviderError(429, "rate limited", retryable=True)] * 10)
+    monkeypatch.setattr(time, "sleep", lambda _: None)
     with pytest.raises(ProviderError) as exc_info:
-        embed_texts(provider, ["a"], retry=RetryPolicy(max_retries=3, base_delay=0.0),
-                    sleep=lambda _: None)
+        embed_texts(provider, ["a"], ProviderPolicy(max_retries=3, base_delay=0.0))
     assert exc_info.value.retryable
     assert provider.calls == 4  # initial attempt + 3 retries
 
 
-def test_non_retryable_error_not_retried():
+def test_non_retryable_error_not_retried(monkeypatch):
     provider = FlakyProvider([ProviderError(401, "bad key", retryable=False)])
+    monkeypatch.setattr(time, "sleep", lambda _: None)
     with pytest.raises(ProviderError):
-        embed_texts(provider, ["a"], sleep=lambda _: None)
+        embed_texts(provider, ["a"])
     assert provider.calls == 1
 
 
 def test_concurrent_dispatch_preserves_input_order(mock_embedder):
     texts = [f"ayat nombor {i} tentang integer" for i in range(300)]
-    sequential = embed_texts(mock_embedder, texts, max_in_flight=1)
-    concurrent = embed_texts(mock_embedder, texts, max_in_flight=4)
+    sequential = embed_texts(mock_embedder, texts, ProviderPolicy(max_in_flight=1))
+    concurrent = embed_texts(mock_embedder, texts, ProviderPolicy(max_in_flight=4))
     assert len(concurrent) == 300
     for a, b in zip(sequential, concurrent):
         assert np.array_equal(a, b)
@@ -150,7 +153,8 @@ def test_map_in_flight_keeps_input_order_under_contention():
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        out = map_in_flight(lambda i: (time.sleep(0.0005 * (i % 3)), i * i)[1], range(200), 8)
+        out = map_in_flight(lambda i: (time.sleep(0.0005 * (i % 3)), i * i)[1], range(200),
+                            ProviderPolicy(max_in_flight=8))
     finally:
         sys.setswitchinterval(previous)
     assert out == [i * i for i in range(200)]
@@ -158,9 +162,10 @@ def test_map_in_flight_keeps_input_order_under_contention():
 
 def test_map_in_flight_serial_cases_stay_on_calling_thread():
     caller = threading.get_ident()
-    assert map_in_flight(lambda _: threading.get_ident(), range(5), 1) == [caller] * 5
-    assert map_in_flight(lambda _: threading.get_ident(), [0], 8) == [caller]
-    assert map_in_flight(lambda _: threading.get_ident(), [], 8) == []
+    serial, eight = ProviderPolicy(max_in_flight=1), ProviderPolicy(max_in_flight=8)
+    assert map_in_flight(lambda _: threading.get_ident(), range(5), serial) == [caller] * 5
+    assert map_in_flight(lambda _: threading.get_ident(), [0], eight) == [caller]
+    assert map_in_flight(lambda _: threading.get_ident(), [], eight) == []
 
 
 def test_map_in_flight_bounds_concurrency():
@@ -178,10 +183,10 @@ def test_map_in_flight_bounds_concurrency():
         with lock:
             running -= 1
 
-    map_in_flight(work, range(30), 3)
+    map_in_flight(work, range(30), ProviderPolicy(max_in_flight=3))
     assert 1 < peak <= 3
     assert len(threads) <= 3
-    map_in_flight(work, range(2), 8)
+    map_in_flight(work, range(2), ProviderPolicy(max_in_flight=8))
     assert len(threads) <= 3 + 2
 
 
@@ -203,9 +208,49 @@ def test_map_in_flight_raises_lowest_failure_and_stops_dispatch():
         return i
 
     with pytest.raises(ValueError, match="item 5"):
-        map_in_flight(work, range(100), 4)
+        map_in_flight(work, range(100), ProviderPolicy(max_in_flight=4))
     assert set(range(8)) <= set(started)
     assert len(started) <= 7 + 4
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_map_in_flight_retries_only_the_item_that_failed(monkeypatch, max_in_flight):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    policy = ProviderPolicy(max_retries=2, base_delay=0.25, max_in_flight=max_in_flight)
+    calls = []
+    lock = threading.Lock()
+
+    def work(i):
+        with lock:
+            calls.append(i)
+            attempt = calls.count(i)
+        if i in (3, 11) and attempt == 1:
+            raise ProviderError(503, f"item {i} busy", retryable=True)
+        if i in (2, 17) and attempt <= 2:
+            raise ProviderError(429, f"item {i} limited", retryable=True, retry_after=0.4)
+        return i * i
+
+    assert map_in_flight(work, range(20), policy) == [i * i for i in range(20)]
+    assert sorted(calls) == sorted([*range(20), 2, 2, 3, 11, 17, 17])
+    assert sorted(sleeps) == [0.25, 0.25, 0.4, 0.4, 0.5, 0.5]
+
+    calls.clear()
+
+    def work_failing(i):
+        with lock:
+            calls.append(i)
+            attempt = calls.count(i)
+        if i == 1 and attempt == 1:
+            raise ProviderError(503, "item 1 busy", retryable=True)
+        if i in (6, 9):
+            raise ProviderError(400, f"item {i} rejected", retryable=False)
+        return i
+
+    with pytest.raises(ProviderError, match="item 6 rejected"):
+        map_in_flight(work_failing, range(20), policy)
+    assert calls.count(1) == 2
+    assert calls.count(6) == 1
 
 
 class FailsOnBatch:
@@ -231,7 +276,7 @@ def test_embed_texts_stops_after_a_failed_batch():
     texts = [f"t{i}" for i in range(64 * 20)]
     provider = FailsOnBatch(first=texts[64 * 3])
     with pytest.raises(ProviderError, match="bad batch"):
-        embed_texts(provider, texts, sleep=lambda _: None, max_in_flight=2)
+        embed_texts(provider, texts, ProviderPolicy(max_in_flight=2))
     assert 4 <= provider.calls <= 3 + 2
 
 
@@ -299,8 +344,9 @@ def test_http_adapter_refuses_malformed_vectors(monkeypatch, body, refusal):
         return body
 
     provider = HttpEmbeddingProvider("https://api.example.test/embed", "m", transport=fake_transport)
+    monkeypatch.setattr(time, "sleep", lambda _: None)
     with pytest.raises(ProviderError, match=refusal) as refused:
-        embed_texts(provider, ["satu", "dua"], sleep=lambda _: None)
+        embed_texts(provider, ["satu", "dua"])
     assert not refused.value.retryable
     assert len(calls) == 1
 
@@ -351,7 +397,7 @@ def test_matrix_normalize_is_bitwise_per_row_normalize(source):
 
 
 def test_embed_texts_returns_one_normalized_matrix(mock_embedder):
-    vectors = embed_texts(mock_embedder, MOCK_TEXTS, max_in_flight=3)
+    vectors = embed_texts(mock_embedder, MOCK_TEXTS, ProviderPolicy(max_in_flight=3))
     assert vectors.shape == (len(MOCK_TEXTS), 64)
     ref = np.stack([reference_normalize(reference_mock_vector(t, 64)) for t in MOCK_TEXTS])
     assert vectors.tobytes() == ref.tobytes()
@@ -441,7 +487,25 @@ def test_backoff_waits_at_least_retry_after(monkeypatch, header, expected_sleeps
     monkeypatch.setattr("urllib.request.urlopen", urlopen)
     provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
     sleeps = []
-    vectors = embed_texts(provider, ["a"], retry=RetryPolicy(max_retries=3, base_delay=0.5),
-                          sleep=sleeps.append)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    vectors = embed_texts(provider, ["a"], ProviderPolicy(max_retries=3, base_delay=0.5))
     assert sleeps == expected_sleeps
     assert vectors.tolist() == [[1.0, 0.0]]
+
+
+def test_only_embedding_knows_the_retry_loop():
+    """Backoff and retries live in ``map_in_flight`` alone, and no signature carries retry settings."""
+    src = Path(qgen.embedding.__file__).parent
+    loop_modules, retry_params = set(), []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, (ast.FunctionDef, ast.alias)) else None)
+            if name in ("sleep", "call_with_retries", "_call_with_retries"):
+                loop_modules.add(module)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                retry_params += [f"{module}: {a.arg}" for a in args if a.arg in ("retry", "sleep", "max_in_flight")]
+    assert loop_modules == {"embedding.py"}
+    assert retry_params == []

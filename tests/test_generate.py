@@ -179,24 +179,24 @@ class FlakyChat:
 
 
 def test_chat_transport_errors_retried():
-    from qgen.embedding import RetryPolicy
+    from qgen.embedding import ProviderPolicy
     from qgen.errors import ProviderError
 
     chat = FlakyChat([ProviderError(503, "down", retryable=True)] * 2)
-    request = GenRequest(method=Method.BASIC_PROMPT, topic="t")
-    outcome = generate_mcq(chat, request, retry=RetryPolicy(max_retries=3, base_delay=0.0))
+    (outcome,) = generate_batch(chat, Method.BASIC_PROMPT, 1, topic="t", standards=[],
+                                policy=ProviderPolicy(max_retries=3, base_delay=0.0))
     assert isinstance(outcome.result, Mcq)
     assert chat.calls == 3
 
 
 def test_chat_retries_exhausted_propagates():
-    from qgen.embedding import RetryPolicy
+    from qgen.embedding import ProviderPolicy
     from qgen.errors import ProviderError
 
     chat = FlakyChat([ProviderError(503, "down", retryable=True)] * 10)
-    request = GenRequest(method=Method.STRUCTURED_PROMPT, topic="t")
     with pytest.raises(ProviderError):
-        generate_mcq(chat, request, retry=RetryPolicy(max_retries=2, base_delay=0.0))
+        generate_batch(chat, Method.STRUCTURED_PROMPT, 1, topic="t", standards=[],
+                       policy=ProviderPolicy(max_retries=2, base_delay=0.0))
     assert chat.calls == 3
 
 
