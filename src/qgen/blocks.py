@@ -17,7 +17,6 @@ Reading order is file order; blocks are never re-sorted by bbox.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import InputError
-from .jsonio import encodable
+from .jsonio import loads
 
 _WS_RUN = re.compile(r"[^\S\n]+")
 _BLANK_RUN = re.compile(r"\n{3,}")
@@ -125,23 +124,22 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
     """Load a Blocks-JSON file into a :class:`SourceDocument`.
 
     ``role``, when given, asserts the document role declared in the file;
-    a mismatch, a structural problem, a string that is not UTF-8 or a file
-    with zero blocks raises :class:`InputError` naming the file and, where
-    one is at fault, the field.
+    text that is not strict JSON (see :mod:`qgen.jsonio`), a mismatch, a
+    structural problem or a file with zero blocks raises :class:`InputError`
+    naming the file and, where one is at fault, the field.
     """
     path = Path(path)
     spath = str(path)
     if not path.is_file():
         raise FileNotFoundError(f"blocks file not found: {spath}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = loads(path.read_bytes())
+    except ValueError as exc:
         raise InputError(f"{spath}: invalid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), spath, "top level must be an object")
     doc_id = raw.get("doc_id")
     _require(isinstance(doc_id, str) and doc_id.strip() != "", spath, "doc_id must be a non-empty string")
-    _require(encodable(doc_id), spath, "doc_id must be UTF-8 text, without lone surrogates")
     role_raw = raw.get("role")
     try:
         file_role = DocRole(role_raw)
@@ -172,7 +170,6 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
             _require(isinstance(b, dict), spath, f"{bwhere} must be an object")
             text = b.get("text")
             _require(isinstance(text, str), spath, f"{bwhere}.text must be a string")
-            _require(encodable(text), spath, f"{bwhere}.text must be UTF-8 text, without lone surrogates")
             bbox = b.get("bbox")
             _require(isinstance(bbox, list) and len(bbox) == 4
                      and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),

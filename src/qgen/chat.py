@@ -8,14 +8,14 @@ JSON chat endpoint.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
-from typing import Callable, Protocol
+from typing import Protocol
 
 from . import wire
 from .errors import InputError, ProviderError
+from .jsonio import dumps, loads
 
 
 class ChatProvider(Protocol):
@@ -48,6 +48,9 @@ _CONTEXT_BLOCK_RE = re.compile(r"\[(?P<cid>[^\]\n]+)\]\n(?P<body>.*?)\n---", re.
 
 _QA_MARKER = "Jawab soalan berikut"
 _RAG_MARKER = "Konteks nota:"
+
+# Seconds an HTTP chat round-trip may take before it fails as a network error.
+_HTTP_TIMEOUT = 120.0
 
 REFUSAL_TEXT = "Maaf, soalan ini tidak dapat dijawab berdasarkan konteks yang diberikan."
 
@@ -125,7 +128,7 @@ class MockChatProvider:
         seed = seed or 0
         if self._is_malformed(seed):
             return '{"stem": "Soalan tidak leng'
-        return json.dumps(self._mcq_payload(user, seed), ensure_ascii=False)
+        return dumps(self._mcq_payload(user, seed)).decode()
 
     def complete_structured(self, system: str, user: str, schema: dict, *,
                             temperature: float = 0.7, seed: int | None = None) -> dict:
@@ -143,11 +146,11 @@ class HttpChatProvider:
     when given; bearer token from the configured environment variable. The
     response carries the completion at ``choices[0].message.content`` (or a
     top-level ``content``), a string, JSON-encoded for structured requests;
-    content of any other type is a non-retryable :class:`ProviderError`.
+    content of any other type, and structured content that is not strict
+    JSON, is a non-retryable :class:`ProviderError`.
     """
 
-    def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
-                 transport: Callable[..., dict] | None = None, timeout: float = 120.0):
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY"):
         if not endpoint:
             raise InputError("chat endpoint must be configured for non-mock runs")
         key = os.environ.get(api_key_env, "")
@@ -156,13 +159,10 @@ class HttpChatProvider:
         self.endpoint = endpoint
         self.model = model
         self.tag = f"http:{model}"
-        self.timeout = timeout
         self._key = key
-        self._transport = transport
 
     def _request(self, system: str, user: str, temperature: float,
                  schema: dict | None, seed: int | None) -> str:
-        transport = self._transport or wire.http_post_json
         payload: dict = {
             "model": self.model,
             "messages": [
@@ -175,8 +175,8 @@ class HttpChatProvider:
             payload["response_schema"] = schema
         if seed is not None:
             payload["seed"] = seed
-        body = transport(self.endpoint, payload, {"Authorization": f"Bearer {self._key}"},
-                         timeout=self.timeout)
+        body = wire.http_post_json(self.endpoint, payload, {"Authorization": f"Bearer {self._key}"},
+                                   timeout=_HTTP_TIMEOUT)
         try:
             content = body["choices"][0]["message"]["content"] if "choices" in body else body["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -194,8 +194,8 @@ class HttpChatProvider:
                             temperature: float = 0.7, seed: int | None = None) -> dict:
         content = self._request(system, user, temperature, schema, seed)
         try:
-            data = json.loads(content)
-        except json.JSONDecodeError as exc:
+            data = loads(content)
+        except ValueError as exc:
             raise ProviderError(0, f"schema-constrained response is not JSON: {exc}", retryable=False) from exc
         if not isinstance(data, dict):
             raise ProviderError(0, "schema-constrained response is not a JSON object", retryable=False)

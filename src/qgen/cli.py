@@ -306,7 +306,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_jsonl(work.eval_records, records)
     reports = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
     write_text(work.report_md, render_report(reports, "markdown") + "\n")
-    write_text(work.report_json, render_report(reports, "json") + "\n")
+    write_json(work.report_json, [r.to_dict() for r in reports])
     print(f"evaluate: records={len(records)} methods={len(reports)}")
     return EXIT_OK
 

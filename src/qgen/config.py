@@ -8,7 +8,6 @@ reproducible artifact describing exactly what it did.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ from .chunking import DEFAULT_UNIT_KEYWORDS
 from .errors import InputError
 from .evaluate import DEFAULT_REFUSAL_MARKERS
 from .generate import METHOD_ORDER, Method
-from .jsonio import encodable
+from .jsonio import encodable, loads
 
 _METHOD_ALIASES = {
     "structured": Method.STRUCTURED_PROMPT,
@@ -136,6 +135,9 @@ class RunConfig:
         return data
 
 
+_NOT_BLANK = ("generation.topic", "chunking.unit_keywords", "evaluation.refusal_markers")
+
+
 def _checked(name: str, value, default):
     """``value`` if it has the JSON type of ``default``; a list setting comes back as a tuple."""
     if isinstance(default, bool):
@@ -144,7 +146,7 @@ def _checked(name: str, value, default):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         # An int stays an int, so the resolved config echoes the file's bytes.
-        # json.loads reads NaN and Infinity, which no setting can use.
+        # A flag such as --tau nan reaches here through argparse's float.
         finite = isinstance(value, float) and math.isfinite(value)
         ok, kind = finite or isinstance(value, int) and not isinstance(value, bool), "a finite number"
     elif isinstance(default, str):
@@ -153,10 +155,14 @@ def _checked(name: str, value, default):
         ok, kind = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value), "a list of strings"
     if not ok:
         raise InputError(f"{name} must be {kind}, got {value!r}")
-    # Every setting is echoed into the workdir, whose codec writes only UTF-8.
+    # Every setting is echoed into the workdir, whose codec writes only UTF-8;
+    # an undecodable command-line byte arrives as a lone surrogate.
     texts = [value] if isinstance(default, str) else value if isinstance(default, tuple) else []
     if not all(map(encodable, texts)):
         raise InputError(f"{name} must be UTF-8 text, without lone surrogates, got {value!r}")
+    # A blank marker is in every answer, and a blank keyword opens a unit at every block.
+    if name in _NOT_BLANK and not all(text.strip() for text in texts):
+        raise InputError(f"{name} must not be blank, got {value!r}")
     if name == "generation.methods":
         return parse_methods(value)
     return tuple(value) if isinstance(default, tuple) else value
@@ -198,8 +204,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         if not path.is_file():
             raise InputError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            data = loads(path.read_bytes())
+        except ValueError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         for section, values in (overrides or {}).items():

@@ -54,6 +54,10 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+# The longest wait a provider's Retry-After can ask for, in seconds.
+_MAX_RETRY_AFTER = 60.0
+
+
 def _call_with_retries(fn: Callable[[T], R], item: T, policy: ProviderPolicy) -> R:
     attempt = 0
     while True:
@@ -61,7 +65,7 @@ def _call_with_retries(fn: Callable[[T], R], item: T, policy: ProviderPolicy) ->
             return fn(item)
         except ProviderError as exc:
             if exc.retryable and attempt < policy.max_retries:
-                time.sleep(max(policy.delay(attempt), exc.retry_after or 0.0))
+                time.sleep(max(policy.delay(attempt), min(exc.retry_after or 0.0, _MAX_RETRY_AFTER)))
                 attempt += 1
                 continue
             raise
@@ -72,11 +76,11 @@ def map_in_flight(fn: Callable[[T], R], items: Sequence[T], policy: ProviderPoli
 
     A call that raises a retryable :class:`ProviderError` is made again for
     its item alone, after the policy's delay or the provider's
-    ``Retry-After`` if longer (waited out by :func:`time.sleep`), until
-    ``max_retries`` run out. Results come back in input order. The calls
-    run serially when ``max_in_flight`` is 1 or there is only one item, and
-    otherwise on ``min(max_in_flight, len(items))`` threads that take the
-    items in order. Once a call fails for good, no further item starts, and
+    ``Retry-After`` capped at 60 s, whichever is longer (waited out by
+    :func:`time.sleep`), until ``max_retries`` run out. Results come back
+    in input order. The calls run serially when ``max_in_flight`` is 1 or
+    there is only one item, and otherwise on ``min(max_in_flight,
+    len(items))`` threads that take the items in order. Once a call fails for good, no further item starts, and
     the exception of the lowest failed item is raised after the running
     calls finish.
     """
@@ -177,12 +181,15 @@ def _is_finite_number(value) -> bool:
     """Whether ``value`` is a JSON number that a finite float64 holds.
 
     ``np.asarray`` would read a string as a number, null as NaN and a bool
-    as 0 or 1, and ``json.loads`` reads ``NaN`` and ``Infinity``, which are
-    not JSON numbers; all are refused here.
+    as 0 or 1; all are refused here.
     """
     if type(value) is int:
         return abs(value) <= sys.float_info.max
     return isinstance(value, float) and math.isfinite(value)
+
+
+# Seconds an HTTP embedding round-trip may take before it fails as a network error.
+_HTTP_TIMEOUT = 60.0
 
 
 class HttpEmbeddingProvider:
@@ -196,8 +203,7 @@ class HttpEmbeddingProvider:
     naming the item.
     """
 
-    def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY",
-                 transport: Callable[..., dict] | None = None, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY"):
         if not endpoint:
             raise InputError("embedding endpoint must be configured for non-mock runs")
         key = os.environ.get(api_key_env, "")
@@ -206,15 +212,12 @@ class HttpEmbeddingProvider:
         self.endpoint = endpoint
         self.model = model
         self.tag = f"http:{model}"
-        self.timeout = timeout
         self._key = key
-        self._transport = transport
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        transport = self._transport or wire.http_post_json
         payload = {"model": self.model, "input": list(texts)}
         headers = {"Authorization": f"Bearer {self._key}"}
-        body = transport(self.endpoint, payload, headers, timeout=self.timeout)
+        body = wire.http_post_json(self.endpoint, payload, headers, timeout=_HTTP_TIMEOUT)
         if not isinstance(body, dict):
             raise ProviderError(0, "embedding response is not a JSON object", retryable=False)
         if isinstance(body.get("data"), list):

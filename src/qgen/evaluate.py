@@ -8,7 +8,6 @@ threshold plus refusal detection on the answering model).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +20,7 @@ from .chunking import Strategy
 from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts
 from .errors import PipelineStateError
 from .generate import METHOD_ORDER, GenOutcome, Method
+from .jsonio import dumps
 from .mcq import Mcq
 from .prompts import build_prompt_qa
 from .vectorindex import ScoredHit, VectorIndex, similarities, top_k
@@ -279,11 +279,11 @@ _MD_RULE = "| --- | ---: | ---: | ---: | ---: |"
 
 
 def render_report(reports: list[MethodReport], format: str = "markdown") -> str:
-    """Render method reports as a markdown table or a JSON document."""
+    """Render method reports as a markdown table or as the JSON document ``report.json`` holds."""
     if not reports:
         raise PipelineStateError("cannot render an empty report list")
     if format == "json":
-        return json.dumps([r.to_dict() for r in reports], ensure_ascii=False, indent=2, sort_keys=True)
+        return dumps([r.to_dict() for r in reports], indent=True).decode()
     if format == "markdown":
         lines = [_MD_HEADER, _MD_RULE]
         for r in reports:

@@ -7,7 +7,6 @@ batches account for failures instead of dropping them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -15,8 +14,8 @@ from typing import Sequence
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
 from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
-from .errors import PipelineStateError, ProviderError
-from .jsonio import encodable
+from .errors import PipelineStateError
+from .jsonio import dumps
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -145,7 +144,7 @@ def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: fl
     )
     # The schema contract should make this parse trivially; a provider that
     # violates it still becomes an accounted failure rather than a crash.
-    raw = json.dumps(payload, ensure_ascii=False)
+    raw = dumps(payload).decode()
     parsed = parse_mcq_json(raw)
     if isinstance(parsed, ParseFailure):
         return ParseFailure(
@@ -154,13 +153,6 @@ def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: fl
             message=f"schema-mode response violated the MCQ contract: {parsed.message}",
         )
     return parsed
-
-
-def _result_texts(result: Mcq | ParseFailure) -> tuple[str, ...]:
-    """The free-text strings an outcome file holds for ``result``."""
-    if isinstance(result, ParseFailure):
-        return result.raw_text, result.message
-    return result.stem, result.explanation, *(o.text for o in result.options)
 
 
 def generate_mcq(
@@ -176,8 +168,7 @@ def generate_mcq(
     RAG methods ground the prompt in ``context``, the chunks retrieved for
     the request in descending score order (see :func:`generate_batch`);
     non-RAG methods ignore it. The chat round-trip is made once, and only
-    provider errors propagate: the provider's own, and a non-retryable one
-    naming ``outcome_id`` when the outcome would hold a lone surrogate.
+    the provider's errors propagate.
     """
     retrieved: tuple[str, ...] = ()
     if request.method.is_rag:
@@ -194,9 +185,6 @@ def generate_mcq(
         raw = chat.complete(bundle.system_text, bundle.user_text,
                             temperature=temperature, seed=request.seed_hint)
         result = parse_mcq_json(raw)
-    if not all(map(encodable, _result_texts(result))):
-        raise ProviderError(0, f"{outcome_id}: chat completion holds a lone surrogate, which is not UTF-8",
-                            retryable=False)
 
     return GenOutcome(
         outcome_id=outcome_id,

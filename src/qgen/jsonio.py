@@ -1,13 +1,15 @@
-"""The one codec for workdir artifacts: canonical JSON and JSONL through orjson.
+"""The one JSON codec of qgen: canonical JSON and JSONL through orjson.
 
-Every artifact the stages write or read passes through this module, so no
-other module knows the codec. Keys are sorted and the text is UTF-8 with no
-spaces, except in :func:`write_json`'s indented files. Floats are written
-in their shortest round-trip form; a magnitude below 1e-4 or at least 1e16
-is written ``0.000025`` or ``1e16``, where Python's ``repr`` gives
-``2.5e-05`` or ``1e+16``. ``NaN`` and ``Infinity`` are not JSON: they are
-refused when read, and orjson would write them as ``null``, so no caller
-may hand a writer a non-finite float.
+Every JSON text qgen reads or writes passes through this module, so no
+other module imports a JSON library. Keys are sorted and the text is UTF-8
+with no spaces, except in the two-space indented form of
+``dumps(obj, indent=True)``. Floats are written in their shortest
+round-trip form; a magnitude below 1e-4 or at least 1e16 is written
+``0.000025`` or ``1e16``, where Python's ``repr`` gives ``2.5e-05`` or
+``1e+16``. The reader is strict: ``NaN``, ``Infinity``, a number beyond
+float64, a lone-surrogate escape, invalid UTF-8 and a byte order mark
+raise ``ValueError``. orjson would write a non-finite float as ``null``,
+so no caller may hand a writer one.
 
 Every artifact write is atomic: the content goes to a temporary file in
 the target's directory, which then replaces the target. A write that fails
@@ -25,16 +27,15 @@ from typing import BinaryIO, Iterable, Iterator
 import orjson
 
 
-def dumps(obj) -> bytes:
-    """``obj`` as canonical JSON: sorted keys, no spaces, UTF-8."""
-    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
+def dumps(obj, indent: bool = False) -> bytes:
+    """``obj`` as canonical JSON: sorted keys, UTF-8, no spaces, or indented by two spaces if ``indent``."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | (orjson.OPT_INDENT_2 if indent else 0))
 
 
 def encodable(text: str) -> bool:
     """Whether ``text`` encodes as UTF-8, as every string an artifact holds must.
 
-    A lone surrogate, which a JSON escape such as ``"\\ud800"`` can carry
-    into a ``str``, does not.
+    A lone surrogate, which an undecodable command-line byte becomes, does not.
     """
     try:
         text.encode("utf-8")
@@ -43,8 +44,8 @@ def encodable(text: str) -> bool:
     return True
 
 
-def loads(data: bytes):
-    """The value of one JSON document; raises ``ValueError`` for text that is not JSON."""
+def loads(data: bytes | str):
+    """The value of one JSON document; raises ``ValueError`` for text that is not strict JSON."""
     return orjson.loads(data)
 
 
@@ -97,6 +98,6 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write ``obj`` as sorted JSON indented by two spaces, ending in a newline."""
+    """Write ``obj`` as ``dumps(obj, indent=True)``, ending in a newline."""
     with _replacing(path) as fh:
-        fh.write(orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
+        fh.write(dumps(obj, indent=True) + b"\n")

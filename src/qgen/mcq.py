@@ -7,10 +7,11 @@ category, so failure accounting downstream loses nothing.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+
+from .jsonio import loads
 
 LABELS = ("A", "B", "C", "D")
 
@@ -186,14 +187,15 @@ def _coerce_answer(payload, options: tuple[McqOption, ...]) -> str:
 def parse_mcq_json(raw: str) -> Mcq | ParseFailure:
     """Parse a model response into an :class:`Mcq`, or report why it failed.
 
-    A single surrounding markdown code fence is stripped; field names are
-    mapped tolerantly (``question``/``stem``, options as array or A-D map);
-    the MCQ invariants are then enforced strictly.
+    A single surrounding markdown code fence is stripped, and the rest must
+    be strict JSON (see :mod:`qgen.jsonio`); field names are mapped
+    tolerantly (``question``/``stem``, options as array or A-D map); the
+    MCQ invariants are then enforced strictly.
     """
     body = _strip_fence(raw)
     try:
-        data = json.loads(body)
-    except json.JSONDecodeError as exc:
+        data = loads(body)
+    except ValueError as exc:
         return ParseFailure(raw_text=raw, category=ParseCategory.NOT_JSON, message=f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         return ParseFailure(

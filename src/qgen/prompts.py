@@ -8,13 +8,13 @@ Templates are Bahasa Melayu resource files shipped with the package
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from .chunking import Chunk
 from .errors import InputError
+from .jsonio import dumps
 
 TEMPLATE_VERSION = "v1"
 
@@ -62,8 +62,7 @@ class PromptBundle:
             "schema": self.response_schema,
             "version": self.template_version,
         }
-        canonical = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(dumps(payload)).hexdigest()
 
 
 def _check_topic(topic: str) -> str:

@@ -6,12 +6,12 @@ monkeypatch a single entry point.
 
 from __future__ import annotations
 
-import json
 import math
 import urllib.error
 import urllib.request
 
 from .errors import ProviderError
+from .jsonio import dumps, loads
 
 RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 # Statuses whose Retry-After header says how long to back off.
@@ -35,9 +35,8 @@ def _retry_after(exc: urllib.error.HTTPError) -> float | None:
 
 def http_post_json(url: str, payload: dict, headers: dict[str, str], timeout: float = 60.0) -> dict:
     """POST a JSON payload and return the decoded JSON response body."""
-    body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json", **headers}, method="POST"
+        url, data=dumps(payload), headers={"Content-Type": "application/json", **headers}, method="POST"
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:
@@ -48,6 +47,6 @@ def http_post_json(url: str, payload: dict, headers: dict[str, str], timeout: fl
     except urllib.error.URLError as exc:
         raise ProviderError(0, f"network error: {exc.reason}", retryable=True) from exc
     try:
-        return json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return loads(data)
+    except ValueError as exc:
         raise ProviderError(0, f"provider returned undecodable body: {exc}", retryable=False) from exc

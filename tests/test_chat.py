@@ -8,6 +8,7 @@ import urllib.error
 
 import pytest
 
+import qgen.wire
 from qgen.chat import REFUSAL_TEXT, HttpChatProvider, MockChatProvider
 from qgen.errors import InputError, ProviderError
 from qgen.mcq import Mcq, parse_mcq_json
@@ -98,7 +99,8 @@ def test_http_chat_wire_format(monkeypatch):
         seen.update(url=url, payload=payload, headers=headers)
         return {"choices": [{"message": {"content": "jawapan model"}}]}
 
-    chat = HttpChatProvider("https://api.example.test/chat", "chat-large", transport=fake_transport)
+    monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
+    chat = HttpChatProvider("https://api.example.test/chat", "chat-large")
     out = chat.complete("arahan sistem", "soalan pengguna", temperature=0.4, seed=11)
     assert out == "jawapan model"
     assert seen["payload"]["model"] == "chat-large"
@@ -118,16 +120,15 @@ def test_http_chat_structured_parses_json_content(monkeypatch):
         assert payload["response_schema"] == MCQ_RESPONSE_SCHEMA
         return {"choices": [{"message": {"content": json.dumps(body)}}]}
 
-    chat = HttpChatProvider("https://api.example.test/chat", "m", transport=fake_transport)
+    monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
+    chat = HttpChatProvider("https://api.example.test/chat", "m")
     assert chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA) == body
 
 
 def test_http_chat_structured_rejects_non_json(monkeypatch):
     monkeypatch.setenv("QGEN_API_KEY", "k123")
-    chat = HttpChatProvider(
-        "https://api.example.test/chat", "m",
-        transport=lambda url, payload, headers, timeout: {"content": "bukan json"},
-    )
+    monkeypatch.setattr(qgen.wire, "http_post_json", lambda url, payload, headers, timeout: {"content": "bukan json"})
+    chat = HttpChatProvider("https://api.example.test/chat", "m")
     with pytest.raises(ProviderError):
         chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA)
 
@@ -143,7 +144,8 @@ def test_http_chat_refuses_content_that_is_not_a_string(monkeypatch, content, st
         calls.append(payload)
         return {"choices": [{"message": {"content": content}}]}
 
-    chat = HttpChatProvider("https://api.example.test/chat", "m", transport=fake_transport)
+    monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
+    chat = HttpChatProvider("https://api.example.test/chat", "m")
     with pytest.raises(ProviderError, match=f"content is {type(content).__name__}, not a string") as refused:
         if structured:
             chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA)

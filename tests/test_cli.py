@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import shutil
 import threading
 import time
@@ -587,29 +588,45 @@ def test_report_without_evaluate_exit_4(tmp_path, capsys):
     assert "run the evaluate stage first" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, edit", [
-    ("pages[0].blocks[0].text", lambda doc: doc["pages"][0]["blocks"][0].update(
-        text=doc["pages"][0]["blocks"][0]["text"] + " \ud800")),
-    ("doc_id", lambda doc: doc.update(doc_id="nota\ud800")),
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["pages"][0]["blocks"][0].update(text=doc["pages"][0]["blocks"][0]["text"] + " \ud800"),
+    lambda doc: doc.update(doc_id="nota\ud800"),
 ], ids=["text", "doc_id"])
-def test_ingest_refuses_lone_surrogate_exit_2(tmp_path, capsys, field, edit):
+def test_ingest_refuses_lone_surrogate_exit_2(tmp_path, capsys, edit):
     doc = json.loads((FIXTURES / "nota_mini.blocks.json").read_text(encoding="utf-8"))
     edit(doc)
     knowledge = tmp_path / "nota.blocks.json"
-    # json.dumps writes the surrogate as the escape "\ud800", which json.loads reads back.
+    # json.dumps writes the surrogate as the escape "\ud800", which the strict reader refuses.
     knowledge.write_text(json.dumps(doc), encoding="utf-8")
     config = write_config(tmp_path, paths={"knowledge_blocks": str(knowledge)})
     assert main(["ingest", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"nota.blocks.json: {field} must be UTF-8 text" in err
+    assert re.search(r"nota\.blocks\.json: invalid JSON: no matched low surrogate in string: line \d+ column \d+", err)
     assert not (tmp_path / "workdir" / "chunks").exists()
 
 
 def test_config_lone_surrogate_exit_2_before_any_stage(tmp_path, capsys):
     config = write_config(tmp_path, generation={"topic": "Nombor \ud800"})
     assert main(["run-all", "--config", str(config)]) == 2
-    assert "generation.topic must be UTF-8 text" in capsys.readouterr().err
+    assert "config.json: invalid JSON: no matched low surrogate in string" in capsys.readouterr().err
     assert not (tmp_path / "workdir").exists()
+
+
+def test_blank_topic_exit_2_before_any_stage(tmp_path, capsys):
+    config = write_config(tmp_path, generation={"topic": "  "})
+    assert main(["run-all", "--config", str(config)]) == 2
+    assert "generation.topic must not be blank" in capsys.readouterr().err
+    assert not (tmp_path / "workdir").exists()
+
+
+# Each refusal is made by the strict reader: of the body ("raw"), of the
+# schema-mode content, or, for a plain completion, by the MCQ parser.
+LONE_SURROGATE_REFUSALS = {
+    ("raw", "structured"): "provider returned undecodable body: no matched low surrogate",
+    ("raw", "basic"): "provider returned undecodable body: no matched low surrogate",
+    ("escaped", "structured"): "schema-constrained response is not JSON: no matched low surrogate",
+    ("escaped", "basic"): None,
+}
 
 
 @pytest.mark.parametrize("method", ["structured", "basic"])
@@ -637,7 +654,15 @@ def test_generate_refuses_lone_surrogate_completion_exit_3(tmp_path, monkeypatch
         "chat_endpoint": "https://api.example.test/chat", "chat_model": "m",
         "embed_endpoint": "https://api.example.test/embed", "embed_model": "e",
     }, generation={"methods": [method]})
-    assert main(["run-all", "--config", str(config)]) == 3
-    name = "structured_prompt" if method == "structured" else "basic_prompt"
-    assert f"{name}:0000: chat completion holds a lone surrogate" in capsys.readouterr().err
-    assert not (tmp_path / "workdir" / "outcomes").exists()
+    refusal = LONE_SURROGATE_REFUSALS[surrogate, method]
+    outcomes = tmp_path / "workdir" / "outcomes"
+    if refusal is not None:
+        assert main(["run-all", "--config", str(config)]) == 3
+        assert refusal in capsys.readouterr().err
+        assert not outcomes.exists()
+        return
+    # A plain completion that is not strict JSON is a recorded parse failure, not a lost batch.
+    assert main(["run-all", "--config", str(config)]) == 0
+    rows = [json.loads(line) for line in (outcomes / "basic_prompt.jsonl").read_text().splitlines()]
+    assert [row["result"]["category"] for row in rows] == ["NotJson"] * 5
+    assert all("no matched low surrogate" in row["result"]["message"] for row in rows)

@@ -82,6 +82,14 @@ def test_flag_validation():
         load_config(None, {"evaluation": {"k": 0}})
 
 
+def _strict_json(value) -> bool:
+    """Whether ``value`` has a strict JSON text: no non-finite float, no lone surrogate."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    texts = value if isinstance(value, list) else [value] if isinstance(value, str) else []
+    return all(not any(0xD800 <= ord(c) <= 0xDFFF for c in text) for text in texts)
+
+
 # Each value is refused from the file and, where a flag sets the same key, from the flag.
 @pytest.mark.parametrize("section, key, value, flag", [
     ("evaluation", "sts_unit", "Full", None),
@@ -103,16 +111,33 @@ def test_flag_validation():
     ("generation", "topic", "Nombor \ud800", None),
     ("evaluation", "refusal_markers", ["tidak", "\ud800"], None),
     ("paths", "workdir", "out\udcff", ["--workdir", "out\udcff"]),
+    ("generation", "topic", " \t", None),
+    ("evaluation", "refusal_markers", ["tidak", ""], None),
+    ("evaluation", "refusal_markers", [" "], None),
+    ("chunking", "unit_keywords", ["Contoh", "\n"], None),
 ])
 def test_bad_values_refused_naming_the_setting(tmp_path, section, key, value, flag):
     setting = re.escape(f"{section}.{key} must")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({section: {key: value}}))
-    with pytest.raises(InputError, match=setting):
-        load_config(config)
+    if _strict_json(value):
+        with pytest.raises(InputError, match=setting):
+            load_config(config)
+    else:
+        # json.dumps writes NaN, Infinity or a lone-surrogate escape, which the
+        # file's strict reader refuses before any setting is looked at.
+        with pytest.raises(InputError, match=r"run\.json: invalid JSON: .* line 1 column \d+"):
+            load_config(config)
+        with pytest.raises(InputError, match=setting):
+            config_from_dict({section: {key: value}})
     if flag:
         with pytest.raises(InputError, match=setting):
             flags(*flag)
+
+
+def test_empty_lists_stay_legal():
+    cfg = config_from_dict({"evaluation": {"refusal_markers": []}, "chunking": {"unit_keywords": []}})
+    assert cfg.evaluation.refusal_markers == () and cfg.chunking.unit_keywords == ()
 
 
 @pytest.mark.parametrize("value", [7, 7.5, True, None, ["a", 1], {"a": 1}])

@@ -300,8 +300,8 @@ def test_http_adapter_wire_format(monkeypatch):
         seen.update(url=url, payload=payload, headers=headers)
         return {"data": [{"embedding": [1.0, 0.0, 0.0]} for _ in payload["input"]]}
 
-    provider = HttpEmbeddingProvider("https://api.example.test/embed", "embed-small",
-                                     transport=fake_transport)
+    monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "embed-small")
     vectors = embed_texts(provider, ["teks satu", "teks dua"])
     assert seen["payload"] == {"model": "embed-small", "input": ["teks satu", "teks dua"]}
     assert seen["headers"]["Authorization"] == "Bearer secret-key"
@@ -317,10 +317,9 @@ def test_http_adapter_requires_api_key(monkeypatch):
 
 def test_http_adapter_alternate_response_shape(monkeypatch):
     monkeypatch.setenv("QGEN_API_KEY", "secret-key")
-    provider = HttpEmbeddingProvider(
-        "https://api.example.test/embed", "m",
-        transport=lambda url, payload, headers, timeout: {"embeddings": [[0.0, 2.0]]},
-    )
+    monkeypatch.setattr(qgen.wire, "http_post_json",
+                        lambda url, payload, headers, timeout: {"embeddings": [[0.0, 2.0]]})
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
     (v,) = embed_texts(provider, ["x"])
     assert v.tolist() == [0.0, 1.0]
 
@@ -343,7 +342,8 @@ def test_http_adapter_refuses_malformed_vectors(monkeypatch, body, refusal):
         calls.append(payload)
         return body
 
-    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m", transport=fake_transport)
+    monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
     monkeypatch.setattr(time, "sleep", lambda _: None)
     with pytest.raises(ProviderError, match=refusal) as refused:
         embed_texts(provider, ["satu", "dua"])
@@ -490,6 +490,25 @@ def test_backoff_waits_at_least_retry_after(monkeypatch, header, expected_sleeps
     monkeypatch.setattr(time, "sleep", sleeps.append)
     vectors = embed_texts(provider, ["a"], ProviderPolicy(max_retries=3, base_delay=0.5))
     assert sleeps == expected_sleeps
+    assert vectors.tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("header", ["1e300", "86400"])
+def test_backoff_caps_retry_after_at_60_s(monkeypatch, header):
+    monkeypatch.setenv("QGEN_API_KEY", "secret-key")
+    responses = [_http_error(503, header)]
+
+    def urlopen(request, timeout):
+        if responses:
+            raise responses.pop()
+        return io.BytesIO(json.dumps({"embeddings": [[1.0, 0.0]]}).encode())
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    vectors = embed_texts(provider, ["a"], ProviderPolicy(max_retries=3, base_delay=0.5))
+    assert sleeps == [60.0]
     assert vectors.tolist() == [[1.0, 0.0]]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import qgen.jsonio
 from qgen.chunking import Chunk, Strategy
-from qgen.jsonio import read_jsonl, write_json, write_jsonl, write_text
+from qgen.jsonio import dumps, loads, read_jsonl, write_json, write_jsonl, write_text
+from qgen.prompts import build_prompt_rag, build_prompt_structured
 from qgen.vectorindex import build_index, load_index, save_index
 
 
@@ -148,13 +150,35 @@ def test_damaged_line_is_named(tmp_path, line, problem):
         list(read_jsonl(path))
 
 
+@pytest.mark.parametrize("text", [
+    b"NaN", b"Infinity", b"-Infinity", b"[1e400]", b"1" + b"0" * 399,
+    b'"\\ud800"', b'"\\udc00"', b'"caf\xe9"', b'\xef\xbb\xbf{}',
+], ids=["nan", "infinity", "-infinity", "1e400", "400-digit-int", "high-surrogate", "low-surrogate",
+        "invalid-utf8", "bom"])
+def test_loads_refuses_text_that_is_not_strict_json(text):
+    with pytest.raises(ValueError):
+        loads(text)
+
+
+def test_dumps_of_a_prompt_payload_is_the_stdlib_canonical_form():
+    chunk = Chunk(chunk_id="c1", doc_id="d", text="Integer négatif\u2028 \x01 \"petik\" \\ garis\nbaru",
+                  strategy=Strategy.RECURSIVE)
+    for bundle in (build_prompt_structured("Nombor Nisbah"), build_prompt_rag("Nombor Nisbah", [chunk])):
+        payload = {"system": bundle.system_text, "user": bundle.user_text,
+                   "schema": bundle.response_schema, "version": bundle.template_version}
+        expected = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert dumps(payload) == expected.encode("utf-8")
+        assert bundle.fingerprint() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+
 def test_only_jsonio_imports_orjson():
+    """orjson and the stdlib json module are imported by ``jsonio`` alone."""
     src = Path(qgen.jsonio.__file__).parent
     importers = []
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "orjson" for name in names):
-                importers.append(path.relative_to(src).as_posix())
-    assert importers == ["jsonio.py"]
+            library = {name.split(".")[0] for name in names} & {"orjson", "json"}
+            importers += [f"{path.relative_to(src).as_posix()}: {lib}" for lib in sorted(library)]
+    assert importers == ["jsonio.py: orjson"]
