@@ -14,13 +14,13 @@ import hashlib
 import math
 import os
 import re
-import sys
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
+import numpy.typing as npt
 
 from . import wire
 from .errors import InputError, PipelineStateError, ProviderError
@@ -29,13 +29,15 @@ from .errors import InputError, PipelineStateError, ProviderError
 class EmbeddingProvider(Protocol):
     """Turns texts into raw vectors, one per text.
 
-    ``embed`` may return a list of 1-D vectors or one ``(n, d)`` array;
-    :func:`embed_texts` checks the shapes either way.
+    ``embed`` returns one ``(len(texts), d)`` float64 array-like, row ``i``
+    the vector of ``texts[i]``, with ``d >= 2``. :func:`embed_texts`
+    refuses any other shape, and a ``d`` that changes between the batches
+    of one call.
     """
 
     tag: str
 
-    def embed(self, texts: Sequence[str]) -> Sequence[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> npt.ArrayLike: ...
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,12 @@ class MockEmbeddingProvider:
 
 
 def _is_finite_number(value) -> bool:
-    """Whether ``value`` is a JSON number that a finite float64 holds.
+    """Whether ``value`` is a JSON int or a finite JSON float.
 
     ``np.asarray`` would read a string as a number, null as NaN and a bool
     as 0 or 1; all are refused here.
     """
-    if type(value) is int:
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, float) and math.isfinite(value)
+    return type(value) is int or (isinstance(value, float) and math.isfinite(value))
 
 
 # Seconds an HTTP embedding round-trip may take before it fails as a network error.
@@ -200,7 +200,8 @@ class HttpEmbeddingProvider:
     vector per input, either ``{"data": [{"embedding": [...]}, ...]}`` or
     ``{"embeddings": [[...], ...]}``, each a flat list of finite JSON
     numbers. Any other body is a non-retryable :class:`ProviderError`
-    naming the item.
+    naming the item; :func:`embed_texts` checks the vectors' count and
+    dimension.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY"):
@@ -214,7 +215,7 @@ class HttpEmbeddingProvider:
         self.tag = f"http:{model}"
         self._key = key
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"model": self.model, "input": list(texts)}
         headers = {"Authorization": f"Bearer {self._key}"}
         body = wire.http_post_json(self.endpoint, payload, headers, timeout=_HTTP_TIMEOUT)
@@ -230,36 +231,11 @@ class HttpEmbeddingProvider:
             rows, field = body["embeddings"], "embeddings"
         else:
             raise ProviderError(0, "embedding response missing 'data' or 'embeddings'", retryable=False)
-        if len(rows) != len(texts) or any(not isinstance(r, list) for r in rows):
-            raise ProviderError(0, "embedding response does not contain one vector per input", retryable=False)
         for i, row in enumerate(rows):
-            if not all(map(_is_finite_number, row)):
+            if not isinstance(row, list) or not all(map(_is_finite_number, row)):
                 raise ProviderError(0, f"embedding response {field}[{i}] is not a flat list of finite numbers",
                                     retryable=False)
-        return [np.asarray(r, dtype=np.float64) for r in rows]
-
-
-def stack_vectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Stack 1-D vectors of one dimension, at least 2, into an ``(n, d)`` float64 array.
-
-    An ``(n, d)`` array with ``d >= 2`` passes through, and no vectors give
-    a ``(0, 0)`` array; otherwise the first vector of another shape raises
-    :class:`PipelineStateError`.
-    """
-    if len(vectors) == 0:
-        return np.empty((0, 0))
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] >= 2:
-        return np.asarray(vectors, dtype=np.float64)
-    rows = [np.asarray(vec, dtype=np.float64) for vec in vectors]
-    dim = None
-    for i, arr in enumerate(rows):
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise PipelineStateError(f"vector {i} has invalid shape {arr.shape}")
-        if dim is None:
-            dim = arr.shape[0]
-        elif arr.shape[0] != dim:
-            raise PipelineStateError(f"vector {i} has dimension {arr.shape[0]}, expected {dim}")
-    return np.stack(rows)
+        return rows
 
 
 def normalize(vectors: np.ndarray) -> np.ndarray:
@@ -289,21 +265,33 @@ def embed_texts(
     """Embed ``texts`` in order, each provider round-trip under ``policy``.
 
     Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
-    of ``texts[i]``; all vectors must share a dimension or
-    :class:`PipelineStateError` is raised. No texts give a ``(0, 0)`` array.
-    Empty or whitespace-only inputs are rejected up front. Large inputs
-    are split into sub-batches, sent through :func:`map_in_flight`, so
-    results always come back in input order.
+    of ``texts[i]``. No texts give a ``(0, 0)`` array. Empty or
+    whitespace-only inputs are rejected up front. Large inputs are split
+    into sub-batches, sent through :func:`map_in_flight`, so results always
+    come back in input order. This is the one place a provider's vectors
+    are checked: a batch that is not one ``(len(batch), d)`` matrix of
+    numbers with ``d >= 2``, or whose ``d`` differs from the first batch's,
+    is a non-retryable :class:`ProviderError`.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
             raise InputError(f"texts[{i}] is empty")
     if not texts:
-        return stack_vectors([])
+        return np.empty((0, 0))
 
     batches = [list(texts[i:i + _EMBED_BATCH_SIZE]) for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
-    raw = [vec for batch in map_in_flight(provider.embed, batches, policy) for vec in batch]
-
-    if len(raw) != len(texts):
-        raise ProviderError(0, f"provider returned {len(raw)} vectors for {len(texts)} texts", retryable=False)
-    return normalize(stack_vectors(raw))
+    matrices = []
+    for j, (batch, raw) in enumerate(zip(batches, map_in_flight(provider.embed, batches, policy))):
+        try:
+            matrix = np.asarray(raw, dtype=np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise ProviderError(0, f"embedding batch {j} is not one matrix of numbers: {exc}",
+                                retryable=False) from exc
+        if matrix.ndim != 2 or len(matrix) != len(batch) or matrix.shape[1] < 2:
+            raise ProviderError(0, f"embedding batch {j} has shape {matrix.shape}, expected "
+                                   f"({len(batch)}, d) with d >= 2", retryable=False)
+        if matrices and matrix.shape[1] != matrices[0].shape[1]:
+            raise ProviderError(0, f"embedding batch {j} has shape {matrix.shape}, but batch 0 has "
+                                   f"dimension {matrices[0].shape[1]}", retryable=False)
+        matrices.append(matrix)
+    return normalize(np.concatenate(matrices))

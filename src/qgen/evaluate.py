@@ -35,7 +35,6 @@ class VerdictReason(Enum):
     ABOVE_THRESHOLD_ANSWERED = "AboveThresholdAnswered"
     BELOW_THRESHOLD = "BelowThreshold"
     REFUSAL = "Refusal"
-    NO_MCQ = "NoMcq"
 
 
 DEFAULT_REFUSAL_MARKERS = (
@@ -61,14 +60,14 @@ class AlignmentScore:
 
 @dataclass(frozen=True)
 class ValidityVerdict:
-    verdict: Verdict
     reason: VerdictReason
     top_score: float
     answer_text: str | None = None
 
-    def __post_init__(self):
-        if self.verdict is Verdict.VALID and self.reason is not VerdictReason.ABOVE_THRESHOLD_ANSWERED:
-            raise ValueError("a Valid verdict must carry reason AboveThresholdAnswered")
+    @property
+    def verdict(self) -> Verdict:
+        """Valid exactly when the question was above threshold and answered."""
+        return Verdict.VALID if self.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED else Verdict.INVALID
 
 
 @dataclass(frozen=True)
@@ -196,28 +195,14 @@ def ragqa_validity(
     """
     top_score = hits[0].score
     if top_score < tau:
-        return ValidityVerdict(
-            verdict=Verdict.INVALID,
-            reason=VerdictReason.BELOW_THRESHOLD,
-            top_score=top_score,
-        )
+        return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=top_score)
     context = [rpt_index.chunk_by_id(h.chunk_id) for h in hits]
     bundle = build_prompt_qa(mcq.stem, context)
     answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0)
     lowered = answer.lower()
     if any(marker.lower() in lowered for marker in refusal_markers):
-        return ValidityVerdict(
-            verdict=Verdict.INVALID,
-            reason=VerdictReason.REFUSAL,
-            top_score=top_score,
-            answer_text=answer,
-        )
-    return ValidityVerdict(
-        verdict=Verdict.VALID,
-        reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED,
-        top_score=top_score,
-        answer_text=answer,
-    )
+        return ValidityVerdict(reason=VerdictReason.REFUSAL, top_score=top_score, answer_text=answer)
+    return ValidityVerdict(reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=top_score, answer_text=answer)
 
 
 def _sample_std(values: list[float]) -> float:

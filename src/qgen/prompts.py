@@ -43,8 +43,8 @@ MCQ_RESPONSE_SCHEMA: dict = {
 
 
 @lru_cache(maxsize=None)
-def _template(name: str, version: str = TEMPLATE_VERSION) -> str:
-    ref = resources.files("qgen").joinpath(f"resources/prompts/{version}/{name}.txt")
+def _template(name: str) -> str:
+    ref = resources.files("qgen").joinpath(f"resources/prompts/{TEMPLATE_VERSION}/{name}.txt")
     return ref.read_text(encoding="utf-8").strip()
 
 
@@ -53,14 +53,13 @@ class PromptBundle:
     system_text: str
     user_text: str
     response_schema: dict | None = None
-    template_version: str = TEMPLATE_VERSION
 
     def fingerprint(self) -> str:
         payload = {
             "system": self.system_text,
             "user": self.user_text,
             "schema": self.response_schema,
-            "version": self.template_version,
+            "version": TEMPLATE_VERSION,
         }
         return hashlib.sha256(dumps(payload)).hexdigest()
 

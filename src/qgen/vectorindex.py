@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .chunking import Chunk
-from .embedding import normalize, stack_vectors
+from .embedding import normalize
 from .errors import PipelineStateError
 from .jsonio import dumps, loads, write_jsonl
 
@@ -29,13 +29,28 @@ class ScoredHit:
 
 
 class VectorIndex:
-    """Immutable pairing of chunks with unit-norm embedding vectors."""
+    """Immutable pairing of chunks with unit-norm embedding vectors.
+
+    Refuses, with :class:`PipelineStateError`, no chunks, a duplicate
+    chunk_id, and a matrix that is not ``(len(chunks), d)`` with ``d >= 2``.
+    """
 
     def __init__(self, chunks: list[Chunk], matrix: np.ndarray, provider_tag: str):
         self.chunks = list(chunks)
+        if not self.chunks:
+            raise PipelineStateError("an index needs at least one entry")
+        self._by_id: dict[str, int] = {}
+        for i, c in enumerate(self.chunks):
+            if self._by_id.setdefault(c.chunk_id, i) != i:
+                raise PipelineStateError(f"duplicate chunk_id {c.chunk_id!r}")
+        if matrix.ndim != 2 or matrix.shape[1] < 2:
+            raise PipelineStateError(
+                f"vectors have shape {matrix.shape}, expected ({len(self.chunks)}, d) with d >= 2"
+            )
+        if len(matrix) != len(self.chunks):
+            raise PipelineStateError(f"{len(self.chunks)} chunks but {len(matrix)} vectors")
         self.matrix = matrix
         self.provider_tag = provider_tag
-        self._by_id = {c.chunk_id: i for i, c in enumerate(self.chunks)}
         # Each row's position in chunk_id order: top_k's tie-break key.
         by_id_order = sorted(range(len(self.chunks)), key=lambda i: self.chunks[i].chunk_id)
         self._id_rank = np.empty(len(self.chunks), dtype=np.int64)
@@ -64,21 +79,14 @@ class VectorIndex:
 
 
 def build_index(chunks: list[Chunk], vectors: np.ndarray | list[np.ndarray], provider_tag: str) -> VectorIndex:
-    """Pair chunks with normalized vectors, rejecting inconsistent input.
+    """Pair chunks with vectors normalized as one matrix.
 
     ``vectors`` is an ``(n, d)`` array, as :func:`embed_texts` returns, or a
-    list of ``n`` vectors; either way it is normalized as one matrix.
+    list of ``n`` vectors of one length; :class:`VectorIndex` checks the pairing.
     """
-    if len(chunks) != len(vectors):
-        raise PipelineStateError(f"{len(chunks)} chunks but {len(vectors)} vectors")
-    if not chunks:
-        raise PipelineStateError("an index needs at least one entry")
-    seen: set[str] = set()
-    for c in chunks:
-        if c.chunk_id in seen:
-            raise PipelineStateError(f"duplicate chunk_id {c.chunk_id!r}")
-        seen.add(c.chunk_id)
-    return VectorIndex(chunks=chunks, matrix=normalize(stack_vectors(vectors)), provider_tag=provider_tag)
+    matrix = np.asarray(vectors, dtype=np.float64)
+    # No vectors cannot be normalized; the constructor says what is wrong.
+    return VectorIndex(chunks=chunks, matrix=normalize(matrix) if matrix.size else matrix, provider_tag=provider_tag)
 
 
 def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
@@ -180,23 +188,19 @@ def load_index(path: str | Path) -> VectorIndex:
                     f"{path}: entry {i} vector dimension {len(e['vector'])} != declared dimension {declared_dim}"
                 )
         matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"vectors form an array of shape {matrix.shape}")
         chunk_dicts = [e["chunk"] for e in entries]
         chunks = [Chunk.from_dict(d) for d in chunk_dicts]
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineStateError(f"{path}: malformed entry: {exc}") from exc
     if payload.get("checksum") != _checksum(chunk_dicts, matrix):
         raise PipelineStateError(f"{path}: checksum mismatch, file is damaged")
-    seen: set[str] = set()
-    for c in chunks:
-        if c.chunk_id in seen:
-            raise PipelineStateError(f"{path}: duplicate chunk_id {c.chunk_id!r}")
-        seen.add(c.chunk_id)
     # NaN and infinite rows fail the comparison too.
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= 1e-6))
     if bad.size:
         raise PipelineStateError(f"{path}: entry {bad[0]} vector is not finite and unit-norm")
     # Vectors were normalized at build time; keep the stored floats exactly
     # so save/load round-trips are lossless.
-    return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))
+    try:
+        return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))
+    except PipelineStateError as exc:
+        raise PipelineStateError(f"{path}: {exc}") from exc

@@ -335,6 +335,29 @@ def test_provider_failure_after_retries_exit_3(tmp_path, monkeypatch, capsys):
     assert len(attempts) == 3  # initial call + 2 retries
 
 
+@pytest.mark.parametrize("shape, refusal", [
+    ("ragged", "embedding batch 0 is not one matrix of numbers"),
+    ("one_entry", r"embedding batch 0 has shape \(\d+, 1\), expected \(\d+, d\) with d >= 2"),
+])
+def test_index_refuses_misshapen_vectors_exit_3(tmp_path, monkeypatch, capsys, shape, refusal):
+    def transport(url, payload, headers, timeout):
+        if shape == "ragged":
+            return {"embeddings": [[1.0, float(i)] + [0.5] * (i % 2) for i in range(len(payload["input"]))]}
+        return {"embeddings": [[1.0] for _ in payload["input"]]}
+
+    monkeypatch.setattr(qgen.wire, "http_post_json", transport)
+    monkeypatch.setenv("QGEN_API_KEY", "k")
+    config = write_config(tmp_path, provider={
+        "mock": False,
+        "chat_endpoint": "https://api.example.test/chat", "chat_model": "m",
+        "embed_endpoint": "https://api.example.test/embed", "embed_model": "e",
+    })
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["index", "--config", str(config)]) == 3
+    assert re.search(refusal, capsys.readouterr().err)
+    assert not (tmp_path / "workdir" / "indexes").exists()
+
+
 def test_report_json_format(tmp_path, capsys):
     config = write_config(tmp_path, report_format="json")
     assert main(["run-all", "--config", str(config)]) == 0

@@ -28,7 +28,7 @@ from qgen.embedding import (
     map_in_flight,
     normalize,
 )
-from qgen.errors import InputError, PipelineStateError, ProviderError
+from qgen.errors import InputError, ProviderError
 from qgen.wire import http_post_json
 
 
@@ -288,8 +288,32 @@ class RaggedProvider:
 
 
 def test_inconsistent_dimensions_rejected():
-    with pytest.raises(PipelineStateError, match="vector 1 has dimension 5, expected 4"):
+    with pytest.raises(ProviderError, match="embedding batch 0 is not one matrix of numbers") as refused:
         embed_texts(RaggedProvider(), ["a", "b"])
+    assert not refused.value.retryable
+
+
+class DimensionPerBatchProvider:
+    """Embedder whose second batch comes back one entry wider than its first."""
+
+    tag = "dimension-per-batch"
+
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return np.ones((len(texts), 3 + (texts[0] == "t64")))
+
+
+def test_embed_texts_refuses_a_dimension_that_changes_between_batches():
+    provider = DimensionPerBatchProvider()
+    texts = [f"t{i}" for i in range(65)]
+    with pytest.raises(ProviderError, match=r"embedding batch 1 has shape \(1, 4\), but batch 0 has dimension 3") \
+            as refused:
+        embed_texts(provider, texts)
+    assert not refused.value.retryable
+    assert provider.calls == 2
 
 
 def test_http_adapter_wire_format(monkeypatch):
@@ -332,7 +356,7 @@ def test_http_adapter_alternate_response_shape(monkeypatch):
     ({"embeddings": [[1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
     ({"embeddings": [[1.0, 0.0], [False, True]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
     ({"embeddings": [[1.0, 0.0], [math.nan, 1.0]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
-    ({"embeddings": [[1.0, 0.0], [10 ** 400, 1.0]]}, r"embeddings\[1\] is not a flat list of finite numbers"),
+    ({"embeddings": [[1.0, 0.0], [10 ** 400, 1.0]]}, r"embedding batch 0 is not one matrix of numbers: int too large"),
 ])
 def test_http_adapter_refuses_malformed_vectors(monkeypatch, body, refusal):
     monkeypatch.setenv("QGEN_API_KEY", "secret-key")
@@ -528,3 +552,19 @@ def test_only_embedding_knows_the_retry_loop():
                 retry_params += [f"{module}: {a.arg}" for a in args if a.arg in ("retry", "sleep", "max_in_flight")]
     assert loop_modules == {"embedding.py"}
     assert retry_params == []
+
+
+def test_only_embed_texts_reads_a_providers_embed():
+    """A provider's vectors enter through ``embed_texts`` alone, so no second place re-checks them."""
+    src = Path(qgen.embedding.__file__).parent
+    readers = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else enclosing.get(node)
+            for child in ast.iter_child_nodes(node):
+                enclosing[child] = name
+        readers += [f"{path.relative_to(src).as_posix()}: {enclosing[node]}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "embed"]
+    assert readers == ["embedding.py: embed_texts"]

@@ -484,10 +484,8 @@ def _verdict(valid: bool):
     from qgen.evaluate import ValidityVerdict
 
     if valid:
-        return ValidityVerdict(verdict=Verdict.VALID,
-                               reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=0.9)
-    return ValidityVerdict(verdict=Verdict.INVALID,
-                           reason=VerdictReason.BELOW_THRESHOLD, top_score=0.1)
+        return ValidityVerdict(reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=0.9)
+    return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=0.1)
 
 
 def test_aggregate_hand_arithmetic():

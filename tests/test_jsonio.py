@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qgen.jsonio
 from qgen.chunking import Chunk, Strategy
 from qgen.jsonio import dumps, loads, read_jsonl, write_json, write_jsonl, write_text
-from qgen.prompts import build_prompt_rag, build_prompt_structured
+from qgen.prompts import TEMPLATE_VERSION, build_prompt_rag, build_prompt_structured
 from qgen.vectorindex import build_index, load_index, save_index
 
 
@@ -165,7 +165,7 @@ def test_dumps_of_a_prompt_payload_is_the_stdlib_canonical_form():
                   strategy=Strategy.RECURSIVE)
     for bundle in (build_prompt_structured("Nombor Nisbah"), build_prompt_rag("Nombor Nisbah", [chunk])):
         payload = {"system": bundle.system_text, "user": bundle.user_text,
-                   "schema": bundle.response_schema, "version": bundle.template_version}
+                   "schema": bundle.response_schema, "version": TEMPLATE_VERSION}
         expected = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         assert dumps(payload) == expected.encode("utf-8")
         assert bundle.fingerprint() == hashlib.sha256(expected.encode("utf-8")).hexdigest()

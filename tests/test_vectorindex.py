@@ -119,6 +119,18 @@ def test_build_index_empty():
         build_index([], [], provider_tag="t")
 
 
+@pytest.mark.parametrize("ids, matrix, refusal", [
+    (["a", "b", "a"], np.eye(3), r"duplicate chunk_id 'a'"),
+    (["a", "b"], np.ones((2, 1)), r"vectors have shape \(2, 1\), expected \(2, d\) with d >= 2"),
+    (["a", "b"], np.ones(2), r"vectors have shape \(2,\), expected \(2, d\) with d >= 2"),
+    (["a", "b"], np.eye(3), r"2 chunks but 3 vectors"),
+    ([], np.empty((0, 4)), r"an index needs at least one entry"),
+])
+def test_constructor_checks_its_own_invariants(ids, matrix, refusal):
+    with pytest.raises(PipelineStateError, match=refusal):
+        VectorIndex([make_chunk(cid) for cid in ids], matrix, provider_tag="t")
+
+
 def test_index_matrix_is_read_only():
     index = make_index(2)
     with pytest.raises(ValueError):
