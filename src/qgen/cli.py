@@ -36,7 +36,7 @@ from .evaluate import (
     score_questions,
     sts_alignment,
 )
-from .generate import GenOutcome, Method, generate_batch
+from .generate import GenOutcome, Method, embed_rag_queries, generate_batch
 from .jsonio import loads, read_jsonl, write_json, write_jsonl, write_text
 from .vectorindex import VectorIndex, build_index, load_index, save_index
 
@@ -164,16 +164,18 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_index(cfg: RunConfig) -> int:
-    """Embed every chunk file and persist one flat index per file."""
+    """Embed every chunk file in one call and persist one flat index per file."""
     work = Workdir(cfg.paths.workdir)
     _echo_config(cfg, work)
     _, embedder = build_providers(cfg)
-    policy = _provider_policy(cfg)
+    names = ("knowledge_recursive", "knowledge_structure_aware", "standards")
+    chunk_lists = [_read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict) for name in names]
+    # One call sends each distinct chunk text once, so a provider failure writes no index.
+    vectors = embed_texts(embedder, [c.text for chunks in chunk_lists for c in chunks], _provider_policy(cfg))
+    splits = np.split(vectors, np.cumsum([len(chunks) for chunks in chunk_lists[:-1]]))
     counts = []
-    for name in ("knowledge_recursive", "knowledge_structure_aware", "standards"):
-        chunks = _read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict)
-        vectors = embed_texts(embedder, [c.text for c in chunks], policy)
-        index = build_index(chunks, vectors, provider_tag=embedder.tag)
+    for name, chunks, rows in zip(names, chunk_lists, splits):
+        index = build_index(chunks, rows, provider_tag=embedder.tag)
         save_index(index, work.index_file(name))
         counts.append(f"{name}={len(index)}")
     print(f"index: {' '.join(counts)} provider={embedder.tag}")
@@ -208,6 +210,9 @@ def cmd_generate(cfg: RunConfig) -> int:
         ), embedder)
         for method in gen.methods if method.is_rag
     }
+    # The RAG methods retrieve with the same queries, so they are embedded once for all of them.
+    rag_queries = embed_rag_queries(embedder, gen.n_per_method, topic=gen.topic, standards=standards,
+                                    policy=policy) if indexes else None
     for method in gen.methods:
         outcomes = generate_batch(
             chat,
@@ -217,7 +222,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             standards=standards,
             retrieval_k=gen.retrieval_k,
             index=indexes.pop(method, None),
-            embedder=embedder if method.is_rag else None,
+            rag_queries=rag_queries if method.is_rag else None,
             temperature=gen.temperature,
             policy=policy,
         )

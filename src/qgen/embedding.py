@@ -257,6 +257,13 @@ def normalize(vectors: np.ndarray) -> np.ndarray:
 _EMBED_BATCH_SIZE = 64
 
 
+def distinct_rows(texts: Sequence[str]) -> tuple[list[str], list[int]]:
+    """The distinct ``texts`` in first-seen order, and per text the index of its entry among them."""
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(text, len(row_of)) for text in texts]
+    return list(row_of), rows
+
+
 def embed_texts(
     provider: EmbeddingProvider,
     texts: Sequence[str],
@@ -266,12 +273,14 @@ def embed_texts(
 
     Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
     of ``texts[i]``. No texts give a ``(0, 0)`` array. Empty or
-    whitespace-only inputs are rejected up front. Large inputs are split
-    into sub-batches, sent through :func:`map_in_flight`, so results always
-    come back in input order. This is the one place a provider's vectors
-    are checked: a batch that is not one ``(len(batch), d)`` matrix of
-    numbers with ``d >= 2``, or whose ``d`` differs from the first batch's,
-    is a non-retryable :class:`ProviderError`.
+    whitespace-only inputs are rejected up front. Each distinct text is sent
+    once; the distinct texts go out in batches of at most
+    ``_EMBED_BATCH_SIZE``, sent through :func:`map_in_flight`, so results
+    always come back in input order. This is the one place a provider's
+    vectors are checked: a batch that is not one ``(len(batch), d)`` matrix
+    of numbers with ``d >= 2``, whose ``d`` differs from the first batch's,
+    or with a row that is not a finite non-zero vector, is a non-retryable
+    :class:`ProviderError`.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
@@ -279,7 +288,8 @@ def embed_texts(
     if not texts:
         return np.empty((0, 0))
 
-    batches = [list(texts[i:i + _EMBED_BATCH_SIZE]) for i in range(0, len(texts), _EMBED_BATCH_SIZE)]
+    distinct, rows = distinct_rows(texts)
+    batches = [distinct[i:i + _EMBED_BATCH_SIZE] for i in range(0, len(distinct), _EMBED_BATCH_SIZE)]
     matrices = []
     for j, (batch, raw) in enumerate(zip(batches, map_in_flight(provider.embed, batches, policy))):
         try:
@@ -294,4 +304,12 @@ def embed_texts(
             raise ProviderError(0, f"embedding batch {j} has shape {matrix.shape}, but batch 0 has "
                                    f"dimension {matrices[0].shape[1]}", retryable=False)
         matrices.append(matrix)
-    return normalize(np.concatenate(matrices))
+    vectors = np.concatenate(matrices)
+    # A row with a NaN or an infinity, or of zeros, has no direction to normalise to.
+    bad = ~(np.isfinite(vectors).all(axis=1) & vectors.any(axis=1))
+    if bad.any():
+        j, row = divmod(int(np.argmax(bad)), _EMBED_BATCH_SIZE)
+        raise ProviderError(0, f"embedding batch {j} row {row} is not a finite non-zero vector",
+                            retryable=False)
+    vectors = normalize(vectors)
+    return vectors if len(distinct) == len(texts) else vectors[rows]

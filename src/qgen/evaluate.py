@@ -17,7 +17,7 @@ import numpy as np
 
 from .chat import ChatProvider
 from .chunking import Strategy
-from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts
+from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_texts
 from .errors import PipelineStateError
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .jsonio import dumps
@@ -134,11 +134,9 @@ def score_questions(
     :func:`retrieve_standards` ranks). With unit ``"stem"`` both row lists
     are the same.
     """
-    texts = [(_evaluation_text(m, unit), m.stem) for m in mcqs]
-    distinct = list(dict.fromkeys(t for pair in texts for t in pair))
-    row = {text: i for i, text in enumerate(distinct)}
+    distinct, rows = distinct_rows([t for m in mcqs for t in (_evaluation_text(m, unit), m.stem)])
     vectors = embed_texts(embedder, distinct, policy)
-    return similarities(rpt_index, vectors), [row[text] for text, _ in texts], [row[stem] for _, stem in texts]
+    return similarities(rpt_index, vectors), rows[0::2], rows[1::2]
 
 
 def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentScore]:

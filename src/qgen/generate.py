@@ -11,9 +11,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
-from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
+from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_texts, map_in_flight
 from .errors import PipelineStateError
 from .jsonio import dumps
 from .mcq import Mcq, ParseFailure, parse_mcq_json
@@ -128,12 +130,35 @@ class GenOutcome:
         )
 
 
-def _rag_query_text(request: GenRequest) -> str:
+def _target_standard(standards: Sequence[LearningStandard], i: int) -> LearningStandard | None:
+    # Request i of a batch targets the standards round-robin.
+    return standards[i % len(standards)] if standards else None
+
+
+def _rag_query_text(topic: str, standard: LearningStandard | None) -> str:
     # Retrieval query couples the run topic with the targeted standard's
     # description, when one is set; both are disclosed in provenance.
-    if request.target_standard is not None:
-        return f"{request.topic} {request.target_standard.description}"
-    return request.topic
+    if standard is not None:
+        return f"{topic} {standard.description}"
+    return topic
+
+
+def embed_rag_queries(
+    embedder: EmbeddingProvider,
+    n: int,
+    *,
+    topic: str,
+    standards: Sequence[LearningStandard],
+    policy: ProviderPolicy = ProviderPolicy(),
+) -> tuple[np.ndarray, list[int]]:
+    """The retrieval queries of an ``n``-request RAG batch, for :func:`generate_batch`.
+
+    Returns the unit vectors of the distinct queries and, per request, the
+    row of its query among them. A query depends only on the topic and the
+    request's target standard, so every RAG method of a run shares them.
+    """
+    distinct, rows = distinct_rows([_rag_query_text(topic, _target_standard(standards, i)) for i in range(n)])
+    return embed_texts(embedder, distinct, policy), rows
 
 
 def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: float,
@@ -205,7 +230,7 @@ def generate_batch(
     standards: list[LearningStandard],
     retrieval_k: int = 3,
     index: VectorIndex | None = None,
-    embedder: EmbeddingProvider | None = None,
+    rag_queries: tuple[np.ndarray, Sequence[int]] | None = None,
     temperature: float = 0.7,
     policy: ProviderPolicy = ProviderPolicy(),
 ) -> list[GenOutcome]:
@@ -213,11 +238,11 @@ def generate_batch(
 
     Standards are targeted in order so coverage across the teaching plan is
     uniform; parse failures are recorded in place, never dropped. RAG
-    methods embed each distinct retrieval query once and retrieve the top
-    ``retrieval_k`` chunks of all of them from ``index`` in one
-    :func:`top_k` call on the calling thread; the chat round-trips then
-    run through :func:`map_in_flight` under ``policy``, and outcomes come
-    back in request order.
+    methods take their retrieval queries from :func:`embed_rag_queries`
+    and retrieve the top ``retrieval_k`` chunks of each distinct query from
+    ``index`` in one :func:`top_k` call on the calling thread; the chat
+    round-trips then run through :func:`map_in_flight` under ``policy``,
+    and outcomes come back in request order.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -225,7 +250,7 @@ def generate_batch(
         GenRequest(
             method=method,
             topic=topic,
-            target_standard=standards[i % len(standards)] if standards else None,
+            target_standard=_target_standard(standards, i),
             retrieval_k=retrieval_k if method.is_rag else None,
             seed_hint=i,
         )
@@ -235,16 +260,16 @@ def generate_batch(
     if method.is_rag:
         if index is None:
             raise PipelineStateError(f"{method.value} requires a vector index")
-        if embedder is None:
-            raise PipelineStateError(f"{method.value} requires an embedding provider")
-        queries = [_rag_query_text(r) for r in requests]
-        distinct = list(dict.fromkeys(queries))
-        vectors = embed_texts(embedder, distinct, policy)
-        by_query = {
-            query: [index.chunk_by_id(h.chunk_id) for h in hits]
-            for query, hits in zip(distinct, top_k(index, similarities(index, vectors), retrieval_k))
-        }
-        contexts = [by_query[q] for q in queries]
+        if rag_queries is None:
+            raise PipelineStateError(f"{method.value} requires an embedding provider's query vectors")
+        vectors, rows = rag_queries
+        if len(rows) != n:
+            raise PipelineStateError(f"{method.value} got retrieval queries for {len(rows)} requests, not {n}")
+        by_row = [
+            [index.chunk_by_id(h.chunk_id) for h in hits]
+            for hits in top_k(index, similarities(index, vectors), retrieval_k)
+        ]
+        contexts = [by_row[r] for r in rows]
     return map_in_flight(
         lambda i: generate_mcq(
             chat, requests[i], contexts[i],

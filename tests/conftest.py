@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,20 @@ class CountingChat(MockChatProvider):
     def complete(self, system, user, **kwargs):
         self.calls += 1
         return super().complete(system, user, **kwargs)
+
+
+class RecordingEmbedder(MockEmbeddingProvider):
+    """Mock embedding provider that records the texts of every request it serves."""
+
+    def __init__(self, dim: int = 64):
+        super().__init__(dim=dim)
+        self.batches: list[list[str]] = []
+        self._lock = threading.Lock()
+
+    def embed(self, texts):
+        with self._lock:
+            self.batches.append(list(texts))
+        return super().embed(texts)
 
 
 def make_block(text: str, page: int = 1, font_size: float = 11.0,

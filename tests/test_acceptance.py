@@ -35,7 +35,7 @@ from qgen.evaluate import (
     score_questions,
     sts_alignment,
 )
-from qgen.generate import Method, generate_batch
+from qgen.generate import Method, embed_rag_queries, generate_batch
 from qgen.mcq import Mcq, McqOption, ParseFailure, parse_mcq_json
 from qgen.vectorindex import build_index, load_index, save_index, similarities, top_k
 from tests.conftest import FIXTURES, CountingChat, make_doc
@@ -327,7 +327,8 @@ def test_criterion_8_validity_rule_properties():
         chat = MockChatProvider()
         rag = generate_batch(chat, Method.RAG_STRUCTURE_AWARE, 25, topic="Nombor Nisbah",
                              standards=standards, retrieval_k=3, index=nota_index,
-                             embedder=embedder)
+                             rag_queries=embed_rag_queries(embedder, 25, topic="Nombor Nisbah",
+                                                           standards=standards))
         plain = generate_batch(chat, Method.BASIC_PROMPT, 25, topic="Nombor Nisbah",
                                standards=standards)
         questions = [o.mcq for o in rag + plain if o.mcq is not None]

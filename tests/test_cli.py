@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 import qgen.cli
+import qgen.evaluate
+import qgen.generate
 import qgen.wire
 from qgen.chat import MockChatProvider
 from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider
 from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
-from tests.conftest import FIXTURES, CountingChat
+from tests.conftest import FIXTURES, CountingChat, RecordingEmbedder
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -338,11 +340,14 @@ def test_provider_failure_after_retries_exit_3(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("shape, refusal", [
     ("ragged", "embedding batch 0 is not one matrix of numbers"),
     ("one_entry", r"embedding batch 0 has shape \(\d+, 1\), expected \(\d+, d\) with d >= 2"),
+    ("zeros", "embedding batch 0 row 0 is not a finite non-zero vector"),
 ])
 def test_index_refuses_misshapen_vectors_exit_3(tmp_path, monkeypatch, capsys, shape, refusal):
     def transport(url, payload, headers, timeout):
         if shape == "ragged":
             return {"embeddings": [[1.0, float(i)] + [0.5] * (i % 2) for i in range(len(payload["input"]))]}
+        if shape == "zeros":
+            return {"embeddings": [[0.0, 0.0] for _ in payload["input"]]}
         return {"embeddings": [[1.0] for _ in payload["input"]]}
 
     monkeypatch.setattr(qgen.wire, "http_post_json", transport)
@@ -356,6 +361,57 @@ def test_index_refuses_misshapen_vectors_exit_3(tmp_path, monkeypatch, capsys, s
     assert main(["index", "--config", str(config)]) == 3
     assert re.search(refusal, capsys.readouterr().err)
     assert not (tmp_path / "workdir" / "indexes").exists()
+
+
+class FailsOnText(MockEmbeddingProvider):
+    """The mock embedder, refusing for good any request that holds ``text``."""
+
+    def __init__(self, dim, text):
+        super().__init__(dim=dim)
+        self.text = text
+
+    def embed(self, texts):
+        if self.text in texts:
+            raise ProviderError(400, "rejected standards text", retryable=False)
+        return super().embed(texts)
+
+
+def test_index_provider_failure_on_a_standards_text_writes_no_index(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path)
+    workdir = tmp_path / "workdir"
+    assert main(["ingest", "--config", str(config)]) == 0
+    standards_text = json.loads((workdir / "chunks" / "standards.jsonl").read_text().splitlines()[-1])["text"]
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (MockChatProvider(), FailsOnText(cfg.provider.mock_dim, standards_text)))
+    assert main(["index", "--config", str(config)]) == 3
+    assert "rejected standards text" in capsys.readouterr().err
+    assert not (workdir / "indexes").exists()
+
+
+def test_run_all_embeds_once_per_stage_and_each_chunk_text_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path, provider={"mock": True, "max_in_flight": 2})
+    calls = {}
+    for module in (qgen.cli, qgen.generate, qgen.evaluate):
+        def counting(*args, _name=module.__name__, _embed=module.embed_texts, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _embed(*args, **kwargs)
+
+        monkeypatch.setattr(module, "embed_texts", counting)
+    embedders = []
+
+    def build_providers(cfg):
+        embedders.append(RecordingEmbedder(cfg.provider.mock_dim))
+        return MockChatProvider(), embedders[-1]
+
+    monkeypatch.setattr(qgen.cli, "build_providers", build_providers)
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert calls == {"qgen.cli": 1, "qgen.generate": 1, "qgen.evaluate": 1}
+    chunk_texts = {
+        json.loads(line)["text"]
+        for name in ("knowledge_recursive", "knowledge_structure_aware", "standards")
+        for line in (tmp_path / "workdir" / "chunks" / f"{name}.jsonl").read_text().splitlines()
+    }
+    assert sorted(t for batch in embedders[0].batches for t in batch) == sorted(chunk_texts)
 
 
 def test_report_json_format(tmp_path, capsys):

@@ -30,6 +30,7 @@ from qgen.embedding import (
 )
 from qgen.errors import InputError, ProviderError
 from qgen.wire import http_post_json
+from tests.conftest import RecordingEmbedder
 
 
 def test_identical_texts_identical_vectors(mock_embedder):
@@ -314,6 +315,46 @@ def test_embed_texts_refuses_a_dimension_that_changes_between_batches():
         embed_texts(provider, texts)
     assert not refused.value.retryable
     assert provider.calls == 2
+
+
+def test_embed_texts_batches_only_the_distinct_texts():
+    provider = RecordingEmbedder()
+    texts = [f"t{i % 100}" for i in range(200)]
+    embed_texts(provider, texts, ProviderPolicy(max_in_flight=2))
+    assert sorted(map(len, provider.batches), reverse=True) == [64, 36]
+    assert sorted(t for batch in provider.batches for t in batch) == sorted(set(texts))
+
+
+def test_embed_texts_sends_each_distinct_text_once():
+    provider = RecordingEmbedder()
+    texts = ["dua tiga", "satu", "dua tiga", "empat lima", "satu", "dua tiga"]
+    vectors = embed_texts(provider, texts)
+    assert provider.batches == [["dua tiga", "satu", "empat lima"]]
+    reference = np.array([embed_texts(MockEmbeddingProvider(dim=64), [t])[0] for t in texts])
+    assert vectors.tobytes() == reference.tobytes()
+
+
+class RowProvider:
+    """Embedder that returns ``row`` for ``text`` and a unit vector for every other text."""
+
+    tag = "row"
+
+    def __init__(self, text, row):
+        self.text = text
+        self.row = row
+
+    def embed(self, texts):
+        return [self.row if t == self.text else [1.0, 0.0] for t in texts]
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0]],
+                         ids=["zeros", "nan", "infinity"])
+def test_embed_texts_refuses_a_row_without_a_direction(row):
+    texts = [f"t{i}" for i in range(100)]
+    with pytest.raises(ProviderError, match=r"embedding batch 1 row 6 is not a finite non-zero vector") \
+            as refused:
+        embed_texts(RowProvider("t70", row), texts, ProviderPolicy(max_in_flight=2))
+    assert not refused.value.retryable
 
 
 def test_http_adapter_wire_format(monkeypatch):

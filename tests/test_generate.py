@@ -8,7 +8,7 @@ from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.embedding import embed_texts
 from qgen.errors import PipelineStateError
-from qgen.generate import GenOutcome, GenRequest, Method, generate_batch, generate_mcq
+from qgen.generate import GenOutcome, GenRequest, Method, embed_rag_queries, generate_batch, generate_mcq
 from qgen.mcq import Mcq, ParseFailure
 from qgen.vectorindex import build_index
 
@@ -68,8 +68,9 @@ def test_structured_never_fails_even_with_malformed_mode():
 
 def test_rag_retrieval_matches_brute_force_oracle(mock_chat, mock_embedder, knowledge_index):
     (outcome,) = generate_batch(mock_chat, Method.RAG_STRUCTURE_AWARE, 1, topic="Nombor Nisbah",
-                                standards=[STANDARDS[3]], retrieval_k=3,
-                                index=knowledge_index, embedder=mock_embedder)
+                                standards=[STANDARDS[3]], retrieval_k=3, index=knowledge_index,
+                                rag_queries=embed_rag_queries(mock_embedder, 1, topic="Nombor Nisbah",
+                                                              standards=[STANDARDS[3]]))
     assert len(outcome.retrieved_chunk_ids) == 3
 
     query = embed_texts(mock_embedder, [f"Nombor Nisbah {STANDARDS[3].description}"])[0]
@@ -84,8 +85,9 @@ def test_rag_retrieval_matches_brute_force_oracle(mock_chat, mock_embedder, know
 
 def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index):
     (outcome,) = generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="Nombor Nisbah",
-                                standards=[STANDARDS[2]], retrieval_k=2,
-                                index=knowledge_index, embedder=mock_embedder)
+                                standards=[STANDARDS[2]], retrieval_k=2, index=knowledge_index,
+                                rag_queries=embed_rag_queries(mock_embedder, 1, topic="Nombor Nisbah",
+                                                              standards=[STANDARDS[2]]))
     top_chunk = knowledge_index.chunk_by_id(outcome.retrieved_chunk_ids[0])
     first_line = top_chunk.text.split("\n")[0]
     assert first_line.split()[0] in outcome.result.stem
@@ -94,10 +96,11 @@ def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index
 def test_missing_index_and_embedder(mock_chat, mock_embedder, knowledge_index):
     with pytest.raises(PipelineStateError, match="requires a vector index"):
         generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
-                       retrieval_k=2, index=None, embedder=mock_embedder)
+                       retrieval_k=2, index=None,
+                       rag_queries=embed_rag_queries(mock_embedder, 1, topic="t", standards=STANDARDS))
     with pytest.raises(PipelineStateError, match="requires an embedding provider"):
         generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
-                       retrieval_k=2, index=knowledge_index, embedder=None)
+                       retrieval_k=2, index=knowledge_index, rag_queries=None)
 
 
 def test_request_invariant_retrieval_k():
@@ -136,7 +139,9 @@ def test_batch_returns_exactly_n_despite_failures():
 def test_rag_batch_every_outcome_has_retrieved_ids(mock_chat, mock_embedder, knowledge_index):
     outcomes = generate_batch(mock_chat, Method.RAG_STRUCTURE_AWARE, 10,
                               topic="Nombor Nisbah", standards=STANDARDS,
-                              retrieval_k=2, index=knowledge_index, embedder=mock_embedder)
+                              retrieval_k=2, index=knowledge_index,
+                              rag_queries=embed_rag_queries(mock_embedder, 10, topic="Nombor Nisbah",
+                                                            standards=STANDARDS))
     assert len(outcomes) == 10
     for o in outcomes:
         assert o.retrieved_chunk_ids
