@@ -56,6 +56,15 @@ class ChunkingConfig:
     structure_max_chars: int = 1500
     unit_keywords: tuple[str, ...] = DEFAULT_UNIT_KEYWORDS
 
+    def __post_init__(self):
+        if self.recursive_max_chars < 1:
+            raise InputError(f"chunking.recursive_max_chars must be >= 1, got {self.recursive_max_chars}")
+        if not 0 <= self.recursive_overlap < self.recursive_max_chars:
+            raise InputError(f"chunking.recursive_overlap must be within [0, recursive_max_chars), "
+                             f"got {self.recursive_overlap} with recursive_max_chars {self.recursive_max_chars}")
+        if self.structure_max_chars < 1:
+            raise InputError(f"chunking.structure_max_chars must be >= 1, got {self.structure_max_chars}")
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -78,6 +87,10 @@ class ProviderConfig:
             raise InputError(f"provider.max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0:
             raise InputError(f"provider.backoff_base must be >= 0, got {self.backoff_base}")
+        if self.mock_dim < 2:
+            raise InputError(f"provider.mock_dim must be >= 2, got {self.mock_dim}")
+        if not 0 <= self.mock_malformed_rate <= 1:
+            raise InputError(f"provider.mock_malformed_rate must be within [0, 1], got {self.mock_malformed_rate}")
 
 
 @dataclass(frozen=True)

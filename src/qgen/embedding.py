@@ -243,12 +243,17 @@ def normalize(vectors: np.ndarray) -> np.ndarray:
 
     The norms are ``sqrt(vecdot(v, v))``, which rounds exactly as
     ``np.linalg.norm`` of each row does, so normalising a matrix at once
-    gives bitwise the rows that normalising them one by one gives.
+    gives bitwise the rows that normalising them one by one gives. A
+    vector with a non-finite entry, or whose length is zero or overflows
+    float64, is refused.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise PipelineStateError("vector contains non-finite values")
-    norms = np.sqrt(np.vecdot(arr, arr))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(arr, arr))
+    if not np.all(np.isfinite(norms)):
+        raise PipelineStateError("vector length overflows float64")
     if np.any(norms == 0.0):
         raise PipelineStateError("cannot normalize a zero vector")
     return arr / norms[..., None]
@@ -279,8 +284,9 @@ def embed_texts(
     always come back in input order. This is the one place a provider's
     vectors are checked: a batch that is not one ``(len(batch), d)`` matrix
     of numbers with ``d >= 2``, whose ``d`` differs from the first batch's,
-    or with a row that is not a finite non-zero vector, is a non-retryable
-    :class:`ProviderError`.
+    or with a row whose length is not a finite positive number (a NaN, an
+    infinity, all zeros, or a length that over- or underflows float64), is
+    a non-retryable :class:`ProviderError`.
     """
     for i, text in enumerate(texts):
         if not text or not text.strip():
@@ -305,11 +311,14 @@ def embed_texts(
                                    f"dimension {matrices[0].shape[1]}", retryable=False)
         matrices.append(matrix)
     vectors = np.concatenate(matrices)
-    # A row with a NaN or an infinity, or of zeros, has no direction to normalise to.
-    bad = ~(np.isfinite(vectors).all(axis=1) & vectors.any(axis=1))
+    # The norms normalize computes; a row with a NaN or an infinity, of zeros,
+    # or whose length over- or underflows float64 has no finite positive one.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(vectors, vectors))
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         j, row = divmod(int(np.argmax(bad)), _EMBED_BATCH_SIZE)
         raise ProviderError(0, f"embedding batch {j} row {row} is not a finite non-zero vector",
                             retryable=False)
-    vectors = normalize(vectors)
+    vectors = vectors / norms[:, None]
     return vectors if len(distinct) == len(texts) else vectors[rows]

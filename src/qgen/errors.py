@@ -23,7 +23,6 @@ class ProviderError(QgenError):
                  retry_after: float | None = None):
         super().__init__(f"provider error (status {status}): {message}")
         self.status = status
-        self.message = message
         self.retryable = retryable
         # Seconds the provider asked the client to wait before retrying.
         self.retry_after = retry_after

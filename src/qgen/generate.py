@@ -19,7 +19,7 @@ from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_t
 from .errors import PipelineStateError
 from .jsonio import dumps
 from .mcq import Mcq, ParseFailure, parse_mcq_json
-from .prompts import PromptBundle, build_prompt_basic, build_prompt_rag, build_prompt_structured
+from .prompts import build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
 
 
@@ -161,25 +161,6 @@ def embed_rag_queries(
     return embed_texts(embedder, distinct, policy), rows
 
 
-def _structured_result(chat: ChatProvider, bundle: PromptBundle, temperature: float,
-                       seed: int | None) -> Mcq | ParseFailure:
-    payload = chat.complete_structured(
-        bundle.system_text, bundle.user_text, bundle.response_schema or {},
-        temperature=temperature, seed=seed,
-    )
-    # The schema contract should make this parse trivially; a provider that
-    # violates it still becomes an accounted failure rather than a crash.
-    raw = dumps(payload).decode()
-    parsed = parse_mcq_json(raw)
-    if isinstance(parsed, ParseFailure):
-        return ParseFailure(
-            raw_text=raw,
-            category=parsed.category,
-            message=f"schema-mode response violated the MCQ contract: {parsed.message}",
-        )
-    return parsed
-
-
 def generate_mcq(
     chat: ChatProvider,
     request: GenRequest,
@@ -193,7 +174,8 @@ def generate_mcq(
     RAG methods ground the prompt in ``context``, the chunks retrieved for
     the request in descending score order (see :func:`generate_batch`);
     non-RAG methods ignore it. The chat round-trip is made once, and only
-    the provider's errors propagate.
+    the provider's errors propagate. A schema-constrained response is
+    parsed as the JSON text of its object, like any plain completion.
     """
     retrieved: tuple[str, ...] = ()
     if request.method.is_rag:
@@ -204,17 +186,17 @@ def generate_mcq(
     else:
         bundle = build_prompt_basic(request.topic)
 
-    if request.method is Method.STRUCTURED_PROMPT:
-        result: Mcq | ParseFailure = _structured_result(chat, bundle, temperature, request.seed_hint)
-    else:
+    if bundle.response_schema is None:
         raw = chat.complete(bundle.system_text, bundle.user_text,
                             temperature=temperature, seed=request.seed_hint)
-        result = parse_mcq_json(raw)
+    else:
+        raw = dumps(chat.complete_structured(bundle.system_text, bundle.user_text, bundle.response_schema,
+                                             temperature=temperature, seed=request.seed_hint)).decode()
 
     return GenOutcome(
         outcome_id=outcome_id,
         request=request,
-        result=result,
+        result=parse_mcq_json(raw),
         retrieved_chunk_ids=retrieved,
         prompt_fingerprint=bundle.fingerprint(),
         provider_tag=chat.tag,

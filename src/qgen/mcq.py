@@ -51,7 +51,32 @@ class Mcq:
     language_tag: str = "ms"
 
     def __post_init__(self):
-        validate_mcq_fields(self.stem, self.options, self.answer_key)
+        """Enforce the MCQ invariants, raising a categorized validation error.
+
+        Labels are checked before the answer key, and the key before the
+        option texts, so each input gets one precise diagnostic.
+        """
+        if not isinstance(self.stem, str) or not self.stem.strip():
+            raise McqValidationError(ParseCategory.MISSING_FIELD, "stem must be a non-empty string")
+        object.__setattr__(self, "stem", self.stem.strip())
+        if len(self.options) != 4:
+            raise McqValidationError(ParseCategory.BAD_OPTION_COUNT, f"expected 4 options, got {len(self.options)}")
+        labels = [o.label for o in self.options]
+        if sorted(labels) != list(LABELS):
+            raise McqValidationError(
+                ParseCategory.BAD_OPTION_COUNT, f"option labels must be exactly A-D once each, got {labels}"
+            )
+        if self.answer_key not in labels:
+            raise McqValidationError(
+                ParseCategory.ANSWER_NOT_IN_OPTIONS, f"answer {self.answer_key!r} matches no option label or text"
+            )
+        for o in self.options:
+            if not isinstance(o.text, str) or not o.text.strip():
+                raise McqValidationError(ParseCategory.MISSING_FIELD, f"option {o.label} has empty text")
+        normalized = [_squash_ws(o.text) for o in self.options]
+        if len(set(normalized)) != 4:
+            dupes = sorted({t for t in normalized if normalized.count(t) > 1})
+            raise McqValidationError(ParseCategory.DUPLICATE_OPTION, f"duplicate option text(s): {dupes}")
 
     def option_text(self, label: str) -> str:
         for opt in self.options:
@@ -76,30 +101,6 @@ class Mcq:
             answer_key=d["answer_key"],
             explanation=d.get("explanation", ""),
             language_tag=d.get("language_tag", "ms"),
-        )
-
-
-def validate_mcq_fields(stem: str, options: tuple[McqOption, ...], answer_key: str) -> None:
-    """Enforce the MCQ invariants, raising a categorized validation error."""
-    if not isinstance(stem, str) or not stem.strip():
-        raise McqValidationError(ParseCategory.MISSING_FIELD, "stem must be a non-empty string")
-    if len(options) != 4:
-        raise McqValidationError(ParseCategory.BAD_OPTION_COUNT, f"expected 4 options, got {len(options)}")
-    labels = [o.label for o in options]
-    if sorted(labels) != list(LABELS):
-        raise McqValidationError(
-            ParseCategory.BAD_OPTION_COUNT, f"option labels must be exactly A-D once each, got {labels}"
-        )
-    for o in options:
-        if not isinstance(o.text, str) or not o.text.strip():
-            raise McqValidationError(ParseCategory.MISSING_FIELD, f"option {o.label} has empty text")
-    normalized = [_squash_ws(o.text) for o in options]
-    if len(set(normalized)) != 4:
-        dupes = sorted({t for t in normalized if normalized.count(t) > 1})
-        raise McqValidationError(ParseCategory.DUPLICATE_OPTION, f"duplicate option text(s): {dupes}")
-    if answer_key not in labels:
-        raise McqValidationError(
-            ParseCategory.ANSWER_NOT_IN_OPTIONS, f"answer key {answer_key!r} is not an option label"
         )
 
 
@@ -143,11 +144,8 @@ def _strip_fence(raw: str) -> str:
 def _coerce_options(payload) -> tuple[McqOption, ...]:
     if isinstance(payload, list):
         if all(isinstance(v, str) for v in payload):
-            if len(payload) != 4:
-                raise McqValidationError(
-                    ParseCategory.BAD_OPTION_COUNT, f"expected 4 options, got {len(payload)}"
-                )
-            return tuple(McqOption(LABELS[i], v) for i, v in enumerate(payload))
+            # Labelled in order; Mcq refuses any count but four.
+            return tuple(McqOption(chr(ord("A") + i), v) for i, v in enumerate(payload))
         options = []
         for i, item in enumerate(payload):
             if not isinstance(item, dict):
@@ -168,29 +166,27 @@ def _coerce_options(payload) -> tuple[McqOption, ...]:
     raise McqValidationError(ParseCategory.MISSING_FIELD, "options must be an array or an A-D map")
 
 
-def _coerce_answer(payload, options: tuple[McqOption, ...]) -> str:
+def _coerce_answer(payload, options: tuple[McqOption, ...]):
+    """The label ``payload`` names by letter or by option text; any other value as given."""
     if isinstance(payload, str):
-        candidate = payload.strip()
-        m = re.fullmatch(r"([A-Da-d])\s*[\).:,]?", candidate)
+        m = re.fullmatch(r"([A-Da-d])\s*[\).:,]?", payload.strip())
         if m:
             return m.group(1).upper()
-        squashed = _squash_ws(candidate)
+        squashed = _squash_ws(payload)
         for opt in options:
             if _squash_ws(opt.text) == squashed:
                 return opt.label
-        raise McqValidationError(
-            ParseCategory.ANSWER_NOT_IN_OPTIONS, f"answer {payload!r} matches no option label or text"
-        )
-    raise McqValidationError(ParseCategory.ANSWER_NOT_IN_OPTIONS, f"answer must be a string, got {type(payload).__name__}")
+    return payload
 
 
 def parse_mcq_json(raw: str) -> Mcq | ParseFailure:
     """Parse a model response into an :class:`Mcq`, or report why it failed.
 
     A single surrounding markdown code fence is stripped, and the rest must
-    be strict JSON (see :mod:`qgen.jsonio`); field names are mapped
-    tolerantly (``question``/``stem``, options as array or A-D map); the
-    MCQ invariants are then enforced strictly.
+    be strict JSON (see :mod:`qgen.jsonio`). Field names and shapes are
+    mapped tolerantly (``question``/``stem``, options as array or A-D map,
+    the answer as a letter or an option's text); the MCQ invariants are
+    then enforced by :class:`Mcq` alone.
     """
     body = _strip_fence(raw)
     try:
@@ -207,25 +203,17 @@ def parse_mcq_json(raw: str) -> Mcq | ParseFailure:
         stem = _first_key(data, _STEM_KEYS)
         if stem is None:
             raise McqValidationError(ParseCategory.MISSING_FIELD, "missing stem/question field")
-        if not isinstance(stem, str) or not stem.strip():
-            raise McqValidationError(ParseCategory.MISSING_FIELD, "stem must be a non-empty string")
         options_payload = _first_key(data, _OPTIONS_KEYS)
         if options_payload is None:
             raise McqValidationError(ParseCategory.MISSING_FIELD, "missing options field")
         options = _coerce_options(options_payload)
-        # Label sanity before answer matching so diagnostics stay precise.
-        if len(options) != 4 or sorted(o.label for o in options) != list(LABELS):
-            raise McqValidationError(
-                ParseCategory.BAD_OPTION_COUNT,
-                f"option labels must be exactly A-D once each, got {[o.label for o in options]}",
-            )
         answer_payload = _first_key(data, _ANSWER_KEYS)
         if answer_payload is None:
             raise McqValidationError(ParseCategory.MISSING_FIELD, "missing answer field")
-        answer = _coerce_answer(answer_payload, options)
         explanation = _first_key(data, _EXPLANATION_KEYS)
         if not isinstance(explanation, str):
             explanation = ""
-        return Mcq(stem=stem.strip(), options=options, answer_key=answer, explanation=explanation)
+        return Mcq(stem=stem, options=options, answer_key=_coerce_answer(answer_payload, options),
+                   explanation=explanation)
     except McqValidationError as exc:
         return ParseFailure(raw_text=raw, category=exc.category, message=str(exc))

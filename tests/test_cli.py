@@ -341,6 +341,8 @@ def test_provider_failure_after_retries_exit_3(tmp_path, monkeypatch, capsys):
     ("ragged", "embedding batch 0 is not one matrix of numbers"),
     ("one_entry", r"embedding batch 0 has shape \(\d+, 1\), expected \(\d+, d\) with d >= 2"),
     ("zeros", "embedding batch 0 row 0 is not a finite non-zero vector"),
+    ("length_overflows", "embedding batch 0 row 0 is not a finite non-zero vector"),
+    ("length_underflows", "embedding batch 0 row 0 is not a finite non-zero vector"),
 ])
 def test_index_refuses_misshapen_vectors_exit_3(tmp_path, monkeypatch, capsys, shape, refusal):
     def transport(url, payload, headers, timeout):
@@ -348,6 +350,10 @@ def test_index_refuses_misshapen_vectors_exit_3(tmp_path, monkeypatch, capsys, s
             return {"embeddings": [[1.0, float(i)] + [0.5] * (i % 2) for i in range(len(payload["input"]))]}
         if shape == "zeros":
             return {"embeddings": [[0.0, 0.0] for _ in payload["input"]]}
+        if shape == "length_overflows":
+            return {"embeddings": [[1e200, 1e200] for _ in payload["input"]]}
+        if shape == "length_underflows":
+            return {"embeddings": [[1e-200, 1e-200] for _ in payload["input"]]}
         return {"embeddings": [[1.0] for _ in payload["input"]]}
 
     monkeypatch.setattr(qgen.wire, "http_post_json", transport)
@@ -551,6 +557,22 @@ def test_invalid_max_in_flight_exit_2(tmp_path, capsys, provider):
     config = write_config(tmp_path, provider={"mock": True, **provider})
     assert main(["ingest", "--config", str(config)]) == 2
     assert "provider.max_in_flight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, values, setting", [
+    ("provider", {"mock_dim": 1}, "provider.mock_dim"),
+    ("provider", {"mock_malformed_rate": 1.5}, "provider.mock_malformed_rate"),
+    ("provider", {"mock_malformed_rate": -0.5}, "provider.mock_malformed_rate"),
+    ("chunking", {"recursive_max_chars": 0}, "chunking.recursive_max_chars"),
+    ("chunking", {"recursive_overlap": 300}, "chunking.recursive_overlap"),
+    ("chunking", {"recursive_overlap": -1}, "chunking.recursive_overlap"),
+    ("chunking", {"structure_max_chars": 0}, "chunking.structure_max_chars"),
+])
+def test_bad_mock_or_chunking_value_exit_2_before_any_stage(tmp_path, capsys, section, values, setting):
+    config = write_config(tmp_path, **{section: values})
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert setting in capsys.readouterr().err
+    assert not (tmp_path / "workdir").exists()
 
 
 def test_run_all_identical_across_max_in_flight(tmp_path):

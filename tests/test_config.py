@@ -115,6 +115,13 @@ def _strict_json(value) -> bool:
     ("evaluation", "refusal_markers", ["tidak", ""], None),
     ("evaluation", "refusal_markers", [" "], None),
     ("chunking", "unit_keywords", ["Contoh", "\n"], None),
+    ("provider", "mock_dim", 1, None),
+    ("provider", "mock_malformed_rate", 1.5, None),
+    ("provider", "mock_malformed_rate", -0.5, None),
+    ("chunking", "recursive_max_chars", 0, None),
+    ("chunking", "recursive_overlap", 1000, None),
+    ("chunking", "recursive_overlap", -1, None),
+    ("chunking", "structure_max_chars", 0, None),
 ])
 def test_bad_values_refused_naming_the_setting(tmp_path, section, key, value, flag):
     setting = re.escape(f"{section}.{key} must")

@@ -28,7 +28,7 @@ from qgen.embedding import (
     map_in_flight,
     normalize,
 )
-from qgen.errors import InputError, ProviderError
+from qgen.errors import InputError, PipelineStateError, ProviderError
 from qgen.wire import http_post_json
 from tests.conftest import RecordingEmbedder
 
@@ -347,8 +347,9 @@ class RowProvider:
         return [self.row if t == self.text else [1.0, 0.0] for t in texts]
 
 
-@pytest.mark.parametrize("row", [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0]],
-                         ids=["zeros", "nan", "infinity"])
+@pytest.mark.parametrize("row", [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0],
+                                 [1e200, 1e200], [1e-200, 1e-200]],
+                         ids=["zeros", "nan", "infinity", "length_overflows", "length_underflows"])
 def test_embed_texts_refuses_a_row_without_a_direction(row):
     texts = [f"t{i}" for i in range(100)]
     with pytest.raises(ProviderError, match=r"embedding batch 1 row 6 is not a finite non-zero vector") \
@@ -459,6 +460,12 @@ def test_matrix_normalize_is_bitwise_per_row_normalize(source):
     assert once.tobytes() == ref_once.tobytes()
     assert twice.tobytes() == ref_twice.tobytes()
     assert all(normalize(v).tobytes() == r.tobytes() for v, r in zip(raw, ref_once))
+
+
+def test_normalize_refuses_a_length_that_overflows():
+    # Each entry is finite, but the squared length is beyond float64.
+    with pytest.raises(PipelineStateError, match="vector length overflows float64"):
+        normalize(np.array([[1.0, 0.0], [1e200, 1e200]]))
 
 
 def test_embed_texts_returns_one_normalized_matrix(mock_embedder):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import qgen
 import qgen.cli
+import qgen.mcq
 from qgen.cli import main
 from qgen.errors import InputError, PipelineStateError, ProviderError
 
@@ -30,6 +33,25 @@ def test_only_the_exit_code_categories_are_error_classes():
         "qgen.errors.PipelineStateError",
         "qgen.mcq.McqValidationError",
     }
+
+
+def test_only_the_mcq_constructor_refuses_an_invariant():
+    tree = ast.parse(Path(qgen.mcq.__file__).read_text(encoding="utf-8"))
+    mcq = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Mcq")
+    post_init = next(n for n in mcq.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+    invariants = {"BAD_OPTION_COUNT", "DUPLICATE_OPTION", "ANSWER_NOT_IN_OPTIONS"}
+
+    def uses(node):
+        return [
+            n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in invariants
+            or isinstance(n, ast.Name) and n.id in invariants and isinstance(n.ctx, ast.Load)
+        ]
+
+    inside = uses(post_init)
+    assert set(inside) == invariants
+    # Every use in the module is one of the constructor's.
+    assert sorted(uses(tree)) == sorted(inside)
 
 
 @pytest.mark.parametrize("error, code", [

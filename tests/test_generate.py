@@ -9,8 +9,10 @@ from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.embedding import embed_texts
 from qgen.errors import PipelineStateError
 from qgen.generate import GenOutcome, GenRequest, Method, embed_rag_queries, generate_batch, generate_mcq
-from qgen.mcq import Mcq, ParseFailure
+from qgen.jsonio import dumps, loads
+from qgen.mcq import Mcq, ParseFailure, parse_mcq_json
 from qgen.vectorindex import build_index
+from tests.malformed_corpus import MALFORMED_CASES
 
 STANDARDS = [
     LearningStandard("1.1.1", "Mengenal nombor positif dan nombor negatif."),
@@ -64,6 +66,43 @@ def test_structured_never_fails_even_with_malformed_mode():
     for _ in range(5):
         outcome = generate_mcq(chat, request)
         assert isinstance(outcome.result, Mcq)
+
+
+class SchemaChat:
+    """Answers every schema-constrained request with one fixed object."""
+
+    tag = "schema-chat"
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def complete(self, system, user, *, temperature=0.7, seed=None):
+        raise AssertionError("the structured method asked for a plain completion")
+
+    def complete_structured(self, system, user, schema, *, temperature=0.7, seed=None):
+        assert schema
+        return self.payload
+
+
+def _object_payloads():
+    for raw, _ in MALFORMED_CASES:
+        try:
+            payload = loads(raw)
+        except ValueError:
+            continue
+        if isinstance(payload, dict):
+            yield payload
+
+
+OBJECT_PAYLOADS = list(_object_payloads())
+
+
+@pytest.mark.parametrize("payload", OBJECT_PAYLOADS, ids=range(len(OBJECT_PAYLOADS)))
+def test_structured_response_is_parsed_like_a_plain_completion(payload):
+    outcome = generate_mcq(SchemaChat(payload), GenRequest(method=Method.STRUCTURED_PROMPT, topic="integer"))
+    expected = parse_mcq_json(dumps(payload).decode())
+    assert isinstance(expected, ParseFailure)
+    assert outcome.result == expected
 
 
 def test_rag_retrieval_matches_brute_force_oracle(mock_chat, mock_embedder, knowledge_index):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure, parse_mcq_json
-from tests.malformed_corpus import MALFORMED_CASES
+from tests.malformed_corpus import MALFORMED_CASES, _mcq
 
 VALID_JSON = json.dumps({
     "stem": "Apakah hasil 5 + (-3)?",
@@ -110,6 +110,34 @@ def test_mcq_invariants_enforced_on_construction():
     dup = tuple(McqOption(l, "x") for l in "ABCD")
     with pytest.raises(ValueError):
         Mcq(stem="s", options=dup, answer_key="A")
+
+
+def test_mcq_constructor_strips_the_stem():
+    options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["a", "b", "c", "d"]))
+    assert Mcq(stem="  Apakah integer?\n", options=options, answer_key="A").stem == "Apakah integer?"
+
+
+_DUPLICATES = [{"label": l, "text": t} for l, t in zip("ABCD", ["x", "x", "c", "d"])]
+_BLANK_A = [{"label": l, "text": t} for l, t in zip("ABCD", ["", "b", "c", "d"])]
+
+
+# Inputs with several faults: the stem first, then the option count and
+# labels, then the answer key, then the option texts.
+@pytest.mark.parametrize("raw, category, message", [
+    (_mcq(stem="", options=["a", "b", "c"]), ParseCategory.MISSING_FIELD, "stem must be a non-empty string"),
+    (_mcq(options=["a", "b", "c"], answer="E"), ParseCategory.BAD_OPTION_COUNT, "expected 4 options, got 3"),
+    (_mcq(options=["a", "b", "c", "d", "e"]), ParseCategory.BAD_OPTION_COUNT, "expected 4 options, got 5"),
+    (_mcq(options=_DUPLICATES, answer="E"), ParseCategory.ANSWER_NOT_IN_OPTIONS,
+     "answer 'E' matches no option label or text"),
+    (_mcq(options=_BLANK_A, answer="tiada"), ParseCategory.ANSWER_NOT_IN_OPTIONS,
+     "answer 'tiada' matches no option label or text"),
+    (_mcq(options=_DUPLICATES, answer="x"), ParseCategory.DUPLICATE_OPTION, "duplicate option text(s): ['x']"),
+    (_mcq(answer=2), ParseCategory.ANSWER_NOT_IN_OPTIONS, "answer 2 matches no option label or text"),
+    (_mcq(answer=["B"]), ParseCategory.ANSWER_NOT_IN_OPTIONS, "answer ['B'] matches no option label or text"),
+], ids=["blank_stem_3_options", "3_options_bad_answer", "5_options", "duplicates_bad_answer",
+        "blank_option_bad_answer", "duplicates_answered_by_text", "int_answer", "list_answer"])
+def test_one_diagnostic_per_input(raw, category, message):
+    assert parse_mcq_json(raw) == ParseFailure(raw_text=raw, category=category, message=message)
 
 
 def test_mcq_serialization_round_trip():
