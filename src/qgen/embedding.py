@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -120,9 +119,6 @@ def map_in_flight(fn: Callable[[T], R], items: Sequence[T], policy: ProviderPoli
     return results
 
 
-_TOKEN_RE = re.compile(r"\w+", re.UNICODE)
-
-
 def _bucket(token: str, dim: int) -> int:
     digest = hashlib.sha1(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dim
@@ -144,15 +140,31 @@ class _BucketMemo(dict):
         return bucket
 
 
+class _WordTable(dict):
+    """A ``str.translate`` table: a word character to itself, any other to a space.
+
+    A character is a word character exactly when ``re`` matches it with
+    ``\\w``: ``c.isalnum() or c == "_"``. Entries are filled the first time a
+    character is met, and concurrent fills store the same value.
+    """
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        out = self[code] = char if char.isalnum() or char == "_" else " "
+        return out
+
+
 class MockEmbeddingProvider:
     """Deterministic hashed bag-of-words embedder for offline runs.
 
-    Text is lowercased and split into word tokens; each token is hashed
-    (sha1, stable across processes) into one of ``dim`` buckets and counts
-    are accumulated. Texts sharing vocabulary therefore score higher under
-    cosine similarity, which is all the offline pipeline needs. Each
-    provider remembers the bucket of every token it has seen, so a token
-    is hashed once per provider, not once per occurrence.
+    Text is lowercased and split into word tokens (runs of ``\\w``); each
+    token is hashed (sha1, stable across processes) into one of ``dim``
+    buckets and counts are accumulated. Texts sharing vocabulary therefore
+    score higher under cosine similarity, which is all the offline pipeline
+    needs. A text with no token counts once in the bucket of its own
+    original text. Each provider remembers the bucket of every token and
+    whether each character it has met is a word character, so a token is
+    hashed once per provider, not once per occurrence.
     """
 
     def __init__(self, dim: int = 64):
@@ -161,22 +173,35 @@ class MockEmbeddingProvider:
         self.dim = dim
         self.tag = f"mock-bow-sha1-v1:d{dim}"
         self._buckets = _BucketMemo(dim)
+        self._words = _WordTable()
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """Token counts as an ``(n, dim)`` float64 array, one row per text."""
-        counts = [np.bincount(self._text_buckets(t), minlength=self.dim) for t in texts]
-        return np.array(counts, dtype=np.float64).reshape(len(texts), self.dim)
+        """Token counts as an ``(n, dim)`` float64 array, one row per text.
 
-    def _text_buckets(self, text: str) -> list[int]:
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
-            # Token-free text still gets a deterministic unit direction.
-            return [_bucket(text, self.dim)]
-        return [self._buckets[t] for t in tokens]
-
-    def token_buckets(self, text: str) -> set[int]:
-        """Buckets this text's tokens hash into; used by collision checks."""
-        return {self._buckets[t] for t in _TOKEN_RE.findall(text.lower())}
+        The batch is counted at once: the texts, each lowercased on its own
+        (so a final sigma keeps its own text's context), are joined by
+        spaces, every non-word character becomes a space in one
+        ``str.translate`` pass, and one ``split`` yields the tokens. Each
+        token's row is found from where it starts in the joined text, and one
+        ``np.bincount`` over ``row * dim + bucket`` counts the whole batch.
+        """
+        n, dim = len(texts), self.dim
+        lowered = [text.lower() for text in texts]
+        joined = " ".join(lowered).translate(self._words)
+        words = joined.split()
+        # Every character left that is not a space is a word character, and a
+        # token starts where one follows a space or the start of the text.
+        word = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4") != ord(" ")
+        starts = np.flatnonzero(np.diff(word, prepend=False) & word)
+        # bounds[i] is where text i + 1 starts in the joined text.
+        bounds = np.cumsum(np.fromiter(map(len, lowered), dtype=np.int64, count=n) + 1)
+        rows = np.searchsorted(bounds, starts, side="right")
+        buckets = np.fromiter(map(self._buckets.__getitem__, words), dtype=np.int64, count=len(words))
+        counts = np.bincount(rows * dim + buckets, minlength=n * dim).reshape(n, dim).astype(np.float64)
+        # Token-free text still gets a deterministic unit direction.
+        empty = np.flatnonzero(~counts.any(axis=1)).tolist()
+        counts[empty, [_bucket(texts[i], dim) for i in empty]] = 1.0
+        return counts
 
 
 def _is_finite_number(value) -> bool:

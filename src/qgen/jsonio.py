@@ -6,10 +6,12 @@ with no spaces, except in the two-space indented form of
 ``dumps(obj, indent=True)``. Floats are written in their shortest
 round-trip form; a magnitude below 1e-4 or at least 1e16 is written
 ``0.000025`` or ``1e16``, where Python's ``repr`` gives ``2.5e-05`` or
-``1e+16``. The reader is strict: ``NaN``, ``Infinity``, a number beyond
-float64, a lone-surrogate escape, invalid UTF-8 and a byte order mark
-raise ``ValueError``. orjson would write a non-finite float as ``null``,
-so no caller may hand a writer one.
+``1e+16``. A numpy array is written as the list of its elements, each
+float64 in the same text as the Python float. The reader is strict:
+``NaN``, ``Infinity``, a number beyond float64, a lone-surrogate escape,
+invalid UTF-8 and a byte order mark raise ``ValueError``. orjson would
+write a non-finite float as ``null``, so no caller may hand a writer one,
+and it refuses an array that is not C-contiguous.
 
 Every artifact write is atomic: the content goes to a temporary file in
 the target's directory, which then replaces the target. A write that fails
@@ -26,10 +28,13 @@ from typing import BinaryIO, Iterable, Iterator
 
 import orjson
 
+# The options of every write.
+_WRITE = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+
 
 def dumps(obj, indent: bool = False) -> bytes:
     """``obj`` as canonical JSON: sorted keys, UTF-8, no spaces, or indented by two spaces if ``indent``."""
-    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | (orjson.OPT_INDENT_2 if indent else 0))
+    return orjson.dumps(obj, option=_WRITE | (orjson.OPT_INDENT_2 if indent else 0))
 
 
 def encodable(text: str) -> bool:
@@ -72,7 +77,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     count = 0
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(orjson.dumps(row, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
+            fh.write(orjson.dumps(row, option=_WRITE | orjson.OPT_APPEND_NEWLINE))
             count += 1
     return count
 

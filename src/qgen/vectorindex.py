@@ -154,7 +154,9 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         "provider_tag": index.provider_tag,
         "count": len(index),
         "checksum": _checksum(chunk_dicts, index.matrix),
-        "entries": [{"chunk": d, "vector": v} for d, v in zip(chunk_dicts, index.matrix.tolist())],
+        # Each row goes to the writer as a numpy array, which orjson writes as
+        # the list of its floats; it refuses a row that is not C-contiguous.
+        "entries": [{"chunk": d, "vector": v} for d, v in zip(chunk_dicts, np.ascontiguousarray(index.matrix))],
     }
     # The index is one JSON object, so a one-row JSONL file holds it compactly.
     write_jsonl(path, [payload])

@@ -6,6 +6,7 @@ monkeypatch a single entry point.
 
 from __future__ import annotations
 
+import http.client
 import math
 import urllib.error
 import urllib.request
@@ -46,6 +47,10 @@ def http_post_json(url: str, payload: dict, headers: dict[str, str], timeout: fl
                             retry_after=_retry_after(exc)) from exc
     except urllib.error.URLError as exc:
         raise ProviderError(0, f"network error: {exc.reason}", retryable=True) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # urllib wraps only errors from sending the request; a timeout, reset
+        # or short body while the response is read arrives as itself.
+        raise ProviderError(0, f"network error: {type(exc).__name__}: {exc}", retryable=True) from exc
     try:
         return loads(data)
     except ValueError as exc:

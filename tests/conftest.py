@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import http.client
+import io
 import threading
 from pathlib import Path
 
@@ -74,3 +76,29 @@ def make_doc(texts: list[str], doc_id: str = "doc", role: DocRole = DocRole.KNOW
     sizes = font_sizes or [11.0] * len(texts)
     blocks = tuple(make_block(t, font_size=s) for t, s in zip(texts, sizes))
     return SourceDocument(doc_id=doc_id, role=role, pages=(Page(number=1, blocks=blocks),))
+
+
+class _ShortBody(io.BytesIO):
+    """A response whose body ends before its declared length."""
+
+    def read(self, *args):
+        raise http.client.IncompleteRead(b"{", 10)
+
+
+# Transport errors urllib does not wrap in URLError, each made fresh per raise.
+TRANSPORT_FAILURES = {
+    "timeout": lambda: TimeoutError("timed out"),
+    "reset": lambda: ConnectionResetError(104, "Connection reset by peer"),
+    "remote-disconnected": lambda: http.client.RemoteDisconnected("Remote end closed connection without response"),
+    "incomplete-read": None,  # the response arrives, and reading its body fails
+}
+
+
+def failing_urlopen(failure: str):
+    """A fake ``urllib.request.urlopen`` that fails with ``TRANSPORT_FAILURES[failure]``."""
+    def urlopen(request, timeout):
+        make = TRANSPORT_FAILURES[failure]
+        if make is None:
+            return _ShortBody()
+        raise make()
+    return urlopen

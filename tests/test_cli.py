@@ -19,7 +19,7 @@ from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider
 from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
-from tests.conftest import FIXTURES, CountingChat, RecordingEmbedder
+from tests.conftest import FIXTURES, TRANSPORT_FAILURES, CountingChat, RecordingEmbedder, failing_urlopen
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -499,6 +499,22 @@ def test_stage_honours_configured_retry_policy(tmp_path, monkeypatch, stage, met
         assert main([stage, "--config", str(config)]) == 3
         assert workdir_snapshot(workdir) == upstream
         assert sleeps == []
+
+
+@pytest.mark.parametrize("failure", sorted(TRANSPORT_FAILURES))
+def test_index_transport_error_exits_3(tmp_path, monkeypatch, capsys, failure):
+    monkeypatch.setattr("urllib.request.urlopen", failing_urlopen(failure))
+    monkeypatch.setenv("QGEN_API_KEY", "k")
+    config = write_config(tmp_path, provider={
+        "mock": False, "max_retries": 0,
+        "chat_endpoint": "https://api.example.test/chat", "chat_model": "m",
+        "embed_endpoint": "https://api.example.test/embed", "embed_model": "e",
+    })
+    assert main(["ingest", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["index", "--config", str(config)]) == 3
+    assert "error: provider error (status 0): network error: " in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "indexes").exists()
 
 
 @pytest.mark.parametrize("edit", ["rename", "reorder"])

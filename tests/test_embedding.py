@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgen
 from qgen.embedding import (
@@ -30,7 +32,7 @@ from qgen.embedding import (
 )
 from qgen.errors import InputError, PipelineStateError, ProviderError
 from qgen.wire import http_post_json
-from tests.conftest import RecordingEmbedder
+from tests.conftest import TRANSPORT_FAILURES, RecordingEmbedder, failing_urlopen
 
 
 def test_identical_texts_identical_vectors(mock_embedder):
@@ -444,6 +446,12 @@ MOCK_TEXTS = [
     "Pecahan, perpuluhan dan peratusan dalam situasi harian",
     "ayat nombor 17 tentang integer negatif",
     "mendarab integer",
+    "İstanbul",  # lowercases to a longer text
+    "ΟΔΟΣ Σ",  # final sigma
+    "\u2014",  # token-free, in the middle of the batch
+    "x² ½ a_b c-d",
+    "zero\u200dwidth no\u00a0break cafe\u0301",  # joiner, no-break space, combining mark
+    "日本語",
 ] + [f"standard {i} nombor nisbah {i % 7} latihan {i * i}" for i in range(200)]
 
 
@@ -484,6 +492,36 @@ def test_memoised_mock_equals_unmemoised_reference():
     assert first.tobytes() == ref.tobytes()
     assert again.tobytes() == ref.tobytes()
     assert provider.embed([]).shape == (0, 48)
+
+
+# Word and non-word characters whose lowercasing or class is easy to get wrong.
+_TRICKY = st.sampled_from(list(" _-\t\nİΣσςΟΔ\u200d\u00a0\u0301\u2014x²½日本aZ9"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.text(st.one_of(st.characters(), _TRICKY), max_size=12), max_size=12),
+       cuts=st.lists(st.integers(0, 12), max_size=4))
+def test_batch_embed_equals_reference_for_any_text_and_split(texts, cuts):
+    provider = MockEmbeddingProvider(dim=16)
+    bounds = sorted({0, len(texts), *(c for c in cuts if c < len(texts))})
+    parts = [provider.embed(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    got = np.concatenate(parts) if parts else provider.embed([])
+    ref = np.stack([reference_mock_vector(t, 16) for t in texts]) if texts else np.zeros((0, 16))
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_mock_counts_a_batch_in_one_bincount(monkeypatch):
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    MockEmbeddingProvider(dim=64).embed(MOCK_TEXTS)
+    assert len(calls) == 1
 
 
 def test_memoised_mock_is_exact_when_threads_share_one_instance():
@@ -543,6 +581,36 @@ def test_wire_reads_retry_after_seconds(monkeypatch, status, header, expected):
         http_post_json("https://api.example.test/embed", {}, {})
     assert exc_info.value.status == status
     assert exc_info.value.retry_after == expected
+
+
+@pytest.mark.parametrize("failure", sorted(TRANSPORT_FAILURES))
+def test_wire_maps_transport_errors_to_retryable_provider_errors(monkeypatch, failure):
+    monkeypatch.setattr("urllib.request.urlopen", failing_urlopen(failure))
+    with pytest.raises(ProviderError, match="^provider error \\(status 0\\): network error: ") as exc_info:
+        http_post_json("https://api.example.test/embed", {}, {})
+    assert exc_info.value.status == 0
+    assert exc_info.value.retryable
+
+
+@pytest.mark.parametrize("failure", sorted(TRANSPORT_FAILURES))
+def test_transport_error_is_retried(monkeypatch, failure):
+    monkeypatch.setenv("QGEN_API_KEY", "secret-key")
+    fail = failing_urlopen(failure)
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(request)
+        if len(calls) == 1:
+            return fail(request, timeout)
+        return io.BytesIO(json.dumps({"embeddings": [[1.0, 0.0]]}).encode())
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    provider = HttpEmbeddingProvider("https://api.example.test/embed", "m")
+    vectors = embed_texts(provider, ["a"], ProviderPolicy(max_retries=1, base_delay=0.5))
+    assert vectors.tolist() == [[1.0, 0.0]]
+    assert len(calls) == 2 and sleeps == [0.5]
 
 
 @pytest.mark.parametrize(("header", "expected_sleeps"), [("7", [7.0]), ("0.1", [0.5]), (None, [0.5])])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -15,7 +16,7 @@ from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.cli import main
 from qgen.config import load_config
-from qgen.embedding import MockEmbeddingProvider, embed_texts
+from qgen.embedding import MockEmbeddingProvider, _bucket, embed_texts
 from qgen.errors import PipelineStateError, ProviderError
 from qgen.evaluate import (
     TIE_TOLERANCE,
@@ -47,6 +48,11 @@ STANDARDS = [
 # Verified token-disjoint from the first three standard descriptions under
 # the mock embedder's hash buckets; the test re-checks that explicitly.
 DISJOINT_STEM = "kapal layar belayar jauh ungu"
+
+
+def token_buckets(embedder: MockEmbeddingProvider, text: str) -> set[int]:
+    """The mock embedder's buckets of this text's tokens."""
+    return {_bucket(token, embedder.dim) for token in re.findall(r"\w+", text.lower())}
 
 
 def make_mcq(stem: str) -> Mcq:
@@ -93,10 +99,10 @@ def test_identical_stem_scores_one(mock_embedder):
 
 
 def test_token_disjoint_stem_scores_zero(mock_embedder):
-    stem_buckets = mock_embedder.token_buckets(DISJOINT_STEM)
+    stem_buckets = token_buckets(mock_embedder, DISJOINT_STEM)
     standard_buckets = set()
     for s in STANDARDS[:3]:
-        standard_buckets |= mock_embedder.token_buckets(s.description)
+        standard_buckets |= token_buckets(mock_embedder, s.description)
     assert stem_buckets.isdisjoint(standard_buckets), "fixture tokens collide; pick new words"
 
     result = align(mock_embedder, make_mcq(DISJOINT_STEM), STANDARDS[:3])

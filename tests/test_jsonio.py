@@ -137,6 +137,17 @@ def test_float_text_of_tiny_and_huge_magnitudes(tmp_path):
     assert [f for row in read_jsonl(path) for f in row["x"]] == [2.5e-05, 1e16, -1e-300, 0.5]
 
 
+def test_float64_array_is_written_as_its_list(tmp_path):
+    values = np.array([-0.0, 5e-324, 1e-5, 2.5e-05, 1e16, 0.1, -1.5, np.finfo(np.float64).max])
+    row = {"x": values, "m": values.reshape(2, 4)}
+    as_lists = {"x": values.tolist(), "m": values.reshape(2, 4).tolist()}
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [row])
+    assert path.read_bytes() == dumps(as_lists) + b"\n"
+    assert dumps(row) == dumps(as_lists)
+    assert [_bits(r) for r in read_jsonl(path)] == [_bits(as_lists)]
+
+
 @pytest.mark.parametrize("line, problem", [
     ("{broken json", "invalid JSON: unexpected character at column 2$"),
     ('{"score": NaN}', "invalid JSON"),

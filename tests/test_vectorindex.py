@@ -6,6 +6,7 @@ import math
 import random
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,6 +308,24 @@ def test_saved_checksum_is_format_2_definition(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["format_version"] == 2
     assert payload["checksum"] == checksum_v2(payload["entries"])
+
+
+def test_saved_vectors_are_the_bytes_of_their_float_lists(tmp_path):
+    # Unit rows holding a negative zero, the smallest subnormal and a float
+    # whose shortest text is 0.00001.
+    matrix = np.array([[-0.0, 1.0, 5e-324], [1e-5, math.sqrt(1 - 1e-10), -0.0], [0.6, -0.8, 0.0]])
+    chunks = [make_chunk(f"c{i}") for i in range(3)]
+    entries = [{"chunk": c.to_dict(), "vector": v} for c, v in zip(chunks, matrix.tolist())]
+    reference = orjson.dumps({
+        "format_version": 2, "dimension": 3, "provider_tag": "t", "count": 3,
+        "checksum": checksum_v2(entries), "entries": entries,
+    }, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    assert b"-0.0," in reference and b"5e-324" in reference and b"0.00001," in reference
+    for order in ("C", "F"):
+        path = tmp_path / f"{order}.json"
+        save_index(VectorIndex(chunks, np.array(matrix, order=order), "t"), path)
+        assert path.read_bytes() == reference, order
+        assert load_index(path).matrix.tobytes() == matrix.tobytes()
 
 
 def test_spaced_layout_loads_equal(tmp_path):
