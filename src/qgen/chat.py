@@ -25,7 +25,7 @@ class ChatProvider(Protocol):
                  seed: int | None = None) -> str: ...
 
     def complete_structured(self, system: str, user: str, schema: dict, *,
-                            temperature: float = 0.7, seed: int | None = None) -> dict: ...
+                            temperature: float = 0.7, seed: int | None = None) -> str: ...
 
 
 # Off-curriculum stems for non-grounded prompts; vocabulary deliberately
@@ -131,11 +131,11 @@ class MockChatProvider:
         return dumps(self._mcq_payload(user, seed)).decode()
 
     def complete_structured(self, system: str, user: str, schema: dict, *,
-                            temperature: float = 0.7, seed: int | None = None) -> dict:
+                            temperature: float = 0.7, seed: int | None = None) -> str:
         del system, schema, temperature
         # Schema-constrained mode is guaranteed well-formed by contract, so
         # the malformed schedule never applies here.
-        return self._mcq_payload(user, seed or 0)
+        return dumps(self._mcq_payload(user, seed or 0)).decode()
 
 
 class HttpChatProvider:
@@ -146,8 +146,9 @@ class HttpChatProvider:
     when given; bearer token from the configured environment variable. The
     response carries the completion at ``choices[0].message.content`` (or a
     top-level ``content``), a string, JSON-encoded for structured requests;
-    content of any other type, and structured content that is not strict
-    JSON, is a non-retryable :class:`ProviderError`.
+    content of any other type, and structured content that is not a strict
+    JSON object, is a non-retryable :class:`ProviderError`. Both methods
+    return the content exactly as the endpoint sent it.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "QGEN_API_KEY"):
@@ -191,7 +192,7 @@ class HttpChatProvider:
         return self._request(system, user, temperature, None, seed)
 
     def complete_structured(self, system: str, user: str, schema: dict, *,
-                            temperature: float = 0.7, seed: int | None = None) -> dict:
+                            temperature: float = 0.7, seed: int | None = None) -> str:
         content = self._request(system, user, temperature, schema, seed)
         try:
             data = loads(content)
@@ -199,4 +200,4 @@ class HttpChatProvider:
             raise ProviderError(0, f"schema-constrained response is not JSON: {exc}", retryable=False) from exc
         if not isinstance(data, dict):
             raise ProviderError(0, "schema-constrained response is not a JSON object", retryable=False)
-        return data
+        return content

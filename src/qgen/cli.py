@@ -284,14 +284,16 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     sts_table, sts_rows = _rows_read(table, sts_rows)
     stem_table, stem_rows = _rows_read(table, stem_rows)
     best = sts_alignment(sts_table, codes)
-    ranked = retrieve_standards(rpt_index, stem_table, ev.k)
-    outcome_of = dict(zip(stem_rows, parsed))
+    positions, top_scores = retrieve_standards(rpt_index, stem_table, ev.k)
+    stem_of = {r: o.mcq.stem for r, o in zip(stem_rows, parsed)}
+    contexts = [[rpt_index.chunks[i] for i in row] for row in positions.tolist()]
+    tops = top_scores[:, 0].tolist()
     asked = map_in_flight(
         lambda r: ragqa_validity(
-            outcome_of[r].mcq, rpt_index, ranked[r], chat,
+            stem_of[r], contexts[r], tops[r], chat,
             tau=ev.tau, refusal_markers=ev.refusal_markers,
         ),
-        range(len(ranked)), policy,
+        range(len(contexts)), policy,
     )
     alignments = [best[r] for r in sts_rows]
     verdicts = [asked[r] for r in stem_rows]

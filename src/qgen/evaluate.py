@@ -16,14 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .chat import ChatProvider
-from .chunking import Strategy
+from .chunking import Chunk, Strategy
 from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_texts
 from .errors import PipelineStateError
 from .generate import METHOD_ORDER, GenOutcome, Method
 from .jsonio import dumps
 from .mcq import Mcq
 from .prompts import build_prompt_qa
-from .vectorindex import ScoredHit, VectorIndex, similarities, top_k
+from .vectorindex import VectorIndex, similarities, top_k
 
 
 class Verdict(Enum):
@@ -161,11 +161,12 @@ def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentSco
     ]
 
 
-def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -> list[list[ScoredHit]]:
+def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` standards for each row of a :func:`similarities` table over ``rpt_index``.
 
-    These are the validity check's retrievals. The index must be built
-    exclusively from standard-split chunks.
+    These are the validity check's retrievals, as :func:`top_k` returns
+    them: each row's positions in ``rpt_index.chunks`` and their scores.
+    The index must be built exclusively from standard-split chunks.
     """
     if any(c.strategy is not Strategy.STANDARD_SPLIT for c in rpt_index.chunks):
         raise PipelineStateError(
@@ -175,9 +176,9 @@ def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -
 
 
 def ragqa_validity(
-    mcq: Mcq,
-    rpt_index: VectorIndex,
-    hits: Sequence[ScoredHit],
+    stem: str,
+    context: Sequence[Chunk],
+    top_score: float,
     chat: ChatProvider,
     *,
     tau: float = 0.5,
@@ -185,17 +186,16 @@ def ragqa_validity(
 ) -> ValidityVerdict:
     """Functional validity check over the standards-only index.
 
-    ``hits`` are the stem's top-k standards from :func:`retrieve_standards`;
-    below-threshold retrieval is Invalid without ever calling the chat
-    provider, otherwise the provider answers from the retrieved standards
-    and a refusal marks the question Invalid. The chat round-trip is made
+    ``context`` holds the stem's top-k standards from
+    :func:`retrieve_standards`, best first, and ``top_score`` the first
+    one's score. Below-threshold retrieval is Invalid without ever calling
+    the chat provider, otherwise the provider answers from ``context`` and
+    a refusal marks the question Invalid. The chat round-trip is made
     once; the caller retries it, through :func:`map_in_flight`.
     """
-    top_score = hits[0].score
     if top_score < tau:
         return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=top_score)
-    context = [rpt_index.chunk_by_id(h.chunk_id) for h in hits]
-    bundle = build_prompt_qa(mcq.stem, context)
+    bundle = build_prompt_qa(stem, list(context))
     answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0)
     lowered = answer.lower()
     if any(marker.lower() in lowered for marker in refusal_markers):

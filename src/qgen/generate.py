@@ -15,9 +15,8 @@ import numpy as np
 
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
-from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_texts, map_in_flight
+from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
 from .errors import PipelineStateError
-from .jsonio import dumps
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -150,15 +149,15 @@ def embed_rag_queries(
     topic: str,
     standards: Sequence[LearningStandard],
     policy: ProviderPolicy = ProviderPolicy(),
-) -> tuple[np.ndarray, list[int]]:
+) -> np.ndarray:
     """The retrieval queries of an ``n``-request RAG batch, for :func:`generate_batch`.
 
-    Returns the unit vectors of the distinct queries and, per request, the
-    row of its query among them. A query depends only on the topic and the
-    request's target standard, so every RAG method of a run shares them.
+    Returns the ``(n, d)`` matrix whose row ``i`` is the unit vector of
+    request ``i``'s query; :func:`embed_texts` sends each distinct query
+    once. A query depends only on the topic and the request's target
+    standard, so every RAG method of a run shares them.
     """
-    distinct, rows = distinct_rows([_rag_query_text(topic, _target_standard(standards, i)) for i in range(n)])
-    return embed_texts(embedder, distinct, policy), rows
+    return embed_texts(embedder, [_rag_query_text(topic, _target_standard(standards, i)) for i in range(n)], policy)
 
 
 def generate_mcq(
@@ -174,8 +173,8 @@ def generate_mcq(
     RAG methods ground the prompt in ``context``, the chunks retrieved for
     the request in descending score order (see :func:`generate_batch`);
     non-RAG methods ignore it. The chat round-trip is made once, and only
-    the provider's errors propagate. A schema-constrained response is
-    parsed as the JSON text of its object, like any plain completion.
+    the provider's errors propagate. A schema-constrained completion is
+    parsed like any plain one.
     """
     retrieved: tuple[str, ...] = ()
     if request.method.is_rag:
@@ -190,8 +189,8 @@ def generate_mcq(
         raw = chat.complete(bundle.system_text, bundle.user_text,
                             temperature=temperature, seed=request.seed_hint)
     else:
-        raw = dumps(chat.complete_structured(bundle.system_text, bundle.user_text, bundle.response_schema,
-                                             temperature=temperature, seed=request.seed_hint)).decode()
+        raw = chat.complete_structured(bundle.system_text, bundle.user_text, bundle.response_schema,
+                                       temperature=temperature, seed=request.seed_hint)
 
     return GenOutcome(
         outcome_id=outcome_id,
@@ -212,7 +211,7 @@ def generate_batch(
     standards: list[LearningStandard],
     retrieval_k: int = 3,
     index: VectorIndex | None = None,
-    rag_queries: tuple[np.ndarray, Sequence[int]] | None = None,
+    rag_queries: np.ndarray | None = None,
     temperature: float = 0.7,
     policy: ProviderPolicy = ProviderPolicy(),
 ) -> list[GenOutcome]:
@@ -221,8 +220,8 @@ def generate_batch(
     Standards are targeted in order so coverage across the teaching plan is
     uniform; parse failures are recorded in place, never dropped. RAG
     methods take their retrieval queries from :func:`embed_rag_queries`
-    and retrieve the top ``retrieval_k`` chunks of each distinct query from
-    ``index`` in one :func:`top_k` call on the calling thread; the chat
+    and retrieve the top ``retrieval_k`` chunks of every request's query
+    from ``index`` in one :func:`top_k` call on the calling thread; the chat
     round-trips then run through :func:`map_in_flight` under ``policy``,
     and outcomes come back in request order.
     """
@@ -244,14 +243,10 @@ def generate_batch(
             raise PipelineStateError(f"{method.value} requires a vector index")
         if rag_queries is None:
             raise PipelineStateError(f"{method.value} requires an embedding provider's query vectors")
-        vectors, rows = rag_queries
-        if len(rows) != n:
-            raise PipelineStateError(f"{method.value} got retrieval queries for {len(rows)} requests, not {n}")
-        by_row = [
-            [index.chunk_by_id(h.chunk_id) for h in hits]
-            for hits in top_k(index, similarities(index, vectors), retrieval_k)
-        ]
-        contexts = [by_row[r] for r in rows]
+        if len(rag_queries) != n:
+            raise PipelineStateError(f"{method.value} got retrieval queries for {len(rag_queries)} requests, not {n}")
+        positions, _ = top_k(index, similarities(index, rag_queries), retrieval_k)
+        contexts = [[index.chunks[i] for i in row] for row in positions.tolist()]
     return map_in_flight(
         lambda i: generate_mcq(
             chat, requests[i], contexts[i],

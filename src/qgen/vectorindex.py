@@ -8,7 +8,6 @@ at insertion, reducing cosine similarity to a dot product.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +18,6 @@ from .errors import PipelineStateError
 from .jsonio import dumps, loads, write_jsonl
 
 INDEX_FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class ScoredHit:
-    chunk_id: str
-    score: float
-    rank: int
 
 
 class VectorIndex:
@@ -39,10 +31,11 @@ class VectorIndex:
         self.chunks = list(chunks)
         if not self.chunks:
             raise PipelineStateError("an index needs at least one entry")
-        self._by_id: dict[str, int] = {}
-        for i, c in enumerate(self.chunks):
-            if self._by_id.setdefault(c.chunk_id, i) != i:
+        seen: set[str] = set()
+        for c in self.chunks:
+            if c.chunk_id in seen:
                 raise PipelineStateError(f"duplicate chunk_id {c.chunk_id!r}")
+            seen.add(c.chunk_id)
         if matrix.ndim != 2 or matrix.shape[1] < 2:
             raise PipelineStateError(
                 f"vectors have shape {matrix.shape}, expected ({len(self.chunks)}, d) with d >= 2"
@@ -63,9 +56,6 @@ class VectorIndex:
 
     def __len__(self) -> int:
         return len(self.chunks)
-
-    def chunk_by_id(self, chunk_id: str) -> Chunk:
-        return self.chunks[self._by_id[chunk_id]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorIndex):
@@ -112,11 +102,12 @@ def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
-def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[list[ScoredHit]]:
+def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank each row of a :func:`similarities` table over ``index``.
 
-    Returns one list per row of ``min(k, len(index))`` hits sorted by score
-    descending, ties broken by chunk_id ascending.
+    Returns two ``(m, min(k, len(index)))`` arrays: each row's chunk
+    positions in ``index.chunks``, sorted by score descending with ties
+    broken by chunk_id ascending, and their scores, read out of ``scores``.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -131,11 +122,8 @@ def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> list[list[ScoredHit
     order = np.lexsort((index._id_rank[cols], -scores[rows, cols], rows))
     rows, cols = rows[order], cols[order]
     starts = np.searchsorted(rows, np.arange(len(scores)))
-    return [
-        [ScoredHit(chunk_id=index.chunks[i].chunk_id, score=float(scores[r, i]), rank=rank + 1)
-         for rank, i in enumerate(cols[start:start + k].tolist())]
-        for r, start in enumerate(starts.tolist())
-    ]
+    positions = cols[starts[:, None] + np.arange(k)]
+    return positions, np.take_along_axis(scores, positions, axis=1)
 
 
 def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:

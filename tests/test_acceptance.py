@@ -77,12 +77,12 @@ def test_criterion_1_retrieval_oracle():
             query = np.array([rng.gauss(0, 1) for _ in range(dim)])
             if float(np.linalg.norm(query)) == 0.0:
                 continue
-            (hits,) = top_k(index, similarities(index, query[None]), k)
+            (positions,), (scores,) = top_k(index, similarities(index, query[None]), k)
             expected = _brute_force_hits(index.matrix, [c.chunk_id for c in chunks], query, k)
-            assert [h.chunk_id for h in hits] == [cid for _, cid in expected]
-            assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
-            for h, (score, _) in zip(hits, expected):
-                assert abs(h.score - score) < 1e-9
+            assert [chunks[i].chunk_id for i in positions] == [cid for _, cid in expected]
+            assert len(scores) == len(expected)
+            for got, (score, _) in zip(scores.tolist(), expected):
+                assert abs(got - score) < 1e-9
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"retrieval oracle took {elapsed:.1f}s"
 
@@ -222,9 +222,10 @@ def test_criterion_5_failure_accounting():
         stem_vectors = embed_texts(embedder, [o.mcq.stem for o in parsed])
         alignments = sts_alignment(similarities(align_index, stem_vectors), [s.code for s in standards])
         table, _, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index)
-        ranked = retrieve_standards(rpt_index, table, 3)
+        positions, top_scores = retrieve_standards(rpt_index, table, 3)
         verdicts = [
-            ragqa_validity(o.mcq, rpt_index, ranked[row], MockChatProvider(), tau=0.35)
+            ragqa_validity(o.mcq.stem, [rpt_index.chunks[i] for i in positions[row]], float(top_scores[row, 0]),
+                           MockChatProvider(), tau=0.35)
             for o, row in zip(parsed, stem_rows)
         ]
         (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
@@ -334,8 +335,9 @@ def test_criterion_8_validity_rule_properties():
         questions = [o.mcq for o in rag + plain if o.mcq is not None]
         assert len(questions) == 50
         table, _, stem_rows = score_questions(embedder, questions, rpt_index)
-        ranked = retrieve_standards(rpt_index, table, 3)
-        stem_hits = [ranked[row] for row in stem_rows]
+        positions, top_scores = retrieve_standards(rpt_index, table, 3)
+        contexts = [[rpt_index.chunks[i] for i in positions[row]] for row in stem_rows]
+        stem_top_scores = [float(top_scores[row, 0]) for row in stem_rows]
 
         taus = [i / 10 for i in range(1, 10)]
         previous_invalid: set[int] = set()
@@ -343,7 +345,7 @@ def test_criterion_8_validity_rule_properties():
             invalid_now: set[int] = set()
             for qi, mcq in enumerate(questions):
                 spy = CountingChat()
-                verdict = ragqa_validity(mcq, rpt_index, stem_hits[qi], spy, tau=tau)
+                verdict = ragqa_validity(mcq.stem, contexts[qi], stem_top_scores[qi], spy, tau=tau)
                 if verdict.verdict is Verdict.INVALID:
                     invalid_now.add(qi)
                 if verdict.reason is VerdictReason.BELOW_THRESHOLD:

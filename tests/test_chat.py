@@ -11,7 +11,9 @@ import pytest
 import qgen.wire
 from qgen.chat import REFUSAL_TEXT, HttpChatProvider, MockChatProvider
 from qgen.errors import InputError, ProviderError
-from qgen.mcq import Mcq, parse_mcq_json
+from qgen.generate import GenRequest, Method, generate_mcq
+from qgen.jsonio import loads
+from qgen.mcq import Mcq, ParseFailure, parse_mcq_json
 from qgen.prompts import MCQ_RESPONSE_SCHEMA, build_prompt_basic, build_prompt_qa, build_prompt_rag
 from qgen.wire import http_post_json
 from tests.test_prompts import make_chunk
@@ -26,7 +28,7 @@ def test_mock_plain_completion_is_parseable():
 
 def test_mock_structured_returns_schema_shaped_dict():
     chat = MockChatProvider(malformed_rate=1.0)
-    payload = chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA)
+    payload = loads(chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA))
     assert set(payload) == {"stem", "options", "answer_key", "explanation"}
     assert len(payload["options"]) == 4
 
@@ -122,7 +124,18 @@ def test_http_chat_structured_parses_json_content(monkeypatch):
 
     monkeypatch.setattr(qgen.wire, "http_post_json", fake_transport)
     chat = HttpChatProvider("https://api.example.test/chat", "m")
-    assert chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA) == body
+    assert chat.complete_structured("s", "u", MCQ_RESPONSE_SCHEMA) == json.dumps(body)
+
+
+def test_schema_mode_parse_failure_records_the_endpoints_text(monkeypatch):
+    monkeypatch.setenv("QGEN_API_KEY", "k123")
+    content = '{"stem": "Apakah integer?", "options": ["a", "b", "c"], "answer_key": "A"}'
+    monkeypatch.setattr(qgen.wire, "http_post_json",
+                        lambda url, payload, headers, timeout: {"choices": [{"message": {"content": content}}]})
+    chat = HttpChatProvider("https://api.example.test/chat", "m")
+    outcome = generate_mcq(chat, GenRequest(method=Method.STRUCTURED_PROMPT, topic="integer"))
+    assert isinstance(outcome.result, ParseFailure)
+    assert outcome.result.raw_text == content
 
 
 def test_http_chat_structured_rejects_non_json(monkeypatch):

@@ -420,6 +420,30 @@ def test_run_all_embeds_once_per_stage_and_each_chunk_text_once(tmp_path, monkey
     assert sorted(t for batch in embedders[0].batches for t in batch) == sorted(chunk_texts)
 
 
+def test_generate_ranks_one_query_per_request_and_embeds_each_distinct_query_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    for cmd in ("ingest", "index"):
+        assert main([cmd, "--config", str(config)]) == 0
+    embedder = RecordingEmbedder(64)
+    monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (MockChatProvider(), embedder))
+    assert main(["generate", "--config", str(config), "--n", "20"]) == 0
+
+    workdir = tmp_path / "workdir"
+    descriptions = [json.loads(line)["description"]
+                    for line in (workdir / "chunks" / "learning_standards.jsonl").read_text().splitlines()]
+    assert len(descriptions) == 6
+    # One request for the stage, holding each of the 6 queries the 20 requests share once.
+    assert embedder.batches == [[f"Nombor Nisbah {d}" for d in descriptions]]
+    for method in ("rag_generic", "rag_structure_aware"):
+        rows = [json.loads(line) for line in (workdir / "outcomes" / f"{method}.jsonl").read_text().splitlines()]
+        assert len(rows) == 20
+        retrieved: dict[str, set[tuple[str, ...]]] = {}
+        for row in rows:
+            retrieved.setdefault(row["target_standard"]["code"], set()).add(tuple(row["retrieved_chunk_ids"]))
+        assert len(retrieved) == 6
+        assert all(len(ids) == 1 for ids in retrieved.values())
+
+
 def test_report_json_format(tmp_path, capsys):
     config = write_config(tmp_path, report_format="json")
     assert main(["run-all", "--config", str(config)]) == 0

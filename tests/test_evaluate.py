@@ -83,9 +83,10 @@ def stem_scores(embedder, index, mcq):
     return similarities(index, embed_texts(embedder, [mcq.stem]))
 
 
-def stem_hits(embedder, index, mcq, k=3):
-    (hits,) = retrieve_standards(index, stem_scores(embedder, index, mcq), k)
-    return hits
+def stem_retrieval(embedder, index, mcq, k=3):
+    """The stem's retrieved standards, best first, and the first one's score."""
+    (positions,), (scores,) = retrieve_standards(index, stem_scores(embedder, index, mcq), k)
+    return [index.chunks[i] for i in positions], float(scores[0])
 
 
 # --- sts_alignment -------------------------------------------------------------
@@ -365,8 +366,9 @@ def test_evaluate_records_equal_per_question_reference(tmp_path, unit):
     for outcome in parsed_outcomes(workdir):
         table, (sts_row,), (stem_row,) = score_questions(embedder, [outcome.mcq], rpt_index, unit=unit)
         alignment = sts_alignment(table, codes)[sts_row]
-        hits = retrieve_standards(rpt_index, table, ev.k)[stem_row]
-        verdict = ragqa_validity(outcome.mcq, rpt_index, hits, chat,
+        positions, top_scores = retrieve_standards(rpt_index, table, ev.k)
+        verdict = ragqa_validity(outcome.mcq.stem, [rpt_index.chunks[i] for i in positions[stem_row]],
+                                 float(top_scores[stem_row, 0]), chat,
                                  tau=ev.tau, refusal_markers=ev.refusal_markers)
         expected.append({
             "outcome_id": outcome.outcome_id,
@@ -405,7 +407,7 @@ def test_evaluate_qa_failure_exits_3_without_records(tmp_path, monkeypatch, caps
 def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
     index = standards_index(mock_embedder)
     mcq = make_mcq(f"{STANDARDS[1].code} {STANDARDS[1].description}")
-    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), mock_chat, tau=0.5)
+    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), mock_chat, tau=0.5)
     assert verdict.verdict is Verdict.VALID
     assert verdict.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED
     assert verdict.top_score == pytest.approx(1.0)
@@ -416,7 +418,7 @@ def test_below_threshold_skips_chat(mock_embedder):
     chat = CountingChat()
     index = standards_index(mock_embedder)
     mcq = make_mcq(DISJOINT_STEM)
-    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=0.5)
+    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.5)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.BELOW_THRESHOLD
     assert chat.calls == 0
@@ -427,7 +429,7 @@ def test_refusal_mode_invalidates(mock_embedder):
     chat = CountingChat(refuse_questions=True)
     index = standards_index(mock_embedder)
     mcq = make_mcq(STANDARDS[2].description)
-    verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=0.3)
+    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.3)
     assert verdict.verdict is Verdict.INVALID
     assert verdict.reason is VerdictReason.REFUSAL
     assert chat.calls == 1
@@ -458,7 +460,7 @@ def test_tau_monotonicity(mock_embedder):
         previous_invalid = False
         for tau in taus:
             chat = MockChatProvider()
-            verdict = ragqa_validity(mcq, index, stem_hits(mock_embedder, index, mcq), chat, tau=tau)
+            verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=tau)
             if previous_invalid:
                 assert verdict.verdict is Verdict.INVALID
             previous_invalid = verdict.verdict is Verdict.INVALID

@@ -69,19 +69,19 @@ def test_structured_never_fails_even_with_malformed_mode():
 
 
 class SchemaChat:
-    """Answers every schema-constrained request with one fixed object."""
+    """Answers every schema-constrained request with one fixed completion."""
 
     tag = "schema-chat"
 
-    def __init__(self, payload):
-        self.payload = payload
+    def __init__(self, content):
+        self.content = content
 
     def complete(self, system, user, *, temperature=0.7, seed=None):
         raise AssertionError("the structured method asked for a plain completion")
 
     def complete_structured(self, system, user, schema, *, temperature=0.7, seed=None):
         assert schema
-        return self.payload
+        return self.content
 
 
 def _object_payloads():
@@ -99,8 +99,9 @@ OBJECT_PAYLOADS = list(_object_payloads())
 
 @pytest.mark.parametrize("payload", OBJECT_PAYLOADS, ids=range(len(OBJECT_PAYLOADS)))
 def test_structured_response_is_parsed_like_a_plain_completion(payload):
-    outcome = generate_mcq(SchemaChat(payload), GenRequest(method=Method.STRUCTURED_PROMPT, topic="integer"))
-    expected = parse_mcq_json(dumps(payload).decode())
+    content = dumps(payload).decode()
+    outcome = generate_mcq(SchemaChat(content), GenRequest(method=Method.STRUCTURED_PROMPT, topic="integer"))
+    expected = parse_mcq_json(content)
     assert isinstance(expected, ParseFailure)
     assert outcome.result == expected
 
@@ -127,7 +128,7 @@ def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index
                                 standards=[STANDARDS[2]], retrieval_k=2, index=knowledge_index,
                                 rag_queries=embed_rag_queries(mock_embedder, 1, topic="Nombor Nisbah",
                                                               standards=[STANDARDS[2]]))
-    top_chunk = knowledge_index.chunk_by_id(outcome.retrieved_chunk_ids[0])
+    (top_chunk,) = [c for c in knowledge_index.chunks if c.chunk_id == outcome.retrieved_chunk_ids[0]]
     first_line = top_chunk.text.split("\n")[0]
     assert first_line.split()[0] in outcome.result.stem
 
@@ -140,6 +141,14 @@ def test_missing_index_and_embedder(mock_chat, mock_embedder, knowledge_index):
     with pytest.raises(PipelineStateError, match="requires an embedding provider"):
         generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
                        retrieval_k=2, index=knowledge_index, rag_queries=None)
+
+
+def test_rag_batch_refuses_a_query_count_other_than_n(mock_chat, mock_embedder, knowledge_index):
+    queries = embed_rag_queries(mock_embedder, 2, topic="t", standards=STANDARDS)
+    assert queries.shape == (2, mock_embedder.dim)
+    with pytest.raises(PipelineStateError, match="got retrieval queries for 2 requests, not 3"):
+        generate_batch(mock_chat, Method.RAG_GENERIC, 3, topic="t", standards=STANDARDS,
+                       retrieval_k=2, index=knowledge_index, rag_queries=queries)
 
 
 def test_request_invariant_retrieval_k():

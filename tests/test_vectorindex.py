@@ -141,25 +141,31 @@ def test_index_matrix_is_read_only():
 # --- top_k ---------------------------------------------------------------------
 
 
-def rank(index: VectorIndex, query: np.ndarray, k: int):
+def hits_of(index: VectorIndex, positions: np.ndarray, scores: np.ndarray) -> list[tuple[str, float]]:
+    """One row of a top_k result as (chunk_id, score) pairs, best first."""
+    return [(index.chunks[i].chunk_id, s) for i, s in zip(positions.tolist(), scores.tolist())]
+
+
+def rank(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """top_k of one query vector."""
-    return top_k(index, similarities(index, np.asarray(query)[None]), k)[0]
+    positions, scores = top_k(index, similarities(index, np.asarray(query)[None]), k)
+    return hits_of(index, positions[0], scores[0])
 
 
 def test_self_similarity_rank_one():
     index = make_index(5, seed=3)
     query = np.array(index.matrix[2])
     hits = rank(index, query, k=1)
-    assert hits[0].chunk_id == "c002"
-    assert hits[0].score == pytest.approx(1.0)
-    assert hits[0].rank == 1
+    assert len(hits) == 1
+    assert hits[0][0] == "c002"
+    assert hits[0][1] == pytest.approx(1.0)
 
 
 def test_k_larger_than_index_saturates():
     index = make_index(4)
-    hits = rank(index, np.ones(8), k=100)
-    assert len(hits) == 4
-    assert [h.rank for h in hits] == [1, 2, 3, 4]
+    positions, scores = top_k(index, similarities(index, np.ones((1, 8))), 100)
+    assert positions.shape == scores.shape == (1, 4)
+    assert sorted(positions[0].tolist()) == [0, 1, 2, 3]
 
 
 def test_top_k_matches_brute_force_oracle():
@@ -171,9 +177,9 @@ def test_top_k_matches_brute_force_oracle():
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
         key=lambda t: (-t[0], t[1]),
     )[:5]
-    assert [h.chunk_id for h in hits] == [cid for _, cid in expected]
-    for h, (score, _) in zip(hits, expected):
-        assert h.score == pytest.approx(score, abs=1e-9)
+    assert [cid for cid, _ in hits] == [cid for _, cid in expected]
+    for (_, got), (score, _) in zip(hits, expected):
+        assert got == pytest.approx(score, abs=1e-9)
 
 
 def test_tie_break_by_chunk_id_ascending():
@@ -181,7 +187,7 @@ def test_tie_break_by_chunk_id_ascending():
     same = np.array([1.0, 1.0, 0.0])
     index = build_index(chunks, [same, same, same], provider_tag="t")
     hits = rank(index, np.array([1.0, 1.0, 0.0]), k=3)
-    assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
+    assert [cid for cid, _ in hits] == ["aa", "mm", "zz"]
 
 
 def test_query_scale_invariance():
@@ -189,7 +195,7 @@ def test_query_scale_invariance():
     query = np.array(index.matrix[7]) + 0.1
     base = rank(index, query, k=6)
     scaled = rank(index, 37.5 * query, k=6)
-    assert [(h.chunk_id, h.rank) for h in base] == [(h.chunk_id, h.rank) for h in scaled]
+    assert [cid for cid, _ in base] == [cid for cid, _ in scaled]
 
 
 def test_query_dimension_checked():
@@ -216,7 +222,7 @@ def test_top_k_equals_brute_force_property(size, dim, k, seed):
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
         key=lambda t: (-t[0], t[1]),
     )[: min(k, size)]
-    assert [h.chunk_id for h in hits] == [cid for _, cid in expected]
+    assert [cid for cid, _ in hits] == [cid for _, cid in expected]
 
 
 # --- persistence ---------------------------------------------------------------
@@ -444,12 +450,12 @@ def test_batched_top_k_equals_sorted_reference_with_ties_at_k():
     queries = np.vstack([directions, rng.standard_normal((8, 6))])
     straddled = 0
     for k in range(1, 23):
-        batched = top_k(index, similarities(index, queries), k)
-        assert len(batched) == len(queries)
-        for query, hits in zip(queries, batched):
+        positions, top_scores = top_k(index, similarities(index, queries), k)
+        assert positions.shape == top_scores.shape == (len(queries), min(k, len(index)))
+        for query, row, row_scores in zip(queries, positions, top_scores):
+            hits = hits_of(index, row, row_scores)
             expected = reference_top_k(index, query, k)
-            assert [(h.chunk_id, h.score) for h in hits] == expected
-            assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+            assert hits == expected
             assert hits == rank(index, query, k)
             scores = sorted(similarities(index, query[None])[0], reverse=True)
             straddled += k < len(index) and scores[k - 1] == scores[k]
@@ -458,8 +464,9 @@ def test_batched_top_k_equals_sorted_reference_with_ties_at_k():
 
 def test_batched_top_k_of_no_queries_is_empty():
     index = make_index(3)
-    assert top_k(index, similarities(index, np.empty((0, 0))), 2) == []
-    assert top_k(index, similarities(index, np.empty((0, 8))), 2) == []
+    for queries in (np.empty((0, 0)), np.empty((0, 8))):
+        positions, scores = top_k(index, similarities(index, queries), 2)
+        assert positions.shape == scores.shape == (0, 2)
     with pytest.raises(PipelineStateError, match=r"queries have shape \(2, 5\)"):
         similarities(index, np.ones((2, 5)))
 
