@@ -18,7 +18,7 @@ Reading order is file order; blocks are never re-sorted by bbox.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
@@ -53,12 +53,23 @@ class DocRole(Enum):
     STANDARDS_BLUEPRINT = "standards"
 
 
+# Numbers are checked by exact type, so a bool (an int subclass) is none.
+_NUMBER_TYPES = {int, float}
+
+
+def _check_page_number(number) -> None:
+    if not (type(number) is int and number >= 1):
+        raise ValueError(f"page must be a positive integer, got {number!r}")
+
+
 @dataclass(frozen=True)
 class Block:
     """One extracted text block with its page position and font metadata.
 
-    Text is whitespace-normalized at construction, so every downstream
-    consumer sees collapsed space runs and trimmed line edges.
+    The constructor is the only check of a block's fields. Text is
+    whitespace-normalized, so every downstream consumer sees collapsed
+    space runs and trimmed line edges; the bbox becomes a float tuple and
+    the font size a float.
     """
 
     text: str
@@ -69,17 +80,23 @@ class Block:
 
     def __post_init__(self):
         if not isinstance(self.text, str):
-            raise ValueError("block text must be a string")
+            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
         object.__setattr__(self, "text", normalize_ws(self.text))
         if not self.text:
-            raise ValueError("block text must contain a non-whitespace character")
-        if self.page < 1:
-            raise ValueError("page must be a positive integer")
-        x0, y0, x1, y1 = self.bbox
+            raise ValueError("text must contain a non-whitespace character")
+        _check_page_number(self.page)
+        bbox = self.bbox
+        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4 and {*map(type, bbox)} <= _NUMBER_TYPES):
+            raise ValueError(f"bbox must be four numbers [x0, y0, x1, y1], got {bbox!r}")
+        x0, y0, x1, y1 = bbox = tuple(map(float, bbox))
         if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"bbox must satisfy x0 < x1 and y0 < y1, got {self.bbox}")
-        if self.font_size <= 0:
-            raise ValueError("font_size must be positive")
+            raise ValueError(f"bbox must satisfy x0 < x1 and y0 < y1, got {bbox}")
+        object.__setattr__(self, "bbox", bbox)
+        if not (type(self.font_size) in _NUMBER_TYPES and self.font_size > 0):
+            raise ValueError(f"font_size must be a positive number, got {self.font_size!r}")
+        object.__setattr__(self, "font_size", float(self.font_size))
+        if not (self.font_name is None or isinstance(self.font_name, str)):
+            raise ValueError(f"font_name must be a string when present, got {type(self.font_name).__name__}")
 
 
 @dataclass(frozen=True)
@@ -87,14 +104,32 @@ class Page:
     number: int
     blocks: tuple[Block, ...]
 
+    def __post_init__(self):
+        _check_page_number(self.number)
+
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """An ordered sequence of pages of layout blocks in reading order."""
+    """An ordered sequence of pages of layout blocks in reading order.
+
+    Its doc_id is a non-blank string, its page numbers strictly increase
+    and it holds at least one block.
+    """
 
     doc_id: str
     role: DocRole
-    pages: tuple[Page, ...] = field(default_factory=tuple)
+    pages: tuple[Page, ...]
+
+    def __post_init__(self):
+        if not (isinstance(self.doc_id, str) and self.doc_id.strip()):
+            raise ValueError(f"doc_id must be a non-blank string, got {self.doc_id!r}")
+        previous = 0
+        for i, page in enumerate(self.pages):
+            if page.number <= previous:
+                raise ValueError(f"pages[{i}]: page {page.number} does not increase (previous {previous})")
+            previous = page.number
+        if not any(page.blocks for page in self.pages):
+            raise ValueError("document contains no blocks")
 
     def iter_blocks(self) -> Iterator[Block]:
         for page in self.pages:
@@ -115,18 +150,16 @@ def flatten_text(doc: SourceDocument) -> str:
     return "\n\n".join(b.text for b in doc.iter_blocks())
 
 
-def _require(cond: bool, path: str, detail: str) -> None:
-    if not cond:
-        raise InputError(f"{path}: {detail}")
-
-
 def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocument:
     """Load a Blocks-JSON file into a :class:`SourceDocument`.
 
-    ``role``, when given, asserts the document role declared in the file;
-    text that is not strict JSON (see :mod:`qgen.jsonio`), a mismatch, a
-    structural problem or a file with zero blocks raises :class:`InputError`
-    naming the file and, where one is at fault, the field.
+    ``role``, when given, asserts the document role declared in the file.
+    This maps the file's JSON onto the :class:`Block`, :class:`Page` and
+    :class:`SourceDocument` constructors, which check the fields. Text that
+    is not strict JSON (see :mod:`qgen.jsonio`), a role mismatch, a JSON
+    shape the format does not have or a field a constructor refuses raises
+    :class:`InputError` naming the file and, where one is at fault, the
+    JSON path (``pages[i]`` or ``pages[i].blocks[j]``).
     """
     path = Path(path)
     spath = str(path)
@@ -137,9 +170,8 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
     except ValueError as exc:
         raise InputError(f"{spath}: invalid JSON: {exc}") from exc
 
-    _require(isinstance(raw, dict), spath, "top level must be an object")
-    doc_id = raw.get("doc_id")
-    _require(isinstance(doc_id, str) and doc_id.strip() != "", spath, "doc_id must be a non-empty string")
+    if not isinstance(raw, dict):
+        raise InputError(f"{spath}: top level must be an object")
     role_raw = raw.get("role")
     try:
         file_role = DocRole(role_raw)
@@ -147,52 +179,31 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
         raise InputError(f"{spath}: role must be 'knowledge' or 'standards', got {role_raw!r}") from None
     if role is not None and file_role is not role:
         raise InputError(f"{spath}: expected role {role.value!r}, file declares {file_role.value!r}")
-
     pages_raw = raw.get("pages")
-    _require(isinstance(pages_raw, list), spath, "pages must be a list")
+    if not isinstance(pages_raw, list):
+        raise InputError(f"{spath}: pages must be a list")
 
     pages: list[Page] = []
-    prev_page_no = 0
     for pi, page_raw in enumerate(pages_raw):
-        where = f"pages[{pi}]"
-        _require(isinstance(page_raw, dict), spath, f"{where} must be an object")
-        page_no = page_raw.get("page")
-        _require(isinstance(page_no, int) and not isinstance(page_no, bool) and page_no >= 1,
-                 spath, f"{where}.page must be a positive integer")
-        _require(page_no > prev_page_no, spath,
-                 f"{where}.page={page_no} does not increase (previous {prev_page_no})")
-        prev_page_no = page_no
+        if not isinstance(page_raw, dict):
+            raise InputError(f"{spath}: pages[{pi}] must be an object")
         blocks_raw = page_raw.get("blocks")
-        _require(isinstance(blocks_raw, list), spath, f"{where}.blocks must be a list")
+        if not isinstance(blocks_raw, list):
+            raise InputError(f"{spath}: pages[{pi}].blocks must be a list")
+        number = page_raw.get("page")
         blocks: list[Block] = []
         for bi, b in enumerate(blocks_raw):
-            bwhere = f"{where}.blocks[{bi}]"
-            _require(isinstance(b, dict), spath, f"{bwhere} must be an object")
-            text = b.get("text")
-            _require(isinstance(text, str), spath, f"{bwhere}.text must be a string")
-            bbox = b.get("bbox")
-            _require(isinstance(bbox, list) and len(bbox) == 4
-                     and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),
-                     spath, f"{bwhere}.bbox must be four numbers [x0,y0,x1,y1]")
-            font_size = b.get("font_size")
-            _require(isinstance(font_size, (int, float)) and not isinstance(font_size, bool),
-                     spath, f"{bwhere}.font_size must be a number")
-            font_name = b.get("font_name")
-            _require(font_name is None or isinstance(font_name, str),
-                     spath, f"{bwhere}.font_name must be a string when present")
+            if not isinstance(b, dict):
+                raise InputError(f"{spath}: pages[{pi}].blocks[{bi}] must be an object")
             try:
-                blocks.append(Block(
-                    text=text,
-                    page=page_no,
-                    bbox=(float(bbox[0]), float(bbox[1]), float(bbox[2]), float(bbox[3])),
-                    font_size=float(font_size),
-                    font_name=font_name,
-                ))
+                blocks.append(Block(b.get("text"), number, b.get("bbox"), b.get("font_size"), b.get("font_name")))
             except ValueError as exc:
-                raise InputError(f"{spath}: {bwhere}: {exc}") from None
-        pages.append(Page(number=page_no, blocks=tuple(blocks)))
-
-    doc = SourceDocument(doc_id=doc_id, role=file_role, pages=tuple(pages))
-    if doc.block_count == 0:
-        raise InputError(f"{spath}: document contains no blocks")
-    return doc
+                raise InputError(f"{spath}: pages[{pi}].blocks[{bi}]: {exc}") from None
+        try:
+            pages.append(Page(number, tuple(blocks)))
+        except ValueError as exc:
+            raise InputError(f"{spath}: pages[{pi}]: {exc}") from None
+    try:
+        return SourceDocument(raw.get("doc_id"), file_role, tuple(pages))
+    except ValueError as exc:
+        raise InputError(f"{spath}: {exc}") from None

@@ -61,6 +61,7 @@ class Chunk:
 
 
 STANDARD_CODE_RE = re.compile(r"(?m)^(\d+\.\d+\.\d+)\b")
+_STANDARD_CODE = re.compile(r"\d+\.\d+\.\d+")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class LearningStandard:
     description: str
 
     def __post_init__(self):
-        if not re.fullmatch(r"\d+\.\d+\.\d+", self.code):
+        if not _STANDARD_CODE.fullmatch(self.code):
             raise ValueError(f"standard code must match digit.digit.digit, got {self.code!r}")
 
 
@@ -139,8 +140,6 @@ def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 2
         raise InputError(f"max_chars must be positive, got {max_chars}")
     if overlap < 0 or overlap >= max_chars:
         raise InputError(f"overlap must satisfy 0 <= overlap < max_chars, got overlap={overlap}, max_chars={max_chars}")
-    if doc.block_count == 0:
-        raise InputError(f"{doc.doc_id}: no blocks to chunk")
 
     text = flatten_text(doc)
     # Legal cut positions: every atomic piece's end offset.
@@ -206,10 +205,8 @@ def chunk_structure_aware(
     """
     if max_chars < 1:
         raise InputError(f"max_chars must be positive, got {max_chars}")
-    blocks = list(doc.iter_blocks())
-    if not blocks:
-        raise InputError(f"{doc.doc_id}: no blocks to chunk")
 
+    blocks = list(doc.iter_blocks())
     med = median(b.font_size for b in blocks)
 
     groups: list[list[int]] = []

@@ -242,18 +242,6 @@ def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcom
     return outcomes
 
 
-def _rows_read(table: np.ndarray, rows: list[int]) -> tuple[np.ndarray, list[int]]:
-    """The rows of ``table`` that ``rows`` names, in table order, and ``rows`` renumbered into them.
-
-    A table whose every row is read comes back as it is, not copied.
-    """
-    kept = sorted(set(rows))
-    if len(kept) == len(table):
-        return table, rows
-    renumber = {r: i for i, r in enumerate(kept)}
-    return table[kept], [renumber[r] for r in rows]
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score every parsed outcome and write records plus the method report."""
     work = Workdir(cfg.paths.workdir)
@@ -275,26 +263,24 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     policy = _provider_policy(cfg)
     table, sts_rows, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index,
                                                  unit=ev.sts_unit, policy=policy)
-    # Each distinct text is aligned and ranked once, and each distinct stem
-    # is asked once: the QA request is a pure function of the stem, so
-    # identical stems share one verdict. A question then takes the results
-    # of its rows. Table rows keep first-occurrence order, so the QA
-    # requests go out in that order. Scoring and retrieval are CPU work and
-    # stay on this thread; only the QA round-trips overlap.
-    sts_table, sts_rows = _rows_read(table, sts_rows)
-    stem_table, stem_rows = _rows_read(table, stem_rows)
-    best = sts_alignment(sts_table, codes)
-    positions, top_scores = retrieve_standards(rpt_index, stem_table, ev.k)
-    stem_of = {r: o.mcq.stem for r, o in zip(stem_rows, parsed)}
-    contexts = [[rpt_index.chunks[i] for i in row] for row in positions.tolist()]
-    tops = top_scores[:, 0].tolist()
-    asked = map_in_flight(
+    # Each distinct text is aligned and ranked once: rows are independent,
+    # so both reductions take the whole table. Each distinct stem is asked
+    # once: the QA request is a pure function of the stem, so identical
+    # stems share one verdict, and the requests go out in the stems'
+    # first-occurrence order. A question then takes the results of its rows.
+    # Scoring and retrieval are CPU work and stay on this thread; only the
+    # QA round-trips overlap.
+    best = sts_alignment(table, codes)
+    positions, top_scores = retrieve_standards(rpt_index, table, ev.k)
+    positions, tops = positions.tolist(), top_scores[:, 0].tolist()
+    stem_of = dict(zip(stem_rows, (o.mcq.stem for o in parsed)))
+    asked = dict(zip(stem_of, map_in_flight(
         lambda r: ragqa_validity(
-            stem_of[r], contexts[r], tops[r], chat,
+            stem_of[r], [rpt_index.chunks[i] for i in positions[r]], tops[r], chat,
             tau=ev.tau, refusal_markers=ev.refusal_markers,
         ),
-        range(len(contexts)), policy,
-    )
+        list(stem_of), policy,
+    )))
     alignments = [best[r] for r in sts_rows]
     verdicts = [asked[r] for r in stem_rows]
     records = [

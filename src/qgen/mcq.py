@@ -31,7 +31,7 @@ class McqValidationError(ValueError):
 
 
 def _squash_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,7 @@ class ParseFailure:
 
 
 _FENCE_RE = re.compile(r"^\s*```[A-Za-z0-9_-]*\s*\n(?P<body>.*)\n?```\s*$", re.DOTALL)
+_ANSWER_LETTER_RE = re.compile(r"([A-Da-d])\s*[\).:,]?")
 
 _STEM_KEYS = ("stem", "question", "soalan")
 _OPTIONS_KEYS = ("options", "choices", "pilihan")
@@ -169,7 +170,7 @@ def _coerce_options(payload) -> tuple[McqOption, ...]:
 def _coerce_answer(payload, options: tuple[McqOption, ...]):
     """The label ``payload`` names by letter or by option text; any other value as given."""
     if isinstance(payload, str):
-        m = re.fullmatch(r"([A-Da-d])\s*[\).:,]?", payload.strip())
+        m = _ANSWER_LETTER_RE.fullmatch(payload.strip())
         if m:
             return m.group(1).upper()
         squashed = _squash_ws(payload)

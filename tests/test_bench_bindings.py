@@ -1,14 +1,17 @@
-"""Guards the traced benchmark run (``bench/run.py --trace 1``) against refactors.
+"""Guards the benchmark run (``bench/run.py``, traced or not) against refactors.
 
 The benchmark wraps layer functions at the binding their caller looks up,
 so renaming or moving one of them breaks tracing without failing any
-pipeline test. This only reads ``bench/``.
+pipeline test; it also builds probe documents with the qgen constructors.
+This only reads ``bench/``.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 
 from qgen.cli import main
 from tests.conftest import FIXTURES, REPO_ROOT
@@ -40,3 +43,13 @@ def test_every_traced_binding_is_called_by_run_all(tmp_path, monkeypatch):
     assert main(["run-all", "--config", str(FIXTURES / "mock_config.json"),
                  "--workdir", str(tmp_path / "workdir")]) == 0
     assert called == {(m, a) for m, a, _, _ in _load_spans().BINDINGS}
+
+
+def test_bench_run_is_correct():
+    """The benchmark's own command, once and untimed: a change that breaks a bench run fails here."""
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "remote_latency", "--seed", "1", "--seconds", "0"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert '"correct": true' in run.stdout

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgen.blocks import Block, DocRole, flatten_text, load_document, normalize_ws
+from qgen.blocks import Block, DocRole, Page, SourceDocument, flatten_text, load_document, normalize_ws
 from qgen.errors import InputError
 
 
@@ -140,3 +140,18 @@ def test_block_invariants_direct():
         Block(text="x", page=1, bbox=(0, 2, 1, 1), font_size=10)
     with pytest.raises(ValueError):
         Block(text="x", page=1, bbox=(0, 0, 1, 1), font_size=0)
+
+
+def test_block_keeps_numbers_as_floats():
+    block = Block(" x ", 1, [0, 0, 3, 2], 10)
+    assert block.text == "x"
+    assert block.bbox == (0.0, 0.0, 3.0, 2.0) and type(block.bbox) is tuple
+    assert all(type(v) is float for v in block.bbox) and type(block.font_size) is float
+
+
+def test_source_document_refuses_empty_document():
+    with pytest.raises(ValueError, match="document contains no blocks"):
+        SourceDocument("empty", DocRole.KNOWLEDGE_SOURCE, ())
+    with pytest.raises(ValueError, match="document contains no blocks"):
+        SourceDocument("empty", DocRole.KNOWLEDGE_SOURCE, (Page(1, ()),))
+

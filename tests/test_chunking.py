@@ -271,14 +271,6 @@ def test_structure_blocks_partition(nota_doc):
     assert seen == list(range(nota_doc.block_count))
 
 
-def test_structure_empty_document():
-    from qgen.blocks import SourceDocument
-
-    doc = SourceDocument(doc_id="empty", role=DocRole.KNOWLEDGE_SOURCE, pages=())
-    with pytest.raises(InputError, match="empty: no blocks to chunk"):
-        chunk_structure_aware(doc)
-
-
 def test_keyword_starts_new_chunk_midstream():
     doc = make_doc(["pengenalan ringkas", "Latih Diri 2: cuba sendiri", "jawapan di sini"])
     chunks = chunk_structure_aware(doc, heading_font_delta=4, max_chars=5000)

@@ -746,6 +746,73 @@ def test_ingest_refuses_lone_surrogate_exit_2(tmp_path, capsys, edit):
     assert not (tmp_path / "workdir" / "chunks").exists()
 
 
+def _at(keys: tuple, value):
+    """An edit of a Blocks-JSON document that sets the value at ``keys`` (the whole document for ``()``)."""
+    def edit(doc):
+        if not keys:
+            return value
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return edit
+
+
+_BLOCK0 = ("pages", 0, "blocks", 0)
+
+# One case per refusal of a knowledge blocks file: the edit, then what the
+# error says after "<file>: ", JSON path first.
+MALFORMED_BLOCKS = {
+    "not-json": (_at((), b"{not json"), "invalid JSON"),
+    "top-level-array": (_at((), []), "top level must be an object"),
+    "role-unknown": (_at(("role",), "textbook"), "role must be 'knowledge' or 'standards', got 'textbook'"),
+    "role-mismatch": (_at(("role",), "standards"), "expected role 'knowledge', file declares 'standards'"),
+    "pages-not-list": (_at(("pages",), {"page": 1}), "pages must be a list"),
+    "page-not-object": (_at(("pages", 1), "dua"), "pages[1] must be an object"),
+    "blocks-not-list": (_at(("pages", 0, "blocks"), {"text": "x"}), "pages[0].blocks must be a list"),
+    "block-not-object": (_at(("pages", 0, "blocks", 2), "teks"), "pages[0].blocks[2] must be an object"),
+    "text-not-string": (_at(_BLOCK0 + ("text",), 7), "pages[0].blocks[0]: text must be a string, got int"),
+    "text-missing": (_at(_BLOCK0 + ("text",), None), "pages[0].blocks[0]: text must be a string"),
+    "text-blank": (_at(_BLOCK0 + ("text",), " \t\n"),
+                   "pages[0].blocks[0]: text must contain a non-whitespace character"),
+    "bbox-three-numbers": (_at(_BLOCK0 + ("bbox",), [0, 0, 10]),
+                           "pages[0].blocks[0]: bbox must be four numbers [x0, y0, x1, y1], got [0, 0, 10]"),
+    "bbox-bool": (_at(_BLOCK0 + ("bbox",), [0, 0, True, 10]), "pages[0].blocks[0]: bbox must be four numbers"),
+    "bbox-string": (_at(_BLOCK0 + ("bbox",), "0 0 10 10"), "pages[0].blocks[0]: bbox must be four numbers"),
+    "bbox-degenerate": (_at(_BLOCK0 + ("bbox",), [5, 5, 5, 9]),
+                        "pages[0].blocks[0]: bbox must satisfy x0 < x1 and y0 < y1, got (5.0, 5.0, 5.0, 9.0)"),
+    "font-size-bool": (_at(_BLOCK0 + ("font_size",), True),
+                       "pages[0].blocks[0]: font_size must be a positive number, got True"),
+    "font-size-zero": (_at(_BLOCK0 + ("font_size",), 0), "pages[0].blocks[0]: font_size must be a positive number"),
+    "font-size-string": (_at(_BLOCK0 + ("font_size",), "11"),
+                         "pages[0].blocks[0]: font_size must be a positive number"),
+    "font-name-number": (_at(_BLOCK0 + ("font_name",), 3),
+                         "pages[0].blocks[0]: font_name must be a string when present, got int"),
+    # A page's number reaches each of its blocks, so the first block refuses it.
+    "page-bool": (_at(("pages", 0, "page"), True), "pages[0].blocks[0]: page must be a positive integer, got True"),
+    "page-float": (_at(("pages", 0, "page"), 1.0), "pages[0].blocks[0]: page must be a positive integer, got 1.0"),
+    "page-zero-without-blocks": (_at(("pages", 0), {"page": 0, "blocks": []}),
+                                 "pages[0]: page must be a positive integer, got 0"),
+    "page-not-increasing": (_at(("pages", 1, "page"), 1), "pages[1]: page 1 does not increase (previous 1)"),
+    "doc-id-blank": (_at(("doc_id",), "  "), "doc_id must be a non-blank string, got '  '"),
+    "doc-id-missing": (_at(("doc_id",), None), "doc_id must be a non-blank string, got None"),
+    "no-blocks": (_at(("pages",), [{"page": 1, "blocks": []}]), "document contains no blocks"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BLOCKS)
+def test_ingest_refuses_malformed_blocks_exit_2(tmp_path, capsys, case):
+    edit, expected = MALFORMED_BLOCKS[case]
+    doc = edit(json.loads((FIXTURES / "nota_mini.blocks.json").read_text(encoding="utf-8")))
+    knowledge = tmp_path / "nota.blocks.json"
+    knowledge.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    config = write_config(tmp_path, paths={"knowledge_blocks": str(knowledge)})
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert f"error: {knowledge}: {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "workdir" / "chunks").exists()
+
+
 def test_config_lone_surrogate_exit_2_before_any_stage(tmp_path, capsys):
     config = write_config(tmp_path, generation={"topic": "Nombor \ud800"})
     assert main(["run-all", "--config", str(config)]) == 2

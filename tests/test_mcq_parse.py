@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure, parse_mcq_json
+from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure, _squash_ws, parse_mcq_json
 from tests.malformed_corpus import MALFORMED_CASES, _mcq
 
 VALID_JSON = json.dumps({
@@ -148,3 +151,13 @@ def test_mcq_serialization_round_trip():
 def test_parse_failure_serialization_round_trip():
     failure = parse_mcq_json("prose only")
     assert ParseFailure.from_dict(failure.to_dict()) == failure
+
+
+# Every whitespace character there is (none lies past U+3000), plus some that are not.
+_ALPHABET = [c for c in map(chr, range(0x3001)) if c.isspace()] + list("a.\u200b\xad")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_ALPHABET) | st.characters(), max_size=30))
+def test_squash_ws_equals_regex_reference(text):
+    assert _squash_ws(text) == re.sub(r"\s+", " ", text).strip()
