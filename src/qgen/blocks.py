@@ -101,11 +101,16 @@ class Block:
 
 @dataclass(frozen=True)
 class Page:
+    """A numbered page and its blocks, each of which names this page."""
+
     number: int
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
         _check_page_number(self.number)
+        for i, block in enumerate(self.blocks):
+            if block.page != self.number:
+                raise ValueError(f"blocks[{i}] is on page {block.page}, not page {self.number}")
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,8 @@ def _provider_policy(cfg: RunConfig) -> ProviderPolicy:
     return ProviderPolicy(max_retries=p.max_retries, base_delay=p.backoff_base, max_in_flight=p.max_in_flight)
 
 
-def _echo_config(cfg: RunConfig, work: Workdir) -> None:
-    work.root.mkdir(parents=True, exist_ok=True)
-    write_json(work.resolved_config, cfg.to_dict())
+def _echo_config(cfg: RunConfig) -> None:
+    write_json(Workdir(cfg.paths.workdir).resolved_config, cfg.to_dict())
 
 
 def _read_artifact(path: Path, stage: str, from_dict) -> list:
@@ -138,7 +137,6 @@ def _read_standards(work: Workdir) -> list[tuple[LearningStandard, str]]:
 def cmd_ingest(cfg: RunConfig) -> int:
     """Chunk both source documents into the workdir chunk files."""
     work = Workdir(cfg.paths.workdir)
-    _echo_config(cfg, work)
     knowledge = load_document(cfg.paths.knowledge_blocks, DocRole.KNOWLEDGE_SOURCE)
     standards_doc = load_document(cfg.paths.standards_blocks, DocRole.STANDARDS_BLUEPRINT)
 
@@ -166,7 +164,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_index(cfg: RunConfig) -> int:
     """Embed every chunk file in one call and persist one flat index per file."""
     work = Workdir(cfg.paths.workdir)
-    _echo_config(cfg, work)
     _, embedder = build_providers(cfg)
     names = ("knowledge_recursive", "knowledge_structure_aware", "standards")
     chunk_lists = [_read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict) for name in names]
@@ -198,7 +195,6 @@ def _load_matching_index(path: Path, embedder: EmbeddingProvider) -> VectorIndex
 def cmd_generate(cfg: RunConfig) -> int:
     """Generate n outcomes per enabled method, cycling the standards."""
     work = Workdir(cfg.paths.workdir)
-    _echo_config(cfg, work)
     chat, embedder = build_providers(cfg)
     standards = [s for s, _ in _read_standards(work)]
     gen = cfg.generation
@@ -245,7 +241,6 @@ def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcom
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score every parsed outcome and write records plus the method report."""
     work = Workdir(cfg.paths.workdir)
-    _echo_config(cfg, work)
     chat, embedder = build_providers(cfg)
     standards_index_path = work.index_file("standards")
     rpt_index = _load_matching_index(standards_index_path, embedder)
@@ -332,19 +327,20 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgen",
+        usage="qgen <command> [options]",
         description="Curriculum-grounded MCQ generation and evaluation pipeline",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{fn.__doc__}" for name, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--mock", action="store_true", help="force offline mock providers")
-        p.add_argument("--n", type=int, default=None, help="questions per method")
-        p.add_argument("--methods", type=str, default=None,
-                       help="comma-separated methods (structured,basic,rag_generic,rag_structure)")
-        p.add_argument("--tau", type=float, default=None, help="validity retrieval threshold")
-        p.add_argument("--k", type=int, default=None, help="evaluation retrieval depth")
-        p.add_argument("--workdir", type=str, default=None, help="run artifact directory")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", type=str, default=None, help="JSON config file")
+    parser.add_argument("--mock", action="store_true", help="force offline mock providers")
+    parser.add_argument("--n", type=int, default=None, help="questions per method")
+    parser.add_argument("--methods", type=str, default=None,
+                        help="comma-separated methods (structured,basic,rag_generic,rag_structure)")
+    parser.add_argument("--tau", type=float, default=None, help="validity retrieval threshold")
+    parser.add_argument("--k", type=int, default=None, help="evaluation retrieval depth")
+    parser.add_argument("--workdir", type=str, default=None, help="run artifact directory")
     return parser
 
 
@@ -364,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if args.command != "report":  # report only reads the workdir
+            _echo_config(cfg)
         return _COMMANDS[args.command](cfg)
     except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

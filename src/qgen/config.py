@@ -57,8 +57,10 @@ class ChunkingConfig:
     unit_keywords: tuple[str, ...] = DEFAULT_UNIT_KEYWORDS
 
     def __post_init__(self):
-        if self.recursive_max_chars < 1:
-            raise InputError(f"chunking.recursive_max_chars must be >= 1, got {self.recursive_max_chars}")
+        # Block text holds no whitespace run longer than two characters, so a
+        # window of three or more never leaves a chunk of whitespace alone.
+        if self.recursive_max_chars < 3:
+            raise InputError(f"chunking.recursive_max_chars must be >= 3, got {self.recursive_max_chars}")
         if not 0 <= self.recursive_overlap < self.recursive_max_chars:
             raise InputError(f"chunking.recursive_overlap must be within [0, recursive_max_chars), "
                              f"got {self.recursive_overlap} with recursive_max_chars {self.recursive_max_chars}")

@@ -47,16 +47,24 @@ class ProviderPolicy:
     base_delay: float = 0.5
     max_in_flight: int = 1
 
-    def delay(self, attempt: int) -> float:
-        return self.base_delay * (2 ** attempt)
+    def wait(self, attempt: int, retry_after: float | None = None) -> float:
+        """Seconds to wait after failed attempt ``attempt`` (from 0), at most 60 s.
+
+        The wait is the longer of the backoff and ``retry_after``. The
+        backoff ``base_delay * 2 ** attempt`` stops doubling at 2 ** 1023,
+        the largest power of two a float holds, so no attempt overflows; a
+        product too large for a float is infinite and capped like any other.
+        """
+        backoff = self.base_delay * 2.0 ** min(attempt, 1023)
+        return min(max(backoff, retry_after or 0.0), _MAX_WAIT)
 
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-# The longest wait a provider's Retry-After can ask for, in seconds.
-_MAX_RETRY_AFTER = 60.0
+# The longest any retry waits, in seconds.
+_MAX_WAIT = 60.0
 
 
 def _call_with_retries(fn: Callable[[T], R], item: T, policy: ProviderPolicy) -> R:
@@ -66,7 +74,7 @@ def _call_with_retries(fn: Callable[[T], R], item: T, policy: ProviderPolicy) ->
             return fn(item)
         except ProviderError as exc:
             if exc.retryable and attempt < policy.max_retries:
-                time.sleep(max(policy.delay(attempt), min(exc.retry_after or 0.0, _MAX_RETRY_AFTER)))
+                time.sleep(policy.wait(attempt, exc.retry_after))
                 attempt += 1
                 continue
             raise
@@ -76,9 +84,9 @@ def map_in_flight(fn: Callable[[T], R], items: Sequence[T], policy: ProviderPoli
     """Apply ``fn`` to every item, retried and at most ``max_in_flight`` at a time as ``policy`` says.
 
     A call that raises a retryable :class:`ProviderError` is made again for
-    its item alone, after the policy's delay or the provider's
-    ``Retry-After`` capped at 60 s, whichever is longer (waited out by
-    :func:`time.sleep`), until ``max_retries`` run out. Results come back
+    its item alone, after the policy's backoff or the provider's
+    ``Retry-After``, whichever is longer, and never more than 60 s (waited
+    out by :func:`time.sleep`), until ``max_retries`` run out. Results come back
     in input order. The calls run serially when ``max_in_flight`` is 1 or
     there is only one item, and otherwise on ``min(max_in_flight,
     len(items))`` threads that take the items in order. Once a call fails for good, no further item starts, and

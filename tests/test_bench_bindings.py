@@ -13,6 +13,8 @@ import importlib.util
 import subprocess
 import sys
 
+import pytest
+
 from qgen.cli import main
 from tests.conftest import FIXTURES, REPO_ROOT
 
@@ -45,10 +47,12 @@ def test_every_traced_binding_is_called_by_run_all(tmp_path, monkeypatch):
     assert called == {(m, a) for m, a, _, _ in _load_spans().BINDINGS}
 
 
-def test_bench_run_is_correct():
+# tau_sweep is the one workload whose stage calls pass --tau.
+@pytest.mark.parametrize("workload", ["remote_latency", "tau_sweep"])
+def test_bench_run_is_correct(workload):
     """The benchmark's own command, once and untimed: a change that breaks a bench run fails here."""
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "remote_latency", "--seed", "1", "--seconds", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]

@@ -155,3 +155,8 @@ def test_source_document_refuses_empty_document():
     with pytest.raises(ValueError, match="document contains no blocks"):
         SourceDocument("empty", DocRole.KNOWLEDGE_SOURCE, (Page(1, ()),))
 
+
+def test_page_refuses_a_block_from_another_page():
+    with pytest.raises(ValueError, match=r"blocks\[1\] is on page 5, not page 1"):
+        Page(1, (Block("x", 1, (0, 0, 1, 1), 10), Block("y", 5, (0, 0, 1, 1), 10)))
+    assert Page(5, (Block("y", 5, (0, 0, 1, 1), 10),)).blocks[0].page == 5

@@ -280,6 +280,36 @@ def test_resolved_config_echoes_overrides(tmp_path):
     assert resolved["generation"]["n_per_method"] == 9
 
 
+@pytest.mark.parametrize("command, echoes", [
+    ("run-all", 1), ("ingest", 1), ("index", 1), ("generate", 1), ("evaluate", 1), ("report", 0),
+])
+def test_each_command_records_the_config_once(tmp_path, monkeypatch, command, echoes):
+    """``run-all`` writes ``resolved_config.json`` once, like every stage; ``report`` writes nothing."""
+    config = write_config(tmp_path)
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    before = workdir_snapshot(workdir)
+    written = []
+    for name in ("write_json", "write_jsonl", "write_text"):
+        monkeypatch.setattr(qgen.cli, name, lambda path, *args, _write=getattr(qgen.cli, name):
+                            written.append(Path(path).relative_to(workdir).as_posix()) or _write(path, *args))
+    assert main([command, "--config", str(config)]) == 0
+    assert written.count("resolved_config.json") == echoes
+    if command == "report":
+        assert written == []
+    assert workdir_snapshot(workdir) == before
+
+
+def test_help_lists_every_command_with_its_docstring(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qgen <command> [options]\n")
+    for name, fn in qgen.cli._COMMANDS.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(fn.__doc__)}$", out, re.MULTILINE), name
+
+
 def test_run_all_propagates_first_failing_stage(tmp_path):
     config = write_config(tmp_path, paths={
         "knowledge_blocks": str(tmp_path / "gone.blocks.json"),
@@ -391,6 +421,39 @@ def test_index_provider_failure_on_a_standards_text_writes_no_index(tmp_path, mo
                         lambda cfg: (MockChatProvider(), FailsOnText(cfg.provider.mock_dim, standards_text)))
     assert main(["index", "--config", str(config)]) == 3
     assert "rejected standards text" in capsys.readouterr().err
+    assert not (workdir / "indexes").exists()
+
+
+class AlwaysBusy(MockEmbeddingProvider):
+    """Mock embedder whose every request fails with a retryable 503."""
+
+    def __init__(self, dim):
+        super().__init__(dim=dim)
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        raise ProviderError(503, "busy", retryable=True)
+
+
+@pytest.mark.parametrize("backoff_base", [0.5, 1e308])
+def test_every_retry_wait_is_capped_at_60_s(tmp_path, monkeypatch, capsys, backoff_base):
+    """1,100 retryable failures wait at most 60 s each, never overflow, and then exit 3."""
+    config = write_config(tmp_path, provider={"mock": True, "max_in_flight": 1, "max_retries": 1099,
+                                              "backoff_base": backoff_base})
+    workdir = tmp_path / "workdir"
+    assert main(["ingest", "--config", str(config)]) == 0
+    embedder = AlwaysBusy(64)
+    monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (MockChatProvider(), embedder))
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    capsys.readouterr()
+    assert main(["index", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == "error: provider error (status 503): busy\n"
+    assert embedder.calls == 1100
+    assert len(sleeps) == 1099
+    assert max(sleeps) == sleeps[-1] == 60.0
+    assert sleeps == sorted(sleeps)
     assert not (workdir / "indexes").exists()
 
 
@@ -613,6 +676,21 @@ def test_bad_mock_or_chunking_value_exit_2_before_any_stage(tmp_path, capsys, se
     assert main(["ingest", "--config", str(config)]) == 2
     assert setting in capsys.readouterr().err
     assert not (tmp_path / "workdir").exists()
+
+
+def test_recursive_window_must_exceed_a_blank_line(tmp_path, capsys):
+    """At 2 characters the blank line between two blocks is a chunk of its own; 3 is the least window."""
+    config = write_config(tmp_path, chunking={"recursive_max_chars": 2, "recursive_overlap": 0})
+    assert main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: chunking.recursive_max_chars must be >= 3, got 2\n"
+    assert not (tmp_path / "workdir").exists()
+    config = write_config(tmp_path, chunking={"recursive_max_chars": 3, "recursive_overlap": 0})
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["index", "--config", str(config)]) == 0
+    texts = [json.loads(line)["text"] for line in
+             (tmp_path / "workdir" / "chunks" / "knowledge_recursive.jsonl").read_text().splitlines()]
+    assert all(text.strip() for text in texts)
+    assert len(texts) > 100
 
 
 def test_run_all_identical_across_max_in_flight(tmp_path):

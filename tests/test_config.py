@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from qgen.cli import _build_parser, resolve_config
+from qgen.cli import _COMMANDS, _build_parser, resolve_config
 from qgen.config import RunConfig, config_from_dict, load_config, parse_method
 from qgen.errors import InputError
 from qgen.generate import METHOD_ORDER, Method
+from tests.conftest import FIXTURES
 
 
 def test_defaults():
@@ -58,6 +59,36 @@ def test_repeated_methods_kept_once_in_first_order():
     assert cfg.generation.methods == (Method.BASIC_PROMPT, Method.RAG_GENERIC)
     cfg = load_config(None, {"generation": {"methods": ["structured", "basic", "structured_prompt"]}})
     assert cfg.generation.methods == (Method.STRUCTURED_PROMPT, Method.BASIC_PROMPT)
+
+
+QUICKSTART = str(FIXTURES / "mock_config.json")
+
+
+# The README quickstart commands and the bench's stage call, each with what
+# it resolves to: (command, methods, n_per_method, tau, k, workdir, mock).
+@pytest.mark.parametrize("argv, expected", [
+    (["run-all", "--config", QUICKSTART], ("run-all", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+    (["ingest", "--config", QUICKSTART], ("ingest", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+    (["index", "--config", QUICKSTART], ("index", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+    (["generate", "--config", QUICKSTART, "--methods", "rag_structure", "--n", "10"],
+     ("generate", (Method.RAG_STRUCTURE_AWARE,), 10, 0.35, 3, "workdir", True)),
+    (["evaluate", "--config", QUICKSTART, "--tau", "0.4"],
+     ("evaluate", METHOD_ORDER, 6, 0.4, 3, "workdir", True)),
+    (["report", "--config", QUICKSTART], ("report", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+    (["evaluate", "--config", QUICKSTART, "--workdir", "bench/w", "--tau", "0.35"],
+     ("evaluate", METHOD_ORDER, 6, 0.35, 3, "bench/w", True)),
+    (["--k", "7", "report", "--mock"], ("report", METHOD_ORDER, 5, 0.5, 7, "workdir", True)),
+])
+def test_argv_resolves_with_options_on_either_side_of_the_command(argv, expected):
+    command = next(arg for arg in argv if arg in _COMMANDS)
+    options = [arg for arg in argv if arg != command]
+    for order in (argv, [command, *options], [*options, command]):
+        args = _build_parser().parse_args(order)
+        cfg = resolve_config(args)
+        assert (args.command, cfg.generation.methods, cfg.generation.n_per_method, cfg.evaluation.tau,
+                cfg.evaluation.k, cfg.paths.workdir, cfg.provider.mock) == expected, order
+        if args.config:
+            assert cfg.paths.knowledge_blocks == str(FIXTURES / "nota_mini.blocks.json")
 
 
 def test_flag_precedence_over_file(tmp_path):
