@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import InputError
-from .jsonio import loads
+from .jsonio import read_json
 
 _WS_RUN = re.compile(r"[^\S\n]+")
 _BLANK_RUN = re.compile(r"\n{3,}")
@@ -171,7 +171,7 @@ def load_document(path: str | Path, role: DocRole | None = None) -> SourceDocume
     if not path.is_file():
         raise FileNotFoundError(f"blocks file not found: {spath}")
     try:
-        raw = loads(path.read_bytes())
+        raw = read_json(path)
     except ValueError as exc:
         raise InputError(f"{spath}: invalid JSON: {exc}") from exc
 

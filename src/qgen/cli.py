@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .evaluate import (
     sts_alignment,
 )
 from .generate import GenOutcome, Method, embed_rag_queries, generate_batch
-from .jsonio import loads, read_jsonl, write_json, write_jsonl, write_text
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl, write_text
 from .vectorindex import VectorIndex, build_index, load_index, save_index
 
 EXIT_OK = 0
@@ -54,7 +56,11 @@ class Workdir:
         self.chunks = self.root / "chunks"
         self.indexes = self.root / "indexes"
         self.outcomes = self.root / "outcomes"
-        self.eval = self.root / "eval"
+        self.standards_file = self.chunks / "learning_standards.jsonl"
+        self.eval_records = self.root / "eval" / "records.jsonl"
+        self.report_md = self.root / "report.md"
+        self.report_json = self.root / "report.json"
+        self.resolved_config = self.root / "resolved_config.json"
 
     def chunk_file(self, name: str) -> Path:
         return self.chunks / f"{name}.jsonl"
@@ -65,25 +71,13 @@ class Workdir:
     def outcome_file(self, method: Method) -> Path:
         return self.outcomes / f"{method.value}.jsonl"
 
-    @property
-    def standards_file(self) -> Path:
-        return self.chunks / "learning_standards.jsonl"
+    def rag_index(self, method: Method) -> Path:
+        """The index a RAG method retrieves from."""
+        return self.index_file("knowledge_recursive" if method is Method.RAG_GENERIC else "knowledge_structure_aware")
 
-    @property
-    def eval_records(self) -> Path:
-        return self.eval / "records.jsonl"
 
-    @property
-    def report_md(self) -> Path:
-        return self.root / "report.md"
-
-    @property
-    def report_json(self) -> Path:
-        return self.root / "report.json"
-
-    @property
-    def resolved_config(self) -> Path:
-        return self.root / "resolved_config.json"
+# The chunk files ingest writes, each embedded into one index of the same name.
+CHUNK_FILES = ("knowledge_recursive", "knowledge_structure_aware", "standards")
 
 
 def build_providers(cfg: RunConfig) -> tuple[ChatProvider, EmbeddingProvider]:
@@ -99,44 +93,43 @@ def build_providers(cfg: RunConfig) -> tuple[ChatProvider, EmbeddingProvider]:
     return chat, embedder
 
 
-def _provider_policy(cfg: RunConfig) -> ProviderPolicy:
-    p = cfg.provider
-    return ProviderPolicy(max_retries=p.max_retries, base_delay=p.backoff_base, max_in_flight=p.max_in_flight)
+class Providers(NamedTuple):
+    """What a stage that calls a provider gets: the two providers and the policy of their round-trips."""
+
+    chat: ChatProvider
+    embedder: EmbeddingProvider
+    policy: ProviderPolicy
 
 
-def _echo_config(cfg: RunConfig) -> None:
-    write_json(Workdir(cfg.paths.workdir).resolved_config, cfg.to_dict())
+def _writer(cfg: RunConfig, work: Workdir, path: Path) -> str:
+    """The name of the stage that writes ``path``."""
+    return next(stage.name for stage in PIPELINE if path in stage.writes(cfg, work))
 
 
-def _read_artifact(path: Path, stage: str, from_dict) -> list:
-    """The rows of a workdir artifact that ``stage`` writes, each through ``from_dict``.
+def _read_artifact(cfg: RunConfig, work: Workdir, path: Path, from_dict) -> list:
+    """The rows of a workdir artifact, each through ``from_dict``.
 
-    A missing file, or a row that ``from_dict`` cannot read, is a
-    pipeline-state error naming the file and the row.
+    ``main`` has checked that the file exists. A row that ``from_dict``
+    cannot read is a pipeline-state error naming the file, the row and the
+    stage to rerun.
     """
-    if not path.is_file():
-        raise PipelineStateError(f"missing {path}; run the {stage} stage first")
     rows = []
     try:
-        for row in read_jsonl(path) if path.suffix == ".jsonl" else loads(path.read_bytes()):
+        for row in read_jsonl(path) if path.suffix == ".jsonl" else read_json(path):
             rows.append(from_dict(row))
     except (KeyError, TypeError, ValueError) as exc:
-        raise PipelineStateError(
-            f"{path}: row {len(rows) + 1} is damaged ({type(exc).__name__}: {exc}); rerun the {stage} stage"
-        ) from exc
+        raise PipelineStateError(f"{path}: row {len(rows) + 1} is damaged ({type(exc).__name__}: {exc}); "
+                                 f"rerun the {_writer(cfg, work, path)} stage") from exc
     return rows
 
 
-def _read_standards(work: Workdir) -> list[tuple[LearningStandard, str]]:
-    return _read_artifact(
-        work.standards_file, "ingest",
-        lambda row: (LearningStandard(row["code"], row["description"]), row["chunk_id"]),
-    )
+def _read_standards(cfg: RunConfig, work: Workdir) -> list[tuple[LearningStandard, str]]:
+    return _read_artifact(cfg, work, work.standards_file,
+                          lambda row: (LearningStandard(row["code"], row["description"]), row["chunk_id"]))
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
+def _ingest(cfg: RunConfig, work: Workdir, _: None) -> None:
     """Chunk both source documents into the workdir chunk files."""
-    work = Workdir(cfg.paths.workdir)
     knowledge = load_document(cfg.paths.knowledge_blocks, DocRole.KNOWLEDGE_SOURCE)
     standards_doc = load_document(cfg.paths.standards_blocks, DocRole.STANDARDS_BLUEPRINT)
 
@@ -153,36 +146,28 @@ def cmd_ingest(cfg: RunConfig) -> int:
     n1 = write_jsonl(work.chunk_file("knowledge_recursive"), (c.to_dict() for c in recursive))
     n2 = write_jsonl(work.chunk_file("knowledge_structure_aware"), (c.to_dict() for c in structure))
     n3 = write_jsonl(work.chunk_file("standards"), (c.to_dict() for _, c in standard_pairs))
-    write_jsonl(
-        work.standards_file,
-        ({"code": s.code, "description": s.description, "chunk_id": c.chunk_id} for s, c in standard_pairs),
-    )
+    write_jsonl(work.standards_file, ({"code": s.code, "description": s.description, "chunk_id": c.chunk_id}
+                                      for s, c in standard_pairs))
     print(f"ingest: knowledge_recursive={n1} knowledge_structure_aware={n2} standards={n3}")
-    return EXIT_OK
 
 
-def cmd_index(cfg: RunConfig) -> int:
+def _index(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     """Embed every chunk file in one call and persist one flat index per file."""
-    work = Workdir(cfg.paths.workdir)
-    _, embedder = build_providers(cfg)
-    names = ("knowledge_recursive", "knowledge_structure_aware", "standards")
-    chunk_lists = [_read_artifact(work.chunk_file(name), "ingest", Chunk.from_dict) for name in names]
+    embedder = providers.embedder
+    chunk_lists = [_read_artifact(cfg, work, work.chunk_file(name), Chunk.from_dict) for name in CHUNK_FILES]
     # One call sends each distinct chunk text once, so a provider failure writes no index.
-    vectors = embed_texts(embedder, [c.text for chunks in chunk_lists for c in chunks], _provider_policy(cfg))
+    vectors = embed_texts(embedder, [c.text for chunks in chunk_lists for c in chunks], providers.policy)
     splits = np.split(vectors, np.cumsum([len(chunks) for chunks in chunk_lists[:-1]]))
     counts = []
-    for name, chunks, rows in zip(names, chunk_lists, splits):
+    for name, chunks, rows in zip(CHUNK_FILES, chunk_lists, splits):
         index = build_index(chunks, rows, provider_tag=embedder.tag)
         save_index(index, work.index_file(name))
         counts.append(f"{name}={len(index)}")
     print(f"index: {' '.join(counts)} provider={embedder.tag}")
-    return EXIT_OK
 
 
 def _load_matching_index(path: Path, embedder: EmbeddingProvider) -> VectorIndex:
     """Load an index, refusing one that another embedder made: queries would land in a foreign space."""
-    if not path.is_file():
-        raise PipelineStateError(f"missing index {path}; run the index stage first")
     index = load_index(path)
     if index.provider_tag != embedder.tag:
         raise PipelineStateError(
@@ -192,70 +177,49 @@ def _load_matching_index(path: Path, embedder: EmbeddingProvider) -> VectorIndex
     return index
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def _generate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     """Generate n outcomes per enabled method, cycling the standards."""
-    work = Workdir(cfg.paths.workdir)
-    chat, embedder = build_providers(cfg)
-    standards = [s for s, _ in _read_standards(work)]
+    chat, embedder, policy = providers
+    standards = [s for s, _ in _read_standards(cfg, work)]
     gen = cfg.generation
-    policy = _provider_policy(cfg)
-    # Every index is checked before any method runs, so a refusal writes no outcome file.
-    indexes = {
-        method: _load_matching_index(work.index_file(
-            "knowledge_recursive" if method is Method.RAG_GENERIC else "knowledge_structure_aware"
-        ), embedder)
-        for method in gen.methods if method.is_rag
-    }
+    # Every index is checked before any method runs, and the outcome files are written only once
+    # every method has finished, so a refusal or a provider failure writes no outcome file.
+    indexes = {method: _load_matching_index(work.rag_index(method), embedder)
+               for method in gen.methods if method.is_rag}
     # The RAG methods retrieve with the same queries, so they are embedded once for all of them.
     rag_queries = embed_rag_queries(embedder, gen.n_per_method, topic=gen.topic, standards=standards,
                                     policy=policy) if indexes else None
-    for method in gen.methods:
-        outcomes = generate_batch(
-            chat,
-            method,
-            gen.n_per_method,
-            topic=gen.topic,
-            standards=standards,
-            retrieval_k=gen.retrieval_k,
-            index=indexes.pop(method, None),
-            rag_queries=rag_queries if method.is_rag else None,
-            temperature=gen.temperature,
-            policy=policy,
-        )
+    batches = {method: generate_batch(chat, method, gen.n_per_method, topic=gen.topic, standards=standards,
+                                      retrieval_k=gen.retrieval_k, index=indexes.pop(method, None),
+                                      rag_queries=rag_queries if method.is_rag else None,
+                                      temperature=gen.temperature, policy=policy)
+               for method in gen.methods}
+    for method, outcomes in batches.items():
         write_jsonl(work.outcome_file(method), (o.to_dict() for o in outcomes))
         failed = sum(1 for o in outcomes if o.failed)
         print(f"generate: method={method.value} parsed={len(outcomes) - failed} failed={failed}")
-    return EXIT_OK
 
 
-def _load_outcomes(work: Workdir, methods: tuple[Method, ...]) -> list[GenOutcome]:
-    """Outcomes of the configured methods, their files read in file-name order."""
-    outcomes: list[GenOutcome] = []
-    for path in sorted({work.outcome_file(m) for m in methods}):
-        outcomes.extend(_read_artifact(path, "generate", GenOutcome.from_dict))
-    if not outcomes:
-        raise PipelineStateError(f"no outcomes found under {work.outcomes}")
-    return outcomes
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
+def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     """Score every parsed outcome and write records plus the method report."""
-    work = Workdir(cfg.paths.workdir)
-    chat, embedder = build_providers(cfg)
+    chat, embedder, policy = providers
     standards_index_path = work.index_file("standards")
     rpt_index = _load_matching_index(standards_index_path, embedder)
-    standards = _read_standards(work)
+    standards = _read_standards(cfg, work)
     if [chunk_id for _, chunk_id in standards] != [c.chunk_id for c in rpt_index.chunks]:
         raise PipelineStateError(
             f"{work.standards_file} and {standards_index_path} disagree on standard chunk ids; "
             "rerun the ingest and index stages together"
         )
     codes = [standard.code for standard, _ in standards]
-    outcomes = _load_outcomes(work, cfg.generation.methods)
+    # Outcomes of the configured methods, their files read in file-name order.
+    outcomes = [outcome for path in sorted(map(work.outcome_file, cfg.generation.methods))
+                for outcome in _read_artifact(cfg, work, path, GenOutcome.from_dict)]
+    if not outcomes:
+        raise PipelineStateError(f"no outcomes found under {work.outcomes}")
     parsed = [o for o in outcomes if o.mcq is not None]
 
     ev = cfg.evaluation
-    policy = _provider_policy(cfg)
     table, sts_rows, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index,
                                                  unit=ev.sts_unit, policy=policy)
     # Each distinct text is aligned and ranked once: rows are independent,
@@ -296,32 +260,49 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_text(work.report_md, render_report(reports, "markdown") + "\n")
     write_json(work.report_json, [r.to_dict() for r in reports])
     print(f"evaluate: records={len(records)} methods={len(reports)}")
-    return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def _report(cfg: RunConfig, work: Workdir, _: None) -> None:
     """Print the stored report in the configured format."""
-    work = Workdir(cfg.paths.workdir)
-    reports = _read_artifact(work.report_json, "evaluate", MethodReport.from_dict)
-    print(render_report(reports, cfg.report_format))
-    return EXIT_OK
+    print(render_report(_read_artifact(cfg, work, work.report_json, MethodReport.from_dict), cfg.report_format))
 
 
-def cmd_run_all(cfg: RunConfig) -> int:
-    """Sequential composition of ingest, index, generate and evaluate."""
-    for step in (cmd_ingest, cmd_index, cmd_generate, cmd_evaluate):
-        step(cfg)
-    return EXIT_OK
+@dataclass(frozen=True)
+class Stage:
+    """One stage: the workdir files it reads and writes for a resolved config, and its body.
+
+    ``run(cfg, work, providers)`` gets the providers if ``calls_providers``
+    is set, and otherwise None.
+    """
+
+    name: str
+    reads: Callable[[RunConfig, Workdir], list[Path]]
+    writes: Callable[[RunConfig, Workdir], list[Path]]
+    run: Callable[[RunConfig, Workdir, Providers | None], None]
+    calls_providers: bool = False
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "index": cmd_index,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
-    "run-all": cmd_run_all,
-    "report": cmd_report,
-}
+PIPELINE = (
+    Stage("ingest", lambda cfg, work: [],
+          lambda cfg, work: [*map(work.chunk_file, CHUNK_FILES), work.standards_file], _ingest),
+    Stage("index", lambda cfg, work: [*map(work.chunk_file, CHUNK_FILES)],
+          lambda cfg, work: [*map(work.index_file, CHUNK_FILES)], _index, calls_providers=True),
+    Stage("generate",
+          lambda cfg, work: [work.standards_file, *(work.rag_index(m) for m in cfg.generation.methods if m.is_rag)],
+          lambda cfg, work: [*map(work.outcome_file, cfg.generation.methods)], _generate, calls_providers=True),
+    Stage("evaluate",
+          lambda cfg, work: [work.index_file("standards"), work.standards_file,
+                             *map(work.outcome_file, cfg.generation.methods)],
+          lambda cfg, work: [work.eval_records, work.report_md, work.report_json], _evaluate, calls_providers=True),
+)
+REPORT = Stage("report", lambda cfg, work: [work.report_json], lambda cfg, work: [], _report)
+# Each command and the stages it runs, in order.
+COMMANDS = {**{stage.name: (stage,) for stage in PIPELINE}, "run-all": PIPELINE, "report": (REPORT,)}
+
+
+def _summary(stages: tuple[Stage, ...]) -> str:
+    *first, last = (stage.name for stage in stages)
+    return f"Sequential composition of {', '.join(first)} and {last}." if first else stages[0].run.__doc__
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,10 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qgen",
         usage="qgen <command> [options]",
         description="Curriculum-grounded MCQ generation and evaluation pipeline",
-        epilog="commands:\n" + "\n".join(f"  {name:<10}{fn.__doc__}" for name, fn in _COMMANDS.items()),
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{_summary(stages)}" for name, stages in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--mock", action="store_true", help="force offline mock providers")
     parser.add_argument("--n", type=int, default=None, help="questions per method")
@@ -348,7 +329,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file with the flags that were given laid over it, checked as one."""
     flags = {
         "provider": {"mock": args.mock or None},
-        "generation": {"n_per_method": args.n, "methods": args.methods.split(",") if args.methods else None},
+        "generation": {"n_per_method": args.n, "methods": None if args.methods is None else args.methods.split(",")},
         "evaluation": {"tau": args.tau, "k": args.k},
         "paths": {"workdir": args.workdir},
     }
@@ -357,12 +338,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command's stages in order; every stage runs through this loop."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command != "report":  # report only reads the workdir
-            _echo_config(cfg)
-        return _COMMANDS[args.command](cfg)
+        work = Workdir(cfg.paths.workdir)
+        stages = COMMANDS[args.command]
+        if any(stage.writes(cfg, work) for stage in stages):
+            write_json(work.resolved_config, cfg.to_dict())
+        providers = None
+        for stage in stages:
+            if stage.calls_providers and providers is None:
+                p = cfg.provider
+                providers = Providers(*build_providers(cfg), ProviderPolicy(
+                    max_retries=p.max_retries, base_delay=p.backoff_base, max_in_flight=p.max_in_flight))
+            for path in stage.reads(cfg, work):
+                if not path.is_file():
+                    raise PipelineStateError(f"missing {path}; run the {_writer(cfg, work, path)} stage first")
+            stage.run(cfg, work, providers if stage.calls_providers else None)
+        return EXIT_OK
     except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,7 +16,7 @@ from .chunking import DEFAULT_UNIT_KEYWORDS
 from .errors import InputError
 from .evaluate import DEFAULT_REFUSAL_MARKERS
 from .generate import METHOD_ORDER, Method
-from .jsonio import encodable, loads
+from .jsonio import encodable, read_json
 
 _METHOD_ALIASES = {
     "structured": Method.STRUCTURED_PROMPT,
@@ -219,7 +219,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         if not path.is_file():
             raise InputError(f"config file not found: {path}")
         try:
-            data = loads(path.read_bytes())
+            data = read_json(path)
         except ValueError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):

@@ -54,6 +54,11 @@ def loads(data: bytes | str):
     return orjson.loads(data)
 
 
+def read_json(path: str | Path):
+    """The value of the JSON document in the file at ``path``, read as ``loads`` reads it."""
+    return loads(Path(path).read_bytes())
+
+
 @contextmanager
 def _replacing(path: str | Path) -> Iterator[BinaryIO]:
     """Open a temporary file beside ``path``; it replaces ``path`` once the block succeeds.

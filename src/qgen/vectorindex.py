@@ -15,7 +15,7 @@ import numpy as np
 from .chunking import Chunk
 from .embedding import normalize
 from .errors import PipelineStateError
-from .jsonio import dumps, loads, write_jsonl
+from .jsonio import dumps, read_json, write_jsonl
 
 INDEX_FORMAT_VERSION = 2
 
@@ -156,7 +156,7 @@ def load_index(path: str | Path) -> VectorIndex:
     if not path.is_file():
         raise FileNotFoundError(f"index file not found: {path}")
     try:
-        payload = loads(path.read_bytes())
+        payload = read_json(path)
     except ValueError as exc:
         raise PipelineStateError(f"{path}: not a valid index file: {exc}") from exc
     if not isinstance(payload, dict):

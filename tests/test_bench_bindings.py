@@ -17,6 +17,7 @@ import pytest
 
 from qgen.cli import main
 from tests.conftest import FIXTURES, REPO_ROOT
+from tests.test_golden import bench_lines, load_golden, taken_with
 
 
 def _load_spans():
@@ -50,10 +51,12 @@ def test_every_traced_binding_is_called_by_run_all(tmp_path, monkeypatch):
 # tau_sweep is the one workload whose stage calls pass --tau.
 @pytest.mark.parametrize("workload", ["remote_latency", "tau_sweep"])
 def test_bench_run_is_correct(workload):
-    """The benchmark's own command, once and untimed: a change that breaks a bench run fails here."""
+    """The benchmark's own command, once and untimed: a change that breaks or moves a bench run fails here."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     assert '"correct": true' in run.stdout
+    golden = load_golden()
+    assert bench_lines(run.stdout) == golden["bench"][workload], taken_with(golden)

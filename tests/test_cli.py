@@ -16,6 +16,7 @@ import qgen.generate
 import qgen.wire
 from qgen.chat import MockChatProvider
 from qgen.cli import main
+from qgen.config import load_config
 from qgen.embedding import MockEmbeddingProvider
 from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
@@ -269,6 +270,13 @@ def test_empty_methods_exit_2_before_ingest(tmp_path, capsys):
     assert not (tmp_path / "workdir" / "chunks").exists()
 
 
+def test_empty_methods_flag_exit_2_before_ingest(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["ingest", "--config", str(config), "--methods", ""]) == 2
+    assert "unknown method ''" in capsys.readouterr().err
+    assert not (tmp_path / "workdir").exists()
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -300,14 +308,77 @@ def test_each_command_records_the_config_once(tmp_path, monkeypatch, command, ec
     assert workdir_snapshot(workdir) == before
 
 
+# The qgen.cli bindings through which the stages read and write workdir files, and the argument holding the path.
+READERS = {"read_jsonl": 0, "read_json": 0, "load_index": 0}
+WRITERS = {"write_jsonl": 0, "write_json": 0, "write_text": 0, "save_index": 1}
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "generate", "evaluate", "report"])
+def test_each_stage_reads_and_writes_exactly_its_declared_paths(tmp_path, monkeypatch, command):
+    config = write_config(tmp_path, generation={"methods": ["basic", "rag_generic"]})
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    touched = {"reads": [], "writes": []}
+    for kind, bindings in (("reads", READERS), ("writes", WRITERS)):
+        for name, arg in bindings.items():
+            def recording(*args, _kind=kind, _arg=arg, _fn=getattr(qgen.cli, name), **kwargs):
+                touched[_kind].append(Path(args[_arg]))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(qgen.cli, name, recording)
+    assert main([command, "--config", str(config)]) == 0
+    (stage,) = qgen.cli.COMMANDS[command]
+    cfg, work = load_config(config), qgen.cli.Workdir(workdir)
+    # main records the config for every command whose stages write a file.
+    recorded = [work.resolved_config] if stage.writes(cfg, work) else []
+    assert sorted(touched["reads"]) == sorted(stage.reads(cfg, work))
+    assert sorted(touched["writes"]) == sorted(stage.writes(cfg, work) + recorded)
+    assert all(path.is_relative_to(workdir) for path in touched["reads"] + touched["writes"])
+
+
+def test_every_declared_read_is_written_by_an_earlier_stage():
+    cfg = load_config(FIXTURES / "mock_config.json")
+    work = qgen.cli.Workdir(cfg.paths.workdir)
+    written = []
+    for stage in qgen.cli.PIPELINE + (qgen.cli.REPORT,):
+        assert set(stage.reads(cfg, work)) <= set(written), stage.name
+        written += stage.writes(cfg, work)
+    assert len(written) == len(set(written))
+
+
+def test_stages_without_providers_need_no_api_key(tmp_path, monkeypatch, capsys):
+    assert main(["run-all", "--config", str(write_config(tmp_path))]) == 0
+    config = write_config(tmp_path, provider={
+        "mock": False,
+        "chat_endpoint": "https://api.example.test/chat", "chat_model": "m",
+        "embed_endpoint": "https://api.example.test/embed", "embed_model": "e",
+    })
+    monkeypatch.delenv("QGEN_API_KEY", raising=False)
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["report", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["index", "--config", str(config)]) == 2
+    assert "QGEN_API_KEY must be set" in capsys.readouterr().err
+
+
+def test_run_all_builds_the_providers_once(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg, _build=qgen.cli.build_providers: built.append(cfg) or _build(cfg))
+    assert main(["run-all", "--config", str(write_config(tmp_path))]) == 0
+    assert len(built) == 1
+
+
 def test_help_lists_every_command_with_its_docstring(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--help"])
     assert exc_info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: qgen <command> [options]\n")
-    for name, fn in qgen.cli._COMMANDS.items():
-        assert re.search(rf"^  {re.escape(name)} +{re.escape(fn.__doc__)}$", out, re.MULTILINE), name
+    run_all = "Sequential composition of ingest, index, generate and evaluate."
+    for name, stages in qgen.cli.COMMANDS.items():
+        doc = run_all if name == "run-all" else stages[0].run.__doc__
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(doc)}$", out, re.MULTILINE), name
 
 
 def test_run_all_propagates_first_failing_stage(tmp_path):
@@ -459,20 +530,18 @@ def test_every_retry_wait_is_capped_at_60_s(tmp_path, monkeypatch, capsys, backo
 
 def test_run_all_embeds_once_per_stage_and_each_chunk_text_once(tmp_path, monkeypatch):
     config = write_config(tmp_path, provider={"mock": True, "max_in_flight": 2})
-    calls = {}
+    embedder = RecordingEmbedder(64)
+    calls, batches = {}, {}
     for module in (qgen.cli, qgen.generate, qgen.evaluate):
         def counting(*args, _name=module.__name__, _embed=module.embed_texts, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _embed(*args, **kwargs)
+            first = len(embedder.batches)
+            vectors = _embed(*args, **kwargs)
+            batches[_name] = embedder.batches[first:]
+            return vectors
 
         monkeypatch.setattr(module, "embed_texts", counting)
-    embedders = []
-
-    def build_providers(cfg):
-        embedders.append(RecordingEmbedder(cfg.provider.mock_dim))
-        return MockChatProvider(), embedders[-1]
-
-    monkeypatch.setattr(qgen.cli, "build_providers", build_providers)
+    monkeypatch.setattr(qgen.cli, "build_providers", lambda cfg: (MockChatProvider(), embedder))
     assert main(["run-all", "--config", str(config)]) == 0
     assert calls == {"qgen.cli": 1, "qgen.generate": 1, "qgen.evaluate": 1}
     chunk_texts = {
@@ -480,7 +549,7 @@ def test_run_all_embeds_once_per_stage_and_each_chunk_text_once(tmp_path, monkey
         for name in ("knowledge_recursive", "knowledge_structure_aware", "standards")
         for line in (tmp_path / "workdir" / "chunks" / f"{name}.jsonl").read_text().splitlines()
     }
-    assert sorted(t for batch in embedders[0].batches for t in batch) == sorted(chunk_texts)
+    assert sorted(t for batch in batches["qgen.cli"] for t in batch) == sorted(chunk_texts)
 
 
 def test_generate_ranks_one_query_per_request_and_embeds_each_distinct_query_once(tmp_path, monkeypatch):
@@ -653,6 +722,47 @@ def test_generate_stops_dispatching_after_a_failure(tmp_path, monkeypatch, capsy
     assert "rejected request" in capsys.readouterr().err
     assert k + 1 <= chat.calls <= k + 4
     assert not (tmp_path / "workdir" / "outcomes" / "basic_prompt.jsonl").exists()
+
+
+class FailsAtCall(MockChatProvider):
+    """Mock chat that fails non-retryably on its ``fail_at``-th completion, plain or structured."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def _count(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ProviderError(400, "rejected request", retryable=False)
+
+    def complete(self, system, user, **kwargs):
+        self._count()
+        return super().complete(system, user, **kwargs)
+
+    def complete_structured(self, system, user, schema, **kwargs):
+        self._count()
+        return super().complete_structured(system, user, schema, **kwargs)
+
+
+def test_failed_generate_leaves_every_outcome_file_as_it_was(tmp_path, monkeypatch, capsys):
+    """A generate that fails in its third method writes no outcome file, so evaluate never mixes two runs."""
+    config = write_config(tmp_path, generation={"n_per_method": 6})
+    workdir = tmp_path / "workdir"
+    assert main(["run-all", "--config", str(config)]) == 0
+    before = workdir_snapshot(workdir / "outcomes")
+    chat = FailsAtCall(9)
+    monkeypatch.setattr(qgen.cli, "build_providers",
+                        lambda cfg: (chat, MockEmbeddingProvider(dim=cfg.provider.mock_dim)))
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--n", "4"]) == 3
+    assert capsys.readouterr().out == ""
+    assert chat.calls == 9
+    assert workdir_snapshot(workdir / "outcomes") == before
+    monkeypatch.undo()
+    assert main(["evaluate", "--config", str(config)]) == 0
+    assert [report["n"] for report in json.loads((workdir / "report.json").read_text())] == [6, 6, 6, 6]
 
 
 @pytest.mark.parametrize("provider", [{"max_in_flight": 0}, {"max_in_flight": -1}])

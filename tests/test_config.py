@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qgen.cli import _COMMANDS, _build_parser, resolve_config
+from qgen.cli import COMMANDS, _build_parser, resolve_config
 from qgen.config import RunConfig, config_from_dict, load_config, parse_method
 from qgen.errors import InputError
 from qgen.generate import METHOD_ORDER, Method
@@ -80,7 +80,7 @@ QUICKSTART = str(FIXTURES / "mock_config.json")
     (["--k", "7", "report", "--mock"], ("report", METHOD_ORDER, 5, 0.5, 7, "workdir", True)),
 ])
 def test_argv_resolves_with_options_on_either_side_of_the_command(argv, expected):
-    command = next(arg for arg in argv if arg in _COMMANDS)
+    command = next(arg for arg in argv if arg in COMMANDS)
     options = [arg for arg in argv if arg != command]
     for order in (argv, [command, *options], [*options, command]):
         args = _build_parser().parse_args(order)

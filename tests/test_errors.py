@@ -60,9 +60,10 @@ def test_only_the_mcq_constructor_refuses_an_invariant():
     (PipelineStateError("stale artifact"), 4),
 ])
 def test_each_category_exits_with_its_code(monkeypatch, capsys, error, code):
-    def stage(cfg):
+    def run(cfg, work, providers):
         raise error
 
-    monkeypatch.setitem(qgen.cli._COMMANDS, "report", stage)
+    stage = qgen.cli.Stage("report", reads=lambda cfg, work: [], writes=lambda cfg, work: [], run=run)
+    monkeypatch.setitem(qgen.cli.COMMANDS, "report", (stage,))
     assert main(["report"]) == code
     assert capsys.readouterr().err == f"error: {error}\n"

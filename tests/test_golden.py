@@ -1,0 +1,102 @@
+"""Same behaviour across commits: pinned digests of what a fixture ``run-all`` writes.
+
+``tests/golden.json`` holds the sha256 of every file that ``run-all`` writes
+on ``fixtures/mock_config.json`` under three configurations, and the
+``digest``/``tie-break`` lines that ``test_bench_run_is_correct`` reads
+from its bench runs. A change that means to alter an artifact regenerates
+the file in the same change, from the repository root:
+
+    PYTHONPATH=src python -m tests.test_golden
+
+and lists each changed file, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qgen.cli import main
+from tests.conftest import FIXTURES, REPO_ROOT
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# The configurations compared: the fixture config as it is, and with one setting changed.
+CONFIGS = {
+    "as_is": {},
+    "malformed_rate_0.2": {"provider": {"mock_malformed_rate": 0.2}},
+    "sts_unit_full": {"evaluation": {"sts_unit": "full"}},
+}
+
+BENCH_WORKLOADS = ("remote_latency", "tau_sweep")
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def taken_with(golden: dict) -> str:
+    """The failure note: float results can move with another numpy or BLAS build."""
+    return (f"the golden digests were taken with numpy {golden['numpy']}; this run has numpy {np.__version__}. "
+            "If the versions match, the change altered an artifact: regenerate tests/golden.json on purpose "
+            "and list every changed file in CHANGES.md")
+
+
+def run_all_digests(run_dir: Path, overrides: dict) -> dict[str, str]:
+    """sha256 of every file a fixture ``run-all`` writes, by its path under the workdir.
+
+    The inputs and the workdir sit in ``run_dir``, and ``resolved_config.json``
+    is hashed with that directory's prefix removed from its absolute paths.
+    """
+    cfg = json.loads((FIXTURES / "mock_config.json").read_text(encoding="utf-8"))
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    for name in (cfg["paths"]["knowledge_blocks"], cfg["paths"]["standards_blocks"]):
+        shutil.copy(FIXTURES / name, run_dir / name)
+    config = run_dir / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    workdir = run_dir / "workdir"
+    assert main(["run-all", "--config", str(config), "--workdir", str(workdir)]) == 0
+    prefix = (str(run_dir) + os.sep).encode()
+    return {
+        p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes().replace(prefix, b"")).hexdigest()
+        for p in sorted(workdir.rglob("*")) if p.is_file()
+    }
+
+
+def bench_lines(stdout: str) -> list[str]:
+    """The result digest and tie-break lines of a bench run, in the order it prints them."""
+    return [line for line in stdout.splitlines() if line.startswith(("digest tau=", "tie-break tau="))]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_fixture_run_all_matches_golden(tmp_path, name):
+    golden = load_golden()
+    assert run_all_digests(tmp_path, CONFIGS[name]) == golden["fixtures"][name], taken_with(golden)
+
+
+def _regenerate() -> None:
+    fixtures = {}
+    for name, overrides in CONFIGS.items():
+        with tempfile.TemporaryDirectory() as run_dir:
+            fixtures[name] = run_all_digests(Path(run_dir), overrides)
+    bench = {}
+    for workload in BENCH_WORKLOADS:
+        run = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"],
+                             cwd=REPO_ROOT, capture_output=True, text=True, check=True)
+        bench[workload] = bench_lines(run.stdout)
+    golden = {"numpy": np.__version__, "fixtures": fixtures, "bench": bench}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()
