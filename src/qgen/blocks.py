@@ -140,10 +140,6 @@ class SourceDocument:
         for page in self.pages:
             yield from page.blocks
 
-    @property
-    def block_count(self) -> int:
-        return sum(len(p.blocks) for p in self.pages)
-
 
 def flatten_text(doc: SourceDocument) -> str:
     """Join all block texts with blank lines, in reading order.

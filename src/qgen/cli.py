@@ -344,7 +344,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         work = Workdir(cfg.paths.workdir)
         stages = COMMANDS[args.command]
-        if any(stage.writes(cfg, work) for stage in stages):
+        # Every read that no earlier stage of the command writes must exist
+        # before anything is written, so a refused command leaves no trace.
+        written: set[Path] = set()
+        for stage in stages:
+            for path in stage.reads(cfg, work):
+                if path not in written and not path.is_file():
+                    raise PipelineStateError(f"missing {path}; run the {_writer(cfg, work, path)} stage first")
+            written.update(stage.writes(cfg, work))
+        if written:
             write_json(work.resolved_config, cfg.to_dict())
         providers = None
         for stage in stages:
@@ -352,9 +360,6 @@ def main(argv: list[str] | None = None) -> int:
                 p = cfg.provider
                 providers = Providers(*build_providers(cfg), ProviderPolicy(
                     max_retries=p.max_retries, base_delay=p.backoff_base, max_in_flight=p.max_in_flight))
-            for path in stage.reads(cfg, work):
-                if not path.is_file():
-                    raise PipelineStateError(f"missing {path}; run the {_writer(cfg, work, path)} stage first")
             stage.run(cfg, work, providers if stage.calls_providers else None)
         return EXIT_OK
     except (FileNotFoundError, InputError) as exc:

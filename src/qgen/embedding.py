@@ -22,7 +22,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import wire
-from .errors import InputError, PipelineStateError, ProviderError
+from .errors import InputError, ProviderError
 
 
 class EmbeddingProvider(Protocol):
@@ -271,27 +271,6 @@ class HttpEmbeddingProvider:
         return rows
 
 
-def normalize(vectors: np.ndarray) -> np.ndarray:
-    """Scale a vector, or each row of an ``(n, d)`` array, to unit length.
-
-    The norms are ``sqrt(vecdot(v, v))``, which rounds exactly as
-    ``np.linalg.norm`` of each row does, so normalising a matrix at once
-    gives bitwise the rows that normalising them one by one gives. A
-    vector with a non-finite entry, or whose length is zero or overflows
-    float64, is refused.
-    """
-    arr = np.asarray(vectors, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise PipelineStateError("vector contains non-finite values")
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(arr, arr))
-    if not np.all(np.isfinite(norms)):
-        raise PipelineStateError("vector length overflows float64")
-    if np.any(norms == 0.0):
-        raise PipelineStateError("cannot normalize a zero vector")
-    return arr / norms[..., None]
-
-
 _EMBED_BATCH_SIZE = 64
 
 
@@ -310,7 +289,8 @@ def embed_texts(
     """Embed ``texts`` in order, each provider round-trip under ``policy``.
 
     Returns an ``(n, d)`` float64 array whose row ``i`` is the unit vector
-    of ``texts[i]``. No texts give a ``(0, 0)`` array. Empty or
+    of ``texts[i]``; this is the only code that scales vectors to unit
+    length. No texts give a ``(0, 0)`` array. Empty or
     whitespace-only inputs are rejected up front. Each distinct text is sent
     once; the distinct texts go out in batches of at most
     ``_EMBED_BATCH_SIZE``, sent through :func:`map_in_flight`, so results
@@ -344,8 +324,9 @@ def embed_texts(
                                    f"dimension {matrices[0].shape[1]}", retryable=False)
         matrices.append(matrix)
     vectors = np.concatenate(matrices)
-    # The norms normalize computes; a row with a NaN or an infinity, of zeros,
-    # or whose length over- or underflows float64 has no finite positive one.
+    # sqrt(vecdot) rounds as np.linalg.norm of each row does. A row with a NaN
+    # or an infinity, of zeros, or whose length over- or underflows float64
+    # has no finite positive norm.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(vectors, vectors))
     bad = ~(np.isfinite(norms) & (norms > 0.0))

@@ -78,12 +78,6 @@ class Mcq:
             dupes = sorted({t for t in normalized if normalized.count(t) > 1})
             raise McqValidationError(ParseCategory.DUPLICATE_OPTION, f"duplicate option text(s): {dupes}")
 
-    def option_text(self, label: str) -> str:
-        for opt in self.options:
-            if opt.label == label:
-                return opt.text
-        raise KeyError(label)
-
     def to_dict(self) -> dict:
         return {
             "stem": self.stem,

@@ -1,8 +1,9 @@
 """Flat exact-search vector index over chunks with cosine top-k queries.
 
 Corpora here are at most a few thousand chunks, so exhaustive search is
-cheap and keeps retrieval quality assumptions exact. Vectors are normalized
-at insertion, reducing cosine similarity to a dot product.
+cheap and keeps retrieval quality assumptions exact. Index rows and queries
+are the unit vectors :func:`embed_texts` returns, so cosine similarity is a
+dot product.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .chunking import Chunk
-from .embedding import normalize
 from .errors import PipelineStateError
 from .jsonio import dumps, read_json, write_jsonl
 
@@ -24,7 +24,10 @@ class VectorIndex:
     """Immutable pairing of chunks with unit-norm embedding vectors.
 
     Refuses, with :class:`PipelineStateError`, no chunks, a duplicate
-    chunk_id, and a matrix that is not ``(len(chunks), d)`` with ``d >= 2``.
+    chunk_id, a matrix that is not ``(len(chunks), d)`` with ``d >= 2``, and
+    a row whose length is not finite and within 1e-6 of 1. The rows are kept
+    as given, so an index built from :func:`embed_texts`' rows holds those
+    floats exactly, and a save/load round trip is lossless.
     """
 
     def __init__(self, chunks: list[Chunk], matrix: np.ndarray, provider_tag: str):
@@ -42,6 +45,11 @@ class VectorIndex:
             )
         if len(matrix) != len(self.chunks):
             raise PipelineStateError(f"{len(self.chunks)} chunks but {len(matrix)} vectors")
+        # NaN and infinite rows, and rows whose length overflows, fail the comparison too.
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= 1e-6))
+        if bad.size:
+            raise PipelineStateError(f"entry {bad[0]} vector is not finite and unit-norm")
         self.matrix = matrix
         self.provider_tag = provider_tag
         # Each row's position in chunk_id order: top_k's tie-break key.
@@ -69,14 +77,13 @@ class VectorIndex:
 
 
 def build_index(chunks: list[Chunk], vectors: np.ndarray | list[np.ndarray], provider_tag: str) -> VectorIndex:
-    """Pair chunks with vectors normalized as one matrix.
+    """Pair chunks with a copy of unit vectors, so the index owns its rows.
 
-    ``vectors`` is an ``(n, d)`` array, as :func:`embed_texts` returns, or a
-    list of ``n`` vectors of one length; :class:`VectorIndex` checks the pairing.
+    ``vectors`` is an ``(n, d)`` array of unit rows, as :func:`embed_texts`
+    returns, or a list of ``n`` unit vectors of one length;
+    :class:`VectorIndex` checks the pairing and the lengths.
     """
-    matrix = np.asarray(vectors, dtype=np.float64)
-    # No vectors cannot be normalized; the constructor says what is wrong.
-    return VectorIndex(chunks=chunks, matrix=normalize(matrix) if matrix.size else matrix, provider_tag=provider_tag)
+    return VectorIndex(chunks=chunks, matrix=np.array(vectors, dtype=np.float64), provider_tag=provider_tag)
 
 
 def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
@@ -86,9 +93,9 @@ def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
     ``j`` against ``index.chunks[i]`` at ``[j, i]``. This is the one cosine
     computation of the vector path: :func:`top_k` and alignment scoring
     reduce its table. Each row is its own matrix-vector product, so a row
-    is bitwise the same whichever other queries share the call. Queries need
-    not be unit length; a zero or non-finite query raises
-    :class:`PipelineStateError`.
+    is bitwise the same whichever other queries share the call. Query rows
+    are unit vectors, as :func:`embed_texts` returns them, and are scored
+    as given.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.shape == (0, 0):
@@ -98,7 +105,7 @@ def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
         raise PipelineStateError(f"queries have shape {q.shape}, index dimension is {index.dimension}")
     # Not q @ matrix.T: a matrix-matrix product sums in another order and
     # moves scores by ulps.
-    scores = np.matmul(index.matrix, normalize(q)[..., None])[..., 0]
+    scores = np.matmul(index.matrix, q[..., None])[..., 0]
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
@@ -184,12 +191,6 @@ def load_index(path: str | Path) -> VectorIndex:
         raise PipelineStateError(f"{path}: malformed entry: {exc}") from exc
     if payload.get("checksum") != _checksum(chunk_dicts, matrix):
         raise PipelineStateError(f"{path}: checksum mismatch, file is damaged")
-    # NaN and infinite rows fail the comparison too.
-    bad = np.flatnonzero(~(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= 1e-6))
-    if bad.size:
-        raise PipelineStateError(f"{path}: entry {bad[0]} vector is not finite and unit-norm")
-    # Vectors were normalized at build time; keep the stored floats exactly
-    # so save/load round-trips are lossless.
     try:
         return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))
     except PipelineStateError as exc:

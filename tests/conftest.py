@@ -5,6 +5,7 @@ import io
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgen.blocks import Block, DocRole, Page, SourceDocument, load_document
@@ -13,6 +14,17 @@ from qgen.embedding import MockEmbeddingProvider
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+
+def unit_rows(vectors) -> np.ndarray:
+    """Non-zero ``vectors`` as float64 rows of unit length, as ``embed_texts`` returns them.
+
+    Each row is first divided by its largest magnitude, so a row of tiny or
+    huge numbers has a norm that neither under- nor overflows.
+    """
+    rows = np.asarray(vectors, dtype=np.float64)
+    rows = rows / np.abs(rows).max(axis=-1, keepdims=True)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 @pytest.fixture

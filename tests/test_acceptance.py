@@ -38,7 +38,7 @@ from qgen.evaluate import (
 from qgen.generate import Method, embed_rag_queries, generate_batch
 from qgen.mcq import Mcq, McqOption, ParseFailure, parse_mcq_json
 from qgen.vectorindex import build_index, load_index, save_index, similarities, top_k
-from tests.conftest import FIXTURES, CountingChat, make_doc
+from tests.conftest import FIXTURES, CountingChat, make_doc, unit_rows
 from tests.malformed_corpus import MALFORMED_CASES
 
 
@@ -72,11 +72,12 @@ def test_criterion_1_retrieval_oracle():
             k = rng.randint(1, size + 5)
             chunks = [Chunk(chunk_id=f"c{i:03d}", doc_id="d", text="t",
                             strategy=Strategy.RECURSIVE) for i in range(size)]
-            vectors = [np.array([rng.gauss(0, 1) for _ in range(dim)]) for _ in range(size)]
+            vectors = unit_rows([[rng.gauss(0, 1) for _ in range(dim)] for _ in range(size)])
             index = build_index(chunks, vectors, provider_tag="oracle")
             query = np.array([rng.gauss(0, 1) for _ in range(dim)])
             if float(np.linalg.norm(query)) == 0.0:
                 continue
+            query = unit_rows(query)
             (positions,), (scores,) = top_k(index, similarities(index, query[None]), k)
             expected = _brute_force_hits(index.matrix, [c.chunk_id for c in chunks], query, k)
             assert [chunks[i].chunk_id for i in positions] == [cid for _, cid in expected]
@@ -170,8 +171,8 @@ def test_criterion_3_chunker_coverage():
         nota = load_document(FIXTURES / "nota_mini.blocks.json", DocRole.KNOWLEDGE_SOURCE)
         chunks = chunk_structure_aware(nota)
         assigned = [i for c in chunks for i in c.source_blocks]
-        assert assigned == list(range(nota.block_count))
         blocks = list(nota.iter_blocks())
+        assert assigned == list(range(len(blocks)))
         for c in chunks:
             first = blocks[c.source_blocks[0]]
             if first.text.startswith("Contoh"):

@@ -15,7 +15,7 @@ def test_load_nota_fixture_roundtrip(nota_doc):
     assert nota_doc.doc_id == "nota-mini"
     assert nota_doc.role is DocRole.KNOWLEDGE_SOURCE
     assert len(nota_doc.pages) == 2
-    assert nota_doc.block_count == 12
+    assert sum(len(page.blocks) for page in nota_doc.pages) == 12
 
 
 def test_load_missing_file(tmp_path):

@@ -268,7 +268,7 @@ def test_structure_blocks_partition(nota_doc):
     for c in chunks:
         assert c.source_blocks
         seen.extend(c.source_blocks)
-    assert seen == list(range(nota_doc.block_count))
+    assert seen == list(range(len(list(nota_doc.iter_blocks()))))
 
 
 def test_keyword_starts_new_chunk_midstream():

@@ -17,7 +17,7 @@ import qgen.wire
 from qgen.chat import MockChatProvider
 from qgen.cli import main
 from qgen.config import load_config
-from qgen.embedding import MockEmbeddingProvider
+from qgen.embedding import MockEmbeddingProvider, embed_texts
 from qgen.errors import ProviderError
 from qgen.vectorindex import load_index
 from tests.conftest import FIXTURES, TRANSPORT_FAILURES, CountingChat, RecordingEmbedder, failing_urlopen
@@ -92,6 +92,17 @@ def test_index_produces_loadable_indexes(tmp_path):
         index = load_index(workdir / "indexes" / f"{name}.index.json")
         assert len(index) > 0
         assert index.provider_tag.startswith("mock-bow")
+
+
+def test_indexed_vectors_are_the_rows_embed_texts_returns(tmp_path):
+    config = write_config(tmp_path)
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["index", "--config", str(config)]) == 0
+    workdir = tmp_path / "workdir"
+    for name in ("knowledge_recursive", "knowledge_structure_aware", "standards"):
+        chunks = (workdir / "chunks" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = embed_texts(MockEmbeddingProvider(dim=64), [json.loads(line)["text"] for line in chunks])
+        assert load_index(workdir / "indexes" / f"{name}.index.json").matrix.tobytes() == rows.tobytes(), name
 
 
 def test_index_corrupt_chunk_line_exit_4(tmp_path, capsys):
@@ -915,6 +926,14 @@ def test_report_without_evaluate_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["report", "--config", str(config)]) == 4
     assert "run the evaluate stage first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, producer", [("index", "ingest"), ("generate", "ingest"), ("evaluate", "index")])
+def test_command_refused_for_a_missing_input_writes_nothing(tmp_path, capsys, command, producer):
+    config = write_config(tmp_path)
+    assert main([command, "--config", str(config)]) == 4
+    assert f"run the {producer} stage first" in capsys.readouterr().err
+    assert not (tmp_path / "workdir").exists()
 
 
 @pytest.mark.parametrize("edit", [

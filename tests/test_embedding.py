@@ -28,9 +28,8 @@ from qgen.embedding import (
     _bucket,
     embed_texts,
     map_in_flight,
-    normalize,
 )
-from qgen.errors import InputError, PipelineStateError, ProviderError
+from qgen.errors import InputError, ProviderError
 from qgen.wire import http_post_json
 from tests.conftest import TRANSPORT_FAILURES, RecordingEmbedder, failing_urlopen
 
@@ -455,32 +454,24 @@ MOCK_TEXTS = [
 ] + [f"standard {i} nombor nisbah {i % 7} latihan {i * i}" for i in range(200)]
 
 
-@pytest.mark.parametrize("source", ["random", "mock"])
-def test_matrix_normalize_is_bitwise_per_row_normalize(source):
-    if source == "random":
-        raw = np.random.default_rng(20251018).standard_normal((2000, 64))
-    else:
-        raw = np.asarray(MockEmbeddingProvider(64).embed(MOCK_TEXTS))
-    once = normalize(raw)
-    twice = normalize(once)
-    ref_once = np.stack([reference_normalize(v) for v in raw])
-    ref_twice = np.stack([reference_normalize(v) for v in ref_once])
-    assert once.tobytes() == ref_once.tobytes()
-    assert twice.tobytes() == ref_twice.tobytes()
-    assert all(normalize(v).tobytes() == r.tobytes() for v, r in zip(raw, ref_once))
-
-
-def test_normalize_refuses_a_length_that_overflows():
-    # Each entry is finite, but the squared length is beyond float64.
-    with pytest.raises(PipelineStateError, match="vector length overflows float64"):
-        normalize(np.array([[1.0, 0.0], [1e200, 1e200]]))
-
-
 def test_embed_texts_returns_one_normalized_matrix(mock_embedder):
     vectors = embed_texts(mock_embedder, MOCK_TEXTS, ProviderPolicy(max_in_flight=3))
     assert vectors.shape == (len(MOCK_TEXTS), 64)
     ref = np.stack([reference_normalize(reference_mock_vector(t, 64)) for t in MOCK_TEXTS])
     assert vectors.tobytes() == ref.tobytes()
+
+
+def test_embed_texts_scales_each_row_as_one_at_a_time_division_does():
+    raw = np.random.default_rng(20251018).standard_normal((2000, 64))
+
+    class RawRows:
+        tag = "raw-rows"
+
+        def embed(self, texts):
+            return raw[[int(text) for text in texts]]
+
+    vectors = embed_texts(RawRows(), [str(i) for i in range(len(raw))])
+    assert vectors.tobytes() == np.stack([reference_normalize(v) for v in raw]).tobytes()
 
 
 def test_memoised_mock_equals_unmemoised_reference():

@@ -34,7 +34,7 @@ from qgen.evaluate import (
 from qgen.generate import GenOutcome, GenRequest, Method
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
 from qgen.vectorindex import build_index, load_index, similarities
-from tests.conftest import FIXTURES, CountingChat
+from tests.conftest import FIXTURES, CountingChat, unit_rows
 
 STANDARDS = [
     LearningStandard("1.1.1", "Mengenal nombor positif dan nombor negatif berdasarkan situasi sebenar."),
@@ -161,13 +161,13 @@ def test_batched_alignment_equals_scalar_reference():
     # Rows 0 and 1 tie in exact arithmetic but differ by ulps; rows 2 and 3
     # are exact twins; the rest are random. Codes are in no particular order.
     rows = np.vstack([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0],
-                      [0.0, 1.0, 1.0], [0.0, 1.0, 1.0], rng.standard_normal((8, 3))])
+                      unit_rows([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), unit_rows(rng.standard_normal((8, 3)))])
     codes = ["2.9.9", "2.1.1", "3.5.1", "3.2.7", "1.4.4", "4.1.1", "1.1.2", "2.2.2",
              "5.0.1", "0.9.9", "3.3.3", "2.5.5"]
     chunks = [Chunk(chunk_id=f"rpt:standard_split:{i:04d}", doc_id="rpt", text="t",
                     strategy=Strategy.STANDARD_SPLIT) for i in range(len(rows))]
     index = build_index(chunks, rows, provider_tag="t")
-    queries = np.vstack([[1.0, 0.0, 0.0], [0.0, 2.0, 2.0], rows[4:], rng.standard_normal((20, 3))])
+    queries = np.vstack([[1.0, 0.0, 0.0], unit_rows([0.0, 2.0, 2.0]), rows[4:], unit_rows(rng.standard_normal((20, 3)))])
     table = similarities(index, queries)
     batched = sts_alignment(table, codes)
     expected = [reference_alignment(q, index, codes) for q in queries]

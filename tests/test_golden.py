@@ -8,18 +8,22 @@ the file in the same change, from the repository root:
 
     PYTHONPATH=src python -m tests.test_golden
 
-and lists each changed file, and why, in CHANGES.md.
+which prints every fixture file and bench line whose digest changed before it
+writes the file, and lists each changed file, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +88,36 @@ def test_fixture_run_all_matches_golden(tmp_path, name):
     assert run_all_digests(tmp_path, CONFIGS[name]) == golden["fixtures"][name], taken_with(golden)
 
 
+def changed(old: dict, new: dict) -> list[str]:
+    """One line per fixture file and per bench line whose digest differs between two golden records."""
+    lines = []
+    for name in sorted(old.get("fixtures", {}).keys() | new["fixtures"].keys()):
+        before, after = old.get("fixtures", {}).get(name, {}), new["fixtures"].get(name, {})
+        lines += [f"fixture {name}: {path} {before.get(path, 'absent')} -> {after.get(path, 'absent')}"
+                  for path in sorted(before.keys() | after.keys()) if before.get(path) != after.get(path)]
+    for workload in sorted(old.get("bench", {}).keys() | new["bench"].keys()):
+        pairs = zip_longest(old.get("bench", {}).get(workload, []), new["bench"].get(workload, []), fillvalue="absent")
+        lines += [f"bench {workload}: {before} -> {after}" for before, after in pairs if before != after]
+    return lines
+
+
+def test_changed_names_each_differing_file_and_bench_line():
+    old = {"fixtures": {"as_is": {"a": "1", "b": "2", "gone": "3"}}, "bench": {"w": ["x", "y"]}}
+    new = {"fixtures": {"as_is": {"a": "1", "b": "9", "new": "4"}}, "bench": {"w": ["x", "z", "extra"]}}
+    assert changed(old, new) == [
+        "fixture as_is: b 2 -> 9",
+        "fixture as_is: gone 3 -> absent",
+        "fixture as_is: new absent -> 4",
+        "bench w: y -> z",
+        "bench w: absent -> extra",
+    ]
+    assert changed(new, new) == []
+
+
 def _regenerate() -> None:
     fixtures = {}
     for name, overrides in CONFIGS.items():
-        with tempfile.TemporaryDirectory() as run_dir:
+        with tempfile.TemporaryDirectory() as run_dir, redirect_stdout(io.StringIO()):
             fixtures[name] = run_all_digests(Path(run_dir), overrides)
     bench = {}
     for workload in BENCH_WORKLOADS:
@@ -95,6 +125,10 @@ def _regenerate() -> None:
                              cwd=REPO_ROOT, capture_output=True, text=True, check=True)
         bench[workload] = bench_lines(run.stdout)
     golden = {"numpy": np.__version__, "fixtures": fixtures, "bench": bench}
+    old = load_golden() if GOLDEN.exists() else {}
+    if old.get("numpy") != golden["numpy"]:
+        print(f"numpy {old.get('numpy', 'absent')} -> {golden['numpy']}")
+    print("\n".join(changed(old, golden)) or "no digest changed")
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -52,8 +52,9 @@ def test_options_as_plain_array():
     payload["options"] = ["8", "2", "-2", "-8"]
     mcq = parse_mcq_json(json.dumps(payload))
     assert isinstance(mcq, Mcq)
-    assert mcq.option_text("A") == "8"
-    assert mcq.option_text("D") == "-8"
+    texts = {o.label: o.text for o in mcq.options}
+    assert texts["A"] == "8"
+    assert texts["D"] == "-8"
 
 
 def test_options_as_label_map():
@@ -61,7 +62,7 @@ def test_options_as_label_map():
     payload["options"] = {"A": "8", "B": "2", "C": "-2", "D": "-8"}
     mcq = parse_mcq_json(json.dumps(payload))
     assert isinstance(mcq, Mcq)
-    assert mcq.option_text("B") == "2"
+    assert {o.label: o.text for o in mcq.options}["B"] == "2"
 
 
 def test_answer_as_option_text():

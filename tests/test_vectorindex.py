@@ -21,6 +21,7 @@ from qgen.vectorindex import (
     similarities,
     top_k,
 )
+from tests.conftest import unit_rows
 
 
 def make_chunk(cid: str, text: str = "teks") -> Chunk:
@@ -30,8 +31,8 @@ def make_chunk(cid: str, text: str = "teks") -> Chunk:
 def make_index(n: int, dim: int = 8, seed: int = 0, tag: str = "test") -> VectorIndex:
     rng = random.Random(seed)
     chunks = [make_chunk(f"c{i:03d}") for i in range(n)]
-    vectors = [np.array([rng.gauss(0, 1) for _ in range(dim)]) for _ in range(n)]
-    return build_index(chunks, vectors, provider_tag=tag)
+    vectors = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(n)]
+    return build_index(chunks, unit_rows(vectors), provider_tag=tag)
 
 
 def brute_force_cosine(a, b) -> float:
@@ -45,9 +46,9 @@ def brute_force_cosine(a, b) -> float:
 
 
 def cosine(a, b) -> float:
-    """Cosine of ``a`` against a one-row index holding ``b``."""
-    index = build_index([make_chunk("b")], [np.asarray(b, dtype=np.float64)], provider_tag="t")
-    (score,) = similarities(index, np.asarray(a, dtype=np.float64)[None])[0]
+    """Cosine of ``a`` against a one-row index holding ``b``, both scaled to unit length first."""
+    index = build_index([make_chunk("b")], unit_rows([b]), provider_tag="t")
+    (score,) = similarities(index, unit_rows([a]))[0]
     return float(score)
 
 
@@ -69,11 +70,6 @@ def test_cosine_hand_computed():
 def test_cosine_dimension_mismatch():
     with pytest.raises(PipelineStateError, match="index dimension is 4"):
         cosine(np.ones(3), np.ones(4))
-
-
-def test_cosine_zero_vector():
-    with pytest.raises(PipelineStateError, match="cannot normalize a zero vector"):
-        cosine(np.zeros(3), np.ones(3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -126,6 +122,11 @@ def test_build_index_empty():
     (["a", "b"], np.ones(2), r"vectors have shape \(2,\), expected \(2, d\) with d >= 2"),
     (["a", "b"], np.eye(3), r"2 chunks but 3 vectors"),
     ([], np.empty((0, 4)), r"an index needs at least one entry"),
+    (["a", "b"], np.array([[1.0, 0.0], [0.0, 0.0]]), r"^entry 1 vector is not finite and unit-norm$"),
+    (["a", "b"], np.array([[1.0, 0.0], [math.nan, 1.0]]), r"^entry 1 vector is not finite and unit-norm$"),
+    (["a", "b"], np.array([[1.0, 0.0], [math.inf, 0.0]]), r"^entry 1 vector is not finite and unit-norm$"),
+    (["a", "b"], np.array([[1.0, 0.0], [1e200, 1e200]]), r"^entry 1 vector is not finite and unit-norm$"),
+    (["a", "b"], np.array([[1.0, 0.0], [0.6, 0.8 + 2e-6]]), r"^entry 1 vector is not finite and unit-norm$"),
 ])
 def test_constructor_checks_its_own_invariants(ids, matrix, refusal):
     with pytest.raises(PipelineStateError, match=refusal):
@@ -147,7 +148,7 @@ def hits_of(index: VectorIndex, positions: np.ndarray, scores: np.ndarray) -> li
 
 
 def rank(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """top_k of one query vector."""
+    """top_k of one unit query vector."""
     positions, scores = top_k(index, similarities(index, np.asarray(query)[None]), k)
     return hits_of(index, positions[0], scores[0])
 
@@ -163,7 +164,7 @@ def test_self_similarity_rank_one():
 
 def test_k_larger_than_index_saturates():
     index = make_index(4)
-    positions, scores = top_k(index, similarities(index, np.ones((1, 8))), 100)
+    positions, scores = top_k(index, similarities(index, unit_rows(np.ones((1, 8)))), 100)
     assert positions.shape == scores.shape == (1, 4)
     assert sorted(positions[0].tolist()) == [0, 1, 2, 3]
 
@@ -171,7 +172,7 @@ def test_k_larger_than_index_saturates():
 def test_top_k_matches_brute_force_oracle():
     rng = random.Random(42)
     index = make_index(50, dim=6, seed=9)
-    query = np.array([rng.gauss(0, 1) for _ in range(6)])
+    query = unit_rows([rng.gauss(0, 1) for _ in range(6)])
     hits = rank(index, query, k=5)
     expected = sorted(
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
@@ -184,18 +185,10 @@ def test_top_k_matches_brute_force_oracle():
 
 def test_tie_break_by_chunk_id_ascending():
     chunks = [make_chunk("zz"), make_chunk("aa"), make_chunk("mm")]
-    same = np.array([1.0, 1.0, 0.0])
+    same = unit_rows([1.0, 1.0, 0.0])
     index = build_index(chunks, [same, same, same], provider_tag="t")
-    hits = rank(index, np.array([1.0, 1.0, 0.0]), k=3)
+    hits = rank(index, same, k=3)
     assert [cid for cid, _ in hits] == ["aa", "mm", "zz"]
-
-
-def test_query_scale_invariance():
-    index = make_index(20, seed=5)
-    query = np.array(index.matrix[7]) + 0.1
-    base = rank(index, query, k=6)
-    scaled = rank(index, 37.5 * query, k=6)
-    assert [cid for cid, _ in base] == [cid for cid, _ in scaled]
 
 
 def test_query_dimension_checked():
@@ -217,6 +210,7 @@ def test_top_k_equals_brute_force_property(size, dim, k, seed):
     query = np.array([rng.gauss(0, 1) for _ in range(dim)])
     if np.linalg.norm(query) == 0:
         return
+    query = unit_rows(query)
     hits = rank(index, query, k=k)
     expected = sorted(
         ((brute_force_cosine(index.matrix[i], query), c.chunk_id) for i, c in enumerate(index.chunks)),
@@ -376,6 +370,30 @@ def test_load_names_first_bad_vector(tmp_path, edit):
         load_index(path)
 
 
+def test_scaled_row_refused_alike_when_built_and_when_loaded(tmp_path):
+    index = make_index(3)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    rewrite_with_valid_checksum(path, scale_entry_1)
+    scaled = np.array(index.matrix)
+    scaled[1] *= 2.0
+    with pytest.raises(PipelineStateError) as built:
+        build_index(index.chunks, scaled, provider_tag="t")
+    with pytest.raises(PipelineStateError) as loaded:
+        load_index(path)
+    assert str(built.value) == "entry 1 vector is not finite and unit-norm"
+    assert str(loaded.value) == f"{path}: {built.value}"
+
+
+def test_build_index_keeps_a_copy_of_the_rows_it_is_given():
+    rows = unit_rows(np.random.default_rng(3).standard_normal((6, 5)))
+    given = rows.tobytes()
+    index = build_index([make_chunk(f"c{i}") for i in range(6)], rows, provider_tag="t")
+    assert index.matrix.tobytes() == given
+    rows[0] = rows[1]
+    assert index.matrix.tobytes() == given
+
+
 def test_load_duplicate_chunk_id(tmp_path):
     path = tmp_path / "idx.json"
     save_index(make_index(3), path)
@@ -425,14 +443,13 @@ def test_load_refuses_format_version_1(tmp_path):
 )
 def test_batched_similarities_rows_equal_single_query_calls(size, dim, queries, seed):
     index = make_index(size, dim=dim, seed=seed)
-    q = np.random.default_rng(seed).standard_normal((queries, dim)) * 3.0
+    q = unit_rows(np.random.default_rng(seed).standard_normal((queries, dim)))
     table = similarities(index, q)
     assert table.shape == (queries, size)
     for row, query in zip(table, q):
         assert row.tobytes() == similarities(index, query[None])[0].tobytes()
         # The scoring rule before batching: one matrix-vector product per query.
-        unit = query / float(np.linalg.norm(query))
-        assert row.tobytes() == np.clip(index.matrix @ unit, -1.0, 1.0).tobytes()
+        assert row.tobytes() == np.clip(index.matrix @ query, -1.0, 1.0).tobytes()
 
 
 def reference_top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -443,11 +460,11 @@ def reference_top_k(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple
 
 def test_batched_top_k_equals_sorted_reference_with_ties_at_k():
     rng = np.random.default_rng(7)
-    directions = rng.standard_normal((4, 6))
+    directions = unit_rows(rng.standard_normal((4, 6)))
     # Five copies of each direction under shuffled chunk ids: whole groups tie.
     ids = [f"c{i:02d}" for i in rng.permutation(20)]
     index = build_index([make_chunk(cid) for cid in ids], np.repeat(directions, 5, axis=0), provider_tag="t")
-    queries = np.vstack([directions, rng.standard_normal((8, 6))])
+    queries = np.vstack([directions, unit_rows(rng.standard_normal((8, 6)))])
     straddled = 0
     for k in range(1, 23):
         positions, top_scores = top_k(index, similarities(index, queries), k)
