@@ -64,19 +64,17 @@ class MockChatProvider:
     """Deterministic offline stand-in for a chat model.
 
     Behaviour is a pure function of (prompt, seed) and two explicit knobs:
-    ``malformed_rate`` injects broken JSON into plain MCQ completions on a
-    fixed arithmetic schedule over the request seed (the generation
-    ordinal; every prefix of seeds 0..n-1 holds exactly ``floor(n * rate)``
-    malformed ones), and ``refuse_questions`` makes the QA mode answer with
-    a refusal. Calls share no state, so any call order or concurrency gives
-    the same outputs. A missing seed counts as seed 0. Grounded prompts
-    yield stems built from the first retrieved chunk, so retrieval quality
-    propagates into the generated question text.
+    ``malformed_rate``, in [0, 1] as ``RunConfig`` checked it, injects broken
+    JSON into plain MCQ completions on a fixed arithmetic schedule over the
+    request seed (the generation ordinal; every prefix of seeds 0..n-1 holds
+    exactly ``floor(n * rate)`` malformed ones), and ``refuse_questions``
+    makes the QA mode answer with a refusal. Calls share no state, so any
+    call order or concurrency gives the same outputs. A missing seed counts
+    as seed 0. Grounded prompts yield stems built from the first retrieved
+    chunk, so retrieval quality propagates into the generated question text.
     """
 
     def __init__(self, malformed_rate: float = 0.0, refuse_questions: bool = False):
-        if not 0.0 <= malformed_rate <= 1.0:
-            raise InputError(f"malformed_rate must be within [0, 1], got {malformed_rate}")
         self.tag = "mock-chat-v1"
         self.malformed_rate = malformed_rate
         self.refuse_questions = refuse_questions

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import median
 
-from .blocks import DocRole, SourceDocument, flatten_text
+from .blocks import SourceDocument, flatten_text
 from .errors import InputError
 
 
@@ -35,6 +35,9 @@ class Chunk:
     source_blocks: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("chunk_id", "doc_id", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"chunk {name} must be a string, got {getattr(self, name)!r}")
         if not self.text:
             raise ValueError("chunk text must be non-empty")
 
@@ -60,8 +63,9 @@ class Chunk:
         )
 
 
-STANDARD_CODE_RE = re.compile(r"(?m)^(\d+\.\d+\.\d+)\b")
-_STANDARD_CODE = re.compile(r"\d+\.\d+\.\d+")
+_CODE_PATTERN = r"\d+\.\d+\.\d+"
+STANDARD_CODE_RE = re.compile(rf"(?m)^({_CODE_PATTERN})\b")
+_STANDARD_CODE = re.compile(_CODE_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,8 @@ class LearningStandard:
     def __post_init__(self):
         if not _STANDARD_CODE.fullmatch(self.code):
             raise ValueError(f"standard code must match digit.digit.digit, got {self.code!r}")
+        if not isinstance(self.description, str):
+            raise TypeError(f"standard description must be a string, got {self.description!r}")
 
 
 def _chunk_id(doc_id: str, strategy: Strategy, ordinal: int) -> str:
@@ -124,7 +130,7 @@ def _atom_starts(text: str, max_chars: int) -> list[int]:
 
 
 def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 200) -> list[Chunk]:
-    """Split the flattened document text into overlapping chunks.
+    """Split the flattened text into overlapping chunks; ``RunConfig`` checks ``max_chars`` and ``overlap``.
 
     Cuts prefer separator boundaries (paragraph > line > sentence > space).
     Every character of the flattened text is covered by at least one chunk
@@ -136,11 +142,6 @@ def chunk_recursive(doc: SourceDocument, max_chars: int = 1000, overlap: int = 2
     where the separator cut would leave whitespace alone, the chunk is cut
     at ``max_chars`` characters instead, splitting the token that follows.
     """
-    if max_chars < 1:
-        raise InputError(f"max_chars must be positive, got {max_chars}")
-    if overlap < 0 or overlap >= max_chars:
-        raise InputError(f"overlap must satisfy 0 <= overlap < max_chars, got overlap={overlap}, max_chars={max_chars}")
-
     text = flatten_text(doc)
     # Legal cut positions: every atomic piece's end offset.
     bounds = _atom_starts(text, max_chars)[1:] + [len(text)]
@@ -201,11 +202,8 @@ def chunk_structure_aware(
     ``heading_font_delta``), at a block opening a keyword unit, or when the
     size budget would overflow outside a keyword unit. A keyword-opened
     unit is never split, whatever its size; block order is preserved and
-    every block lands in exactly one chunk.
+    every block lands in exactly one chunk. ``RunConfig`` checks ``max_chars``.
     """
-    if max_chars < 1:
-        raise InputError(f"max_chars must be positive, got {max_chars}")
-
     blocks = list(doc.iter_blocks())
     med = median(b.font_size for b in blocks)
 
@@ -252,10 +250,8 @@ def chunk_rpt_standards(doc: SourceDocument) -> list[tuple[LearningStandard, Chu
 
     Scans the flattened text for ``d.d.d`` codes at line starts; each chunk
     runs from its code to just before the next one (trailing whitespace
-    trimmed) and keeps the code inside its text.
+    trimmed) and keeps the code inside its text. ``load_document`` checks the role.
     """
-    if doc.role is not DocRole.STANDARDS_BLUEPRINT:
-        raise InputError(f"{doc.doc_id}: standard splitting requires a standards-blueprint document, got role {doc.role.value!r}")
     text = flatten_text(doc)
     matches = list(STANDARD_CODE_RE.finditer(text))
     if not matches:

@@ -167,17 +167,15 @@ class MockEmbeddingProvider:
 
     Text is lowercased and split into word tokens (runs of ``\\w``); each
     token is hashed (sha1, stable across processes) into one of ``dim``
-    buckets and counts are accumulated. Texts sharing vocabulary therefore
-    score higher under cosine similarity, which is all the offline pipeline
-    needs. A text with no token counts once in the bucket of its own
-    original text. Each provider remembers the bucket of every token and
-    whether each character it has met is a word character, so a token is
-    hashed once per provider, not once per occurrence.
+    buckets (``RunConfig`` checks ``dim >= 2``) and counts are accumulated.
+    Texts sharing vocabulary therefore score higher under cosine similarity,
+    which is all the offline pipeline needs. A text with no token counts
+    once in the bucket of its own original text. Each provider remembers the
+    bucket of every token and whether each character it has met is a word
+    character, so a token is hashed once per provider, not once per occurrence.
     """
 
     def __init__(self, dim: int = 64):
-        if dim < 2:
-            raise InputError(f"embedding dimension must be >= 2, got {dim}")
         self.dim = dim
         self.tag = f"mock-bow-sha1-v1:d{dim}"
         self._buckets = _BucketMemo(dim)

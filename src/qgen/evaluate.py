@@ -9,7 +9,7 @@ threshold plus refusal detection on the answering model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -62,7 +62,6 @@ class AlignmentScore:
 class ValidityVerdict:
     reason: VerdictReason
     top_score: float
-    answer_text: str | None = None
 
     @property
     def verdict(self) -> Verdict:
@@ -81,17 +80,17 @@ class MethodReport:
     embedder_tag: str = ""
     chat_tag: str = ""
 
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
+        for name in ("mean_sts", "std_sts", "validity_pct", "parse_failure_pct"):
+            if type(getattr(self, name)) not in (int, float) or not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not isinstance(self.embedder_tag, str) or not isinstance(self.chat_tag, str):
+            raise TypeError(f"embedder_tag and chat_tag must be strings: {self.embedder_tag!r}, {self.chat_tag!r}")
+
     def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "n": self.n,
-            "mean_sts": self.mean_sts,
-            "std_sts": self.std_sts,
-            "validity_pct": self.validity_pct,
-            "parse_failure_pct": self.parse_failure_pct,
-            "embedder_tag": self.embedder_tag,
-            "chat_tag": self.chat_tag,
-        }
+        return {**asdict(self), "method": self.method.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodReport":
@@ -108,14 +107,10 @@ class MethodReport:
 
 
 def _evaluation_text(mcq: Mcq, unit: str) -> str:
+    """The stem for ``unit`` "stem", else ("full", as ``RunConfig`` checks) stem, options and any explanation."""
     if unit == "stem":
         return mcq.stem
-    if unit == "full":
-        parts = [mcq.stem] + [o.text for o in mcq.options]
-        if mcq.explanation:
-            parts.append(mcq.explanation)
-        return "\n".join(parts)
-    raise ValueError(f"sts unit must be 'stem' or 'full', got {unit!r}")
+    return "\n".join(filter(None, [mcq.stem, *(o.text for o in mcq.options), mcq.explanation]))
 
 
 def score_questions(
@@ -143,14 +138,10 @@ def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentSco
     """Each row's maximum in a :func:`similarities` table over the standards.
 
     Column ``i`` of ``scores`` scores the learning standard with code
-    ``codes[i]``; the result has one score per row. Ties on the maximum
-    (scores within ``TIE_TOLERANCE`` of it) are broken by the lowest
-    standard code so results stay deterministic.
+    ``codes[i]`` (a ``VectorIndex`` has at least one); the result has one
+    score per row. Ties on the maximum (scores within ``TIE_TOLERANCE`` of
+    it) are broken by the lowest standard code so results stay deterministic.
     """
-    if not codes:
-        raise PipelineStateError("alignment scoring needs at least one learning standard")
-    if scores.ndim != 2 or scores.shape[1] != len(codes):
-        raise PipelineStateError(f"{len(codes)} standard codes for a score table of shape {scores.shape}")
     best = scores.max(axis=1)
     # Columns in code order: the first tied column of a row has its lowest tied code.
     by_code = np.argsort(np.asarray(codes), kind="stable")
@@ -196,11 +187,9 @@ def ragqa_validity(
     if top_score < tau:
         return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=top_score)
     bundle = build_prompt_qa(stem, list(context))
-    answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0)
-    lowered = answer.lower()
-    if any(marker.lower() in lowered for marker in refusal_markers):
-        return ValidityVerdict(reason=VerdictReason.REFUSAL, top_score=top_score, answer_text=answer)
-    return ValidityVerdict(reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=top_score, answer_text=answer)
+    answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0).lower()
+    refused = any(marker.lower() in answer for marker in refusal_markers)
+    return ValidityVerdict(VerdictReason.REFUSAL if refused else VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score)
 
 
 def _sample_std(values: list[float]) -> float:
@@ -220,18 +209,11 @@ def aggregate(
     """Fold per-question evaluations into one report per method.
 
     ``alignments[i]`` and ``verdicts[i]`` evaluate the i-th parsed outcome
-    of ``outcomes``; parse failures have neither. Parse failures are
-    excluded from the score statistics but included in the failure
-    percentage's denominator.
+    of the non-empty ``outcomes``; parse failures have neither. Parse
+    failures are excluded from the score statistics but included in the
+    failure percentage's denominator.
     """
-    if not outcomes:
-        raise PipelineStateError("cannot aggregate an empty outcome list")
-    parsed = [o for o in outcomes if not o.failed]
-    if not len(alignments) == len(verdicts) == len(parsed):
-        raise PipelineStateError(
-            f"{len(parsed)} parsed outcomes but {len(alignments)} alignments and {len(verdicts)} verdicts"
-        )
-    evaluated = list(zip(parsed, alignments, verdicts))
+    evaluated = list(zip((o for o in outcomes if not o.failed), alignments, verdicts))
 
     reports: list[MethodReport] = []
     for method in METHOD_ORDER:
@@ -262,17 +244,15 @@ _MD_RULE = "| --- | ---: | ---: | ---: | ---: |"
 
 
 def render_report(reports: list[MethodReport], format: str = "markdown") -> str:
-    """Render method reports as a markdown table or as the JSON document ``report.json`` holds."""
+    """Render method reports as ``report.json`` holds them for ``format`` "json", else as a markdown table."""
     if not reports:
         raise PipelineStateError("cannot render an empty report list")
     if format == "json":
         return dumps([r.to_dict() for r in reports], indent=True).decode()
-    if format == "markdown":
-        lines = [_MD_HEADER, _MD_RULE]
-        for r in reports:
-            lines.append(
-                f"| {r.method.display_name} | {r.mean_sts:.2f} | {r.std_sts:.2f} "
-                f"| {r.validity_pct:.2f} | {r.parse_failure_pct:.2f} |"
-            )
-        return "\n".join(lines)
-    raise ValueError(f"unknown report format {format!r}")
+    lines = [_MD_HEADER, _MD_RULE]
+    for r in reports:
+        lines.append(
+            f"| {r.method.display_name} | {r.mean_sts:.2f} | {r.std_sts:.2f} "
+            f"| {r.validity_pct:.2f} | {r.parse_failure_pct:.2f} |"
+        )
+    return "\n".join(lines)

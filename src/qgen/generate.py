@@ -16,7 +16,6 @@ import numpy as np
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
 from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
-from .errors import PipelineStateError
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -74,6 +73,12 @@ class GenOutcome:
     retrieved_chunk_ids: tuple[str, ...]
     prompt_fingerprint: str
     provider_tag: str
+
+    def __post_init__(self):
+        texts = (self.outcome_id, self.prompt_fingerprint, self.provider_tag, *self.retrieved_chunk_ids)
+        if not all(isinstance(text, str) for text in texts):
+            raise TypeError(f"outcome_id, prompt_fingerprint, provider_tag and retrieved_chunk_ids "
+                            f"must be strings, got {texts!r}")
 
     @property
     def mcq(self) -> Mcq | None:
@@ -223,10 +228,9 @@ def generate_batch(
     and retrieve the top ``retrieval_k`` chunks of every request's query
     from ``index`` in one :func:`top_k` call on the calling thread; the chat
     round-trips then run through :func:`map_in_flight` under ``policy``,
-    and outcomes come back in request order.
+    and outcomes come back in request order. ``RunConfig`` checks ``n`` and
+    ``retrieval_k``; a RAG method needs ``index`` and ``n`` ``rag_queries``.
     """
-    if n < 1:
-        raise ValueError(f"batch size must be >= 1, got {n}")
     requests = [
         GenRequest(
             method=method,
@@ -239,12 +243,6 @@ def generate_batch(
     ]
     contexts: list[Sequence[Chunk]] = [()] * n
     if method.is_rag:
-        if index is None:
-            raise PipelineStateError(f"{method.value} requires a vector index")
-        if rag_queries is None:
-            raise PipelineStateError(f"{method.value} requires an embedding provider's query vectors")
-        if len(rag_queries) != n:
-            raise PipelineStateError(f"{method.value} got retrieval queries for {len(rag_queries)} requests, not {n}")
         positions, _ = top_k(index, similarities(index, rag_queries), retrieval_k)
         contexts = [[index.chunks[i] for i in row] for row in positions.tolist()]
     return map_in_flight(

@@ -2,7 +2,7 @@
 
 Templates are Bahasa Melayu resource files shipped with the package
 (``resources/prompts/<version>/``) with named placeholders ``{topic}``,
-``{context}`` and ``{question}``.
+``{context}`` and ``{question}``. ``RunConfig`` refuses a blank topic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .chunking import Chunk
-from .errors import InputError
 from .jsonio import dumps
 
 TEMPLATE_VERSION = "v1"
@@ -64,28 +63,20 @@ class PromptBundle:
         return hashlib.sha256(dumps(payload)).hexdigest()
 
 
-def _check_topic(topic: str) -> str:
-    if not topic or not topic.strip():
-        raise InputError("prompt topic must be non-empty")
-    return topic.strip()
-
-
 def build_prompt_structured(topic: str) -> PromptBundle:
     """Generic topic prompt plus a machine-readable MCQ response schema."""
-    topic = _check_topic(topic)
     return PromptBundle(
         system_text=_template("system"),
-        user_text=_template("structured_user").format(topic=topic),
+        user_text=_template("structured_user").format(topic=topic.strip()),
         response_schema=MCQ_RESPONSE_SCHEMA,
     )
 
 
 def build_prompt_basic(topic: str) -> PromptBundle:
     """Generic topic prompt requesting JSON output in prose; no schema attached."""
-    topic = _check_topic(topic)
     return PromptBundle(
         system_text=_template("system"),
-        user_text=_template("basic_user").format(topic=topic),
+        user_text=_template("basic_user").format(topic=topic.strip()),
         response_schema=None,
     )
 
@@ -98,25 +89,18 @@ def format_context(chunks: list[Chunk]) -> str:
 def build_prompt_rag(topic: str, context: list[Chunk]) -> PromptBundle:
     """Grounded prompt embedding every retrieved chunk verbatim.
 
-    ``context`` must already be in descending retrieval-score order; each
-    chunk is delimited and labeled with its chunk_id.
+    ``context`` (at least one chunk) is in descending retrieval-score
+    order; each chunk is delimited and labeled with its chunk_id.
     """
-    topic = _check_topic(topic)
-    if not context:
-        raise InputError("RAG prompt requires at least one context chunk")
     return PromptBundle(
         system_text=_template("system"),
-        user_text=_template("rag_user").format(topic=topic, context=format_context(context)),
+        user_text=_template("rag_user").format(topic=topic.strip(), context=format_context(context)),
         response_schema=None,
     )
 
 
 def build_prompt_qa(question: str, context: list[Chunk]) -> PromptBundle:
-    """Answer-this-question prompt for the retrieval-QA validity check."""
-    if not question or not question.strip():
-        raise InputError("QA question must be non-empty")
-    if not context:
-        raise InputError("QA prompt requires at least one context chunk")
+    """Answer-this-question prompt for a non-blank ``Mcq`` stem and at least one context chunk."""
     return PromptBundle(
         system_text=_template("qa_system"),
         user_text=_template("qa_user").format(question=question.strip(), context=format_context(context)),

@@ -110,16 +110,12 @@ def similarities(index: VectorIndex, queries: np.ndarray) -> np.ndarray:
 
 
 def top_k(index: VectorIndex, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank each row of a :func:`similarities` table over ``index``.
+    """Rank each row of a :func:`similarities` table over ``index``; ``RunConfig`` checks ``k >= 1``.
 
     Returns two ``(m, min(k, len(index)))`` arrays: each row's chunk
     positions in ``index.chunks``, sorted by score descending with ties
     broken by chunk_id ascending, and their scores, read out of ``scores``.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if scores.ndim != 2 or scores.shape[1] != len(index):
-        raise PipelineStateError(f"score table has shape {scores.shape}, index has {len(index)} rows")
     k = min(k, len(index))
     # Only scores at or above a row's k-th highest can rank; sort just those
     # by row, then score descending, then chunk_id.

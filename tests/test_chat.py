@@ -88,11 +88,6 @@ def test_mock_malformed_schedule_is_independent_of_call_order():
         assert len({seed for seed in malformed_sets[0] if seed < n}) == math.floor(n * 0.3)
 
 
-def test_mock_malformed_rate_validation():
-    with pytest.raises(InputError, match="malformed_rate must be within"):
-        MockChatProvider(malformed_rate=1.5)
-
-
 def test_http_chat_wire_format(monkeypatch):
     monkeypatch.setenv("QGEN_API_KEY", "k123")
     seen = {}

@@ -65,14 +65,6 @@ def test_short_text_single_chunk():
     assert chunks[0].char_span == (0, len(chunks[0].text))
 
 
-def test_overlap_ge_max_chars_rejected():
-    doc = make_doc(["teks"])
-    with pytest.raises(InputError, match="overlap=60, max_chars=50"):
-        chunk_recursive(doc, max_chars=50, overlap=60)
-    with pytest.raises(InputError, match="overlap=50, max_chars=50"):
-        chunk_recursive(doc, max_chars=50, overlap=50)
-
-
 def test_unsplittable_token_emitted_whole():
     long_token = "x" * 120
     doc = make_doc([f"awal {long_token} akhir"])
@@ -305,12 +297,6 @@ def test_rpt_chunk_includes_code_and_description(rpt_doc):
 def test_no_codes_raises():
     doc = make_doc(["tiada kod di sini", "masih tiada"], role=DocRole.STANDARDS_BLUEPRINT)
     with pytest.raises(InputError, match="no learning-standard code"):
-        chunk_rpt_standards(doc)
-
-
-def test_wrong_role_raises():
-    doc = make_doc(["1.1.1 Sesuatu."], role=DocRole.KNOWLEDGE_SOURCE)
-    with pytest.raises(InputError, match="standard splitting requires a standards-blueprint document"):
         chunk_rpt_standards(doc)
 
 

@@ -791,10 +791,17 @@ def test_invalid_max_in_flight_exit_2(tmp_path, capsys, provider):
     ("chunking", {"recursive_overlap": 300}, "chunking.recursive_overlap"),
     ("chunking", {"recursive_overlap": -1}, "chunking.recursive_overlap"),
     ("chunking", {"structure_max_chars": 0}, "chunking.structure_max_chars"),
+    # Settings that only the config checks: the stage functions take them as checked.
+    ("evaluation", {"sts_unit": "sentence"}, "evaluation.sts_unit"),
+    ("evaluation", {"k": 0}, "evaluation.k"),
+    ("report_format", "html", "report_format"),
+    ("generation", {"retrieval_k": 0}, "generation.retrieval_k"),
+    ("generation", {"n_per_method": 0}, "generation.n_per_method"),
+    ("generation", {"topic": " "}, "generation.topic"),
 ])
 def test_bad_mock_or_chunking_value_exit_2_before_any_stage(tmp_path, capsys, section, values, setting):
     config = write_config(tmp_path, **{section: values})
-    assert main(["ingest", "--config", str(config)]) == 2
+    assert main(["run-all", "--config", str(config)]) == 2
     assert setting in capsys.readouterr().err
     assert not (tmp_path / "workdir").exists()
 
@@ -891,35 +898,73 @@ def test_index_damaged_chunk_row_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["ingest", "--config", str(config)]) == 0
     chunk_file = tmp_path / "workdir" / "chunks" / "knowledge_structure_aware.jsonl"
-    rewrite_row(chunk_file, 1, lambda row: row.update(strategy="bogus"))
-    assert main(["index", "--config", str(config)]) == 4
+    intact = chunk_file.read_bytes()
+    for field, value in [("strategy", "bogus"), ("chunk_id", 7), ("text", ["a"])]:
+        chunk_file.write_bytes(intact)
+        rewrite_row(chunk_file, 1, lambda row: row.update({field: value}))
+        capsys.readouterr()
+        assert main(["index", "--config", str(config)]) == 4, field
+        err = capsys.readouterr().err
+        assert "knowledge_structure_aware.jsonl: row 2" in err and "rerun the ingest stage" in err, err
+        assert not (tmp_path / "workdir" / "indexes").exists()
+
+
+def test_generate_damaged_standards_row_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["index", "--config", str(config)]) == 0
+    rewrite_row(tmp_path / "workdir" / "chunks" / "learning_standards.jsonl", 0,
+                lambda row: row.update(description=5))
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config)]) == 4
     err = capsys.readouterr().err
-    assert "knowledge_structure_aware.jsonl: row 2" in err and "rerun the ingest stage" in err
+    assert "learning_standards.jsonl: row 1" in err and "description" in err and "rerun the ingest stage" in err
+    assert not (tmp_path / "workdir" / "outcomes").exists()
 
 
 def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run-all", "--config", str(config)]) == 0
-    rewrite_row(tmp_path / "workdir" / "outcomes" / "rag_generic.jsonl", 2, lambda row: row.pop("topic"))
+    outcome_file = tmp_path / "workdir" / "outcomes" / "rag_generic.jsonl"
+    intact = outcome_file.read_bytes()
     before = (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes()
+    for edit, named in [(lambda row: row.pop("topic"), "'topic'"),
+                        (lambda row: row.update(provider_tag=["x"]), "provider_tag")]:
+        outcome_file.write_bytes(intact)
+        rewrite_row(outcome_file, 2, edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "rag_generic.jsonl: row 3" in err and named in err and "rerun the generate stage" in err, err
+        assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
+
+
+def test_evaluate_without_outcomes_exit_4(tmp_path, capsys):
+    """Empty outcome files are refused before alignment and aggregation, which take a non-empty batch."""
+    config = write_config(tmp_path)
+    assert main(["run-all", "--config", str(config)]) == 0
+    for path in (tmp_path / "workdir" / "outcomes").glob("*.jsonl"):
+        path.write_text("")
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config)]) == 4
-    err = capsys.readouterr().err
-    assert "rag_generic.jsonl: row 3" in err and "'topic'" in err and "rerun the generate stage" in err
-    assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
+    assert "no outcomes found under" in capsys.readouterr().err
 
 
 def test_report_damaged_entry_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["run-all", "--config", str(config)]) == 0
     report = tmp_path / "workdir" / "report.json"
-    entries = json.loads(report.read_text())
-    del entries[1]["n"]
-    report.write_text(json.dumps(entries))
-    capsys.readouterr()
-    assert main(["report", "--config", str(config)]) == 4
-    err = capsys.readouterr().err
-    assert "report.json: row 2" in err and "'n'" in err and "rerun the evaluate stage" in err
+    intact = report.read_text()
+    for edit, named in [(lambda entry: entry.pop("n"), "'n'"),
+                        (lambda entry: entry.update(mean_sts="x"), "mean_sts"),
+                        (lambda entry: entry.update(mean_sts=None), "mean_sts")]:
+        entries = json.loads(intact)
+        edit(entries[1])
+        report.write_text(json.dumps(entries))
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "report.json: row 2" in err and named in err and "rerun the evaluate stage" in err, err
 
 
 def test_report_without_evaluate_exit_4(tmp_path, capsys):

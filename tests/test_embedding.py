@@ -84,11 +84,6 @@ def test_mock_determinism_across_processes(mock_embedder):
     assert out.stdout.strip() == hashlib.sha256(local.tobytes()).hexdigest()
 
 
-def test_mock_dim_validation():
-    with pytest.raises(InputError, match="embedding dimension must be >= 2"):
-        MockEmbeddingProvider(dim=1)
-
-
 def test_token_free_text_still_embeds(mock_embedder):
     (v,) = embed_texts(mock_embedder, ["???"])
     assert np.linalg.norm(v) == pytest.approx(1.0)

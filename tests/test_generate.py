@@ -7,7 +7,6 @@ import pytest
 from qgen.chat import MockChatProvider
 from qgen.chunking import Chunk, LearningStandard, Strategy
 from qgen.embedding import embed_texts
-from qgen.errors import PipelineStateError
 from qgen.generate import GenOutcome, GenRequest, Method, embed_rag_queries, generate_batch, generate_mcq
 from qgen.jsonio import dumps, loads
 from qgen.mcq import Mcq, ParseFailure, parse_mcq_json
@@ -131,24 +130,6 @@ def test_rag_grounds_stem_in_top_chunk(mock_chat, mock_embedder, knowledge_index
     (top_chunk,) = [c for c in knowledge_index.chunks if c.chunk_id == outcome.retrieved_chunk_ids[0]]
     first_line = top_chunk.text.split("\n")[0]
     assert first_line.split()[0] in outcome.result.stem
-
-
-def test_missing_index_and_embedder(mock_chat, mock_embedder, knowledge_index):
-    with pytest.raises(PipelineStateError, match="requires a vector index"):
-        generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
-                       retrieval_k=2, index=None,
-                       rag_queries=embed_rag_queries(mock_embedder, 1, topic="t", standards=STANDARDS))
-    with pytest.raises(PipelineStateError, match="requires an embedding provider"):
-        generate_batch(mock_chat, Method.RAG_GENERIC, 1, topic="t", standards=STANDARDS,
-                       retrieval_k=2, index=knowledge_index, rag_queries=None)
-
-
-def test_rag_batch_refuses_a_query_count_other_than_n(mock_chat, mock_embedder, knowledge_index):
-    queries = embed_rag_queries(mock_embedder, 2, topic="t", standards=STANDARDS)
-    assert queries.shape == (2, mock_embedder.dim)
-    with pytest.raises(PipelineStateError, match="got retrieval queries for 2 requests, not 3"):
-        generate_batch(mock_chat, Method.RAG_GENERIC, 3, topic="t", standards=STANDARDS,
-                       retrieval_k=2, index=knowledge_index, rag_queries=queries)
 
 
 def test_request_invariant_retrieval_k():

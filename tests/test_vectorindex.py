@@ -494,7 +494,3 @@ def test_vector_api_takes_matrices_only():
         similarities(index, np.ones(8))
     with pytest.raises(PipelineStateError, match=r"queries have shape \(0, 5\)"):
         similarities(index, np.empty((0, 5)))
-    with pytest.raises(PipelineStateError, match=r"score table has shape \(3,\), index has 3 rows"):
-        top_k(index, np.ones(3), 1)
-    with pytest.raises(PipelineStateError, match=r"score table has shape \(2, 4\), index has 3 rows"):
-        top_k(index, np.ones((2, 4)), 1)
