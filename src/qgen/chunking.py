@@ -15,6 +15,7 @@ from statistics import median
 
 from .blocks import SourceDocument, flatten_text
 from .errors import InputError
+from .jsonio import as_tuple
 
 
 class Strategy(Enum):
@@ -40,16 +41,12 @@ class Chunk:
                 raise TypeError(f"chunk {name} must be a string, got {getattr(self, name)!r}")
         if not self.text:
             raise ValueError("chunk text must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "chunk_id": self.chunk_id,
-            "doc_id": self.doc_id,
-            "text": self.text,
-            "strategy": self.strategy.value,
-            "char_span": list(self.char_span) if self.char_span is not None else None,
-            "source_blocks": list(self.source_blocks) if self.source_blocks is not None else None,
-        }
+        # ``type(v) is int`` refuses a bool, which ``isinstance`` would take.
+        span, blocks = self.char_span, self.source_blocks
+        if not (span is None or type(span) is tuple and len(span) == 2 and type(span[0]) is type(span[1]) is int):
+            raise TypeError(f"chunk char_span must be None or two integers, got {span!r}")
+        if not (blocks is None or type(blocks) is tuple and set(map(type, blocks)) <= {int}):
+            raise TypeError(f"chunk source_blocks must be None or a tuple of integers, got {blocks!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
@@ -58,8 +55,8 @@ class Chunk:
             doc_id=d["doc_id"],
             text=d["text"],
             strategy=Strategy(d["strategy"]),
-            char_span=tuple(d["char_span"]) if d.get("char_span") is not None else None,
-            source_blocks=tuple(d["source_blocks"]) if d.get("source_blocks") is not None else None,
+            char_span=as_tuple(d.get("char_span")),
+            source_blocks=as_tuple(d.get("source_blocks")),
         )
 
 

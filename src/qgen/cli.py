@@ -39,7 +39,7 @@ from .evaluate import (
     sts_alignment,
 )
 from .generate import GenOutcome, Method, embed_rag_queries, generate_batch
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl, write_text
+from .jsonio import fields_of, read_json, read_jsonl, write_json, write_jsonl, write_text
 from .vectorindex import VectorIndex, build_index, load_index, save_index
 
 EXIT_OK = 0
@@ -143,11 +143,10 @@ def _ingest(cfg: RunConfig, work: Workdir, _: None) -> None:
     )
     standard_pairs = chunk_rpt_standards(standards_doc)
 
-    n1 = write_jsonl(work.chunk_file("knowledge_recursive"), (c.to_dict() for c in recursive))
-    n2 = write_jsonl(work.chunk_file("knowledge_structure_aware"), (c.to_dict() for c in structure))
-    n3 = write_jsonl(work.chunk_file("standards"), (c.to_dict() for _, c in standard_pairs))
-    write_jsonl(work.standards_file, ({"code": s.code, "description": s.description, "chunk_id": c.chunk_id}
-                                      for s, c in standard_pairs))
+    n1 = write_jsonl(work.chunk_file("knowledge_recursive"), recursive)
+    n2 = write_jsonl(work.chunk_file("knowledge_structure_aware"), structure)
+    n3 = write_jsonl(work.chunk_file("standards"), (c for _, c in standard_pairs))
+    write_jsonl(work.standards_file, ({**fields_of(s), "chunk_id": c.chunk_id} for s, c in standard_pairs))
     print(f"ingest: knowledge_recursive={n1} knowledge_structure_aware={n2} standards={n3}")
 
 
@@ -258,7 +257,7 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     write_jsonl(work.eval_records, records)
     reports = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
     write_text(work.report_md, render_report(reports, "markdown") + "\n")
-    write_json(work.report_json, [r.to_dict() for r in reports])
+    write_json(work.report_json, reports)
     print(f"evaluate: records={len(records)} methods={len(reports)}")
 
 
@@ -353,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise PipelineStateError(f"missing {path}; run the {_writer(cfg, work, path)} stage first")
             written.update(stage.writes(cfg, work))
         if written:
-            write_json(work.resolved_config, cfg.to_dict())
+            write_json(work.resolved_config, cfg)
         providers = None
         for stage in stages:
             if stage.calls_providers and providers is None:

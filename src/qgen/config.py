@@ -9,7 +9,7 @@ reproducible artifact describing exactly what it did.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .chunking import DEFAULT_UNIT_KEYWORDS
@@ -143,11 +143,6 @@ class RunConfig:
     def __post_init__(self):
         if self.report_format not in ("markdown", "json"):
             raise InputError(f"report_format must be 'markdown' or 'json', got {self.report_format!r}")
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["generation"]["methods"] = [m.value for m in self.generation.methods]
-        return data
 
 
 _NOT_BLANK = ("generation.topic", "chunking.unit_keywords", "evaluation.refusal_markers")

@@ -9,7 +9,7 @@ threshold plus refusal detection on the answering model).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -88,9 +88,6 @@ class MethodReport:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not isinstance(self.embedder_tag, str) or not isinstance(self.chat_tag, str):
             raise TypeError(f"embedder_tag and chat_tag must be strings: {self.embedder_tag!r}, {self.chat_tag!r}")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "method": self.method.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MethodReport":
@@ -248,7 +245,7 @@ def render_report(reports: list[MethodReport], format: str = "markdown") -> str:
     if not reports:
         raise PipelineStateError("cannot render an empty report list")
     if format == "json":
-        return dumps([r.to_dict() for r in reports], indent=True).decode()
+        return dumps(reports, indent=True).decode()
     lines = [_MD_HEADER, _MD_RULE]
     for r in reports:
         lines.append(

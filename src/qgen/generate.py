@@ -16,6 +16,7 @@ import numpy as np
 from .chat import ChatProvider
 from .chunking import Chunk, LearningStandard
 from .embedding import EmbeddingProvider, ProviderPolicy, embed_texts, map_in_flight
+from .jsonio import as_tuple, fields_of
 from .mcq import Mcq, ParseFailure, parse_mcq_json
 from .prompts import build_prompt_basic, build_prompt_rag, build_prompt_structured
 from .vectorindex import VectorIndex, similarities, top_k
@@ -58,6 +59,10 @@ class GenRequest:
     seed_hint: int | None = None
 
     def __post_init__(self):
+        counts = (self.retrieval_k, self.seed_hint)
+        if not isinstance(self.topic, str) or not all(n is None or type(n) is int for n in counts):
+            raise TypeError(f"topic must be a string, and retrieval_k and seed_hint integers or None, "
+                            f"got {self.topic!r}, {self.retrieval_k!r}, {self.seed_hint!r}")
         if self.method.is_rag:
             if self.retrieval_k is None or self.retrieval_k < 1:
                 raise ValueError(f"{self.method.value} requires a positive retrieval_k")
@@ -75,6 +80,8 @@ class GenOutcome:
     provider_tag: str
 
     def __post_init__(self):
+        if not isinstance(self.retrieved_chunk_ids, tuple):
+            raise TypeError(f"retrieved_chunk_ids must be a tuple, got {self.retrieved_chunk_ids!r}")
         texts = (self.outcome_id, self.prompt_fingerprint, self.provider_tag, *self.retrieved_chunk_ids)
         if not all(isinstance(text, str) for text in texts):
             raise TypeError(f"outcome_id, prompt_fingerprint, provider_tag and retrieved_chunk_ids "
@@ -89,23 +96,11 @@ class GenOutcome:
         return isinstance(self.result, ParseFailure)
 
     def to_dict(self) -> dict:
-        if isinstance(self.result, Mcq):
-            result = {"kind": "mcq", **self.result.to_dict()}
-        else:
-            result = {"kind": "parse_failure", **self.result.to_dict()}
-        std = self.request.target_standard
-        return {
-            "outcome_id": self.outcome_id,
-            "method": self.request.method.value,
-            "topic": self.request.topic,
-            "target_standard": {"code": std.code, "description": std.description} if std else None,
-            "retrieval_k": self.request.retrieval_k,
-            "seed_hint": self.request.seed_hint,
-            "result": result,
-            "retrieved_chunk_ids": list(self.retrieved_chunk_ids),
-            "prompt_fingerprint": self.prompt_fingerprint,
-            "provider_tag": self.provider_tag,
-        }
+        """The outcome row: the request's fields laid flat beside the outcome's, and the result tagged with its kind."""
+        row = {**fields_of(self.request), **fields_of(self)}
+        del row["request"]
+        row["result"] = {"kind": "mcq" if isinstance(self.result, Mcq) else "parse_failure", **fields_of(self.result)}
+        return row
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenOutcome":
@@ -117,18 +112,12 @@ class GenOutcome:
             retrieval_k=d.get("retrieval_k"),
             seed_hint=d.get("seed_hint"),
         )
-        raw_result = dict(d["result"])
-        kind = raw_result.pop("kind")
-        result: Mcq | ParseFailure
-        if kind == "mcq":
-            result = Mcq.from_dict(raw_result)
-        else:
-            result = ParseFailure.from_dict(raw_result)
+        result = d["result"]
         return cls(
             outcome_id=d["outcome_id"],
             request=request,
-            result=result,
-            retrieved_chunk_ids=tuple(d["retrieved_chunk_ids"]),
+            result=(Mcq if result["kind"] == "mcq" else ParseFailure).from_dict(result),
+            retrieved_chunk_ids=as_tuple(d["retrieved_chunk_ids"]),
             prompt_fingerprint=d["prompt_fingerprint"],
             provider_tag=d["provider_tag"],
         )

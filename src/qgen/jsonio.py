@@ -7,11 +7,12 @@ with no spaces, except in the two-space indented form of
 round-trip form; a magnitude below 1e-4 or at least 1e16 is written
 ``0.000025`` or ``1e16``, where Python's ``repr`` gives ``2.5e-05`` or
 ``1e+16``. A numpy array is written as the list of its elements, each
-float64 in the same text as the Python float. The reader is strict:
-``NaN``, ``Infinity``, a number beyond float64, a lone-surrogate escape,
-invalid UTF-8 and a byte order mark raise ``ValueError``. orjson would
-write a non-finite float as ``null``, so no caller may hand a writer one,
-and it refuses an array that is not C-contiguous.
+float64 in the same text as the Python float. A dataclass is written as
+the map of its fields, enums by value and tuples as arrays. The reader is
+strict: ``NaN``, ``Infinity``, a number beyond float64, a lone-surrogate
+escape, invalid UTF-8 and a byte order mark raise ``ValueError``. orjson
+would write a non-finite float as ``null``, so no caller may hand a writer
+one, and it refuses an array that is not C-contiguous.
 
 Every artifact write is atomic: the content goes to a temporary file in
 the target's directory, which then replaces the target. A write that fails
@@ -20,6 +21,7 @@ partway leaves the previous file as it was and no temporary file behind.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import uuid
 from contextlib import contextmanager
@@ -28,13 +30,26 @@ from typing import BinaryIO, Iterable, Iterator
 
 import orjson
 
-# The options of every write.
-_WRITE = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+# The options of every write. orjson's own dataclass output ignores OPT_SORT_KEYS,
+# so a dataclass passes through to ``fields_of`` and is written as a dict.
+_WRITE = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def fields_of(obj) -> dict:
+    """A dataclass instance's fields by name, as every writer writes it; ``TypeError`` for anything else."""
+    names = _FIELD_NAMES.get(type(obj))
+    if names is None:
+        if not dataclasses.is_dataclass(type(obj)):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        names = _FIELD_NAMES[type(obj)] = tuple(f.name for f in dataclasses.fields(obj))
+    return {name: getattr(obj, name) for name in names}
 
 
 def dumps(obj, indent: bool = False) -> bytes:
     """``obj`` as canonical JSON: sorted keys, UTF-8, no spaces, or indented by two spaces if ``indent``."""
-    return orjson.dumps(obj, option=_WRITE | (orjson.OPT_INDENT_2 if indent else 0))
+    return orjson.dumps(obj, default=fields_of, option=_WRITE | (orjson.OPT_INDENT_2 if indent else 0))
 
 
 def encodable(text: str) -> bool:
@@ -52,6 +67,11 @@ def encodable(text: str) -> bool:
 def loads(data: bytes | str):
     """The value of one JSON document; raises ``ValueError`` for text that is not strict JSON."""
     return orjson.loads(data)
+
+
+def as_tuple(value):
+    """``value`` as a tuple if it is a JSON array, else as it is, for a row's constructor to check."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def read_json(path: str | Path):
@@ -77,12 +97,12 @@ def _replacing(path: str | Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one canonical JSON object per line; returns the row count."""
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write each row, a dict or a dataclass, as one canonical JSON object per line; returns the row count."""
     count = 0
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(orjson.dumps(row, option=_WRITE | orjson.OPT_APPEND_NEWLINE))
+            fh.write(orjson.dumps(row, default=fields_of, option=_WRITE | orjson.OPT_APPEND_NEWLINE))
             count += 1
     return count
 

@@ -59,6 +59,10 @@ class Mcq:
         if not isinstance(self.stem, str) or not self.stem.strip():
             raise McqValidationError(ParseCategory.MISSING_FIELD, "stem must be a non-empty string")
         object.__setattr__(self, "stem", self.stem.strip())
+        for name in ("explanation", "language_tag"):
+            if not isinstance(getattr(self, name), str):
+                raise McqValidationError(ParseCategory.MISSING_FIELD,
+                                         f"{name} must be a string, got {getattr(self, name)!r}")
         if len(self.options) != 4:
             raise McqValidationError(ParseCategory.BAD_OPTION_COUNT, f"expected 4 options, got {len(self.options)}")
         labels = [o.label for o in self.options]
@@ -78,19 +82,12 @@ class Mcq:
             dupes = sorted({t for t in normalized if normalized.count(t) > 1})
             raise McqValidationError(ParseCategory.DUPLICATE_OPTION, f"duplicate option text(s): {dupes}")
 
-    def to_dict(self) -> dict:
-        return {
-            "stem": self.stem,
-            "options": [{"label": o.label, "text": o.text} for o in self.options],
-            "answer_key": self.answer_key,
-            "explanation": self.explanation,
-            "language_tag": self.language_tag,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Mcq":
         return cls(
             stem=d["stem"],
+            # Only an array of objects reads as options: iterating any other JSON value
+            # yields no item that has a label and a text.
             options=tuple(McqOption(o["label"], o["text"]) for o in d["options"]),
             answer_key=d["answer_key"],
             explanation=d.get("explanation", ""),
@@ -105,9 +102,6 @@ class ParseFailure:
     raw_text: str
     category: ParseCategory
     message: str
-
-    def to_dict(self) -> dict:
-        return {"raw_text": self.raw_text, "category": self.category.value, "message": self.message}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParseFailure":

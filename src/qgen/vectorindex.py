@@ -15,7 +15,7 @@ import numpy as np
 
 from .chunking import Chunk
 from .errors import PipelineStateError
-from .jsonio import dumps, read_json, write_jsonl
+from .jsonio import dumps, fields_of, read_json, write_jsonl
 
 INDEX_FORMAT_VERSION = 2
 
@@ -138,7 +138,7 @@ def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Persist an index as a versioned, checksummed JSON object on one line."""
-    chunk_dicts = [c.to_dict() for c in index.chunks]
+    chunk_dicts = [fields_of(c) for c in index.chunks]
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,

@@ -899,7 +899,8 @@ def test_index_damaged_chunk_row_exit_4(tmp_path, capsys):
     assert main(["ingest", "--config", str(config)]) == 0
     chunk_file = tmp_path / "workdir" / "chunks" / "knowledge_structure_aware.jsonl"
     intact = chunk_file.read_bytes()
-    for field, value in [("strategy", "bogus"), ("chunk_id", 7), ("text", ["a"])]:
+    for field, value in [("strategy", "bogus"), ("chunk_id", 7), ("text", ["a"]), ("char_span", "ab"),
+                         ("source_blocks", "12")]:
         chunk_file.write_bytes(intact)
         rewrite_row(chunk_file, 1, lambda row: row.update({field: value}))
         capsys.readouterr()
@@ -928,15 +929,24 @@ def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
     outcome_file = tmp_path / "workdir" / "outcomes" / "rag_generic.jsonl"
     intact = outcome_file.read_bytes()
     before = (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes()
-    for edit, named in [(lambda row: row.pop("topic"), "'topic'"),
-                        (lambda row: row.update(provider_tag=["x"]), "provider_tag")]:
-        outcome_file.write_bytes(intact)
-        rewrite_row(outcome_file, 2, edit)
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(config)]) == 4
-        err = capsys.readouterr().err
-        assert "rag_generic.jsonl: row 3" in err and named in err and "rerun the generate stage" in err, err
-        assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
+    edits = [(lambda row: row.pop("topic"), "'topic'"),
+             (lambda row: row.update(provider_tag=["x"]), "provider_tag"),
+             (lambda row: row["result"].update(explanation=5), "explanation"),
+             (lambda row: row["result"].update(language_tag=None), "language_tag"),
+             (lambda row: row.update(retrieved_chunk_ids="abc"), "retrieved_chunk_ids"),
+             (lambda row: row.update(topic=5), "topic"),
+             (lambda row: row.update(seed_hint="3"), "seed_hint")]
+    # A full-text evaluation also reads the explanation.
+    for unit in ("stem", "full"):
+        config = write_config(tmp_path, evaluation={"sts_unit": unit})
+        for edit, named in edits:
+            outcome_file.write_bytes(intact)
+            rewrite_row(outcome_file, 2, edit)
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(config)]) == 4, (unit, named)
+            err = capsys.readouterr().err
+            assert "rag_generic.jsonl: row 3" in err and named in err and "rerun the generate stage" in err, err
+            assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
 
 
 def test_evaluate_without_outcomes_exit_4(tmp_path, capsys):

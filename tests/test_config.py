@@ -11,6 +11,7 @@ from qgen.cli import COMMANDS, _build_parser, resolve_config
 from qgen.config import RunConfig, config_from_dict, load_config, parse_method
 from qgen.errors import InputError
 from qgen.generate import METHOD_ORDER, Method
+from qgen.jsonio import dumps, loads
 from tests.conftest import FIXTURES
 
 
@@ -180,7 +181,7 @@ def test_empty_lists_stay_legal():
 
 @pytest.mark.parametrize("value", [7, 7.5, True, None, ["a", 1], {"a": 1}])
 def test_each_setting_takes_only_the_json_type_of_its_default(value):
-    defaults = RunConfig().to_dict()
+    defaults = loads(dumps(RunConfig()))
     for section, keys in defaults.items():
         if not isinstance(keys, dict):
             continue
@@ -195,7 +196,7 @@ def test_each_setting_takes_only_the_json_type_of_its_default(value):
 def test_float_setting_keeps_an_int_as_given():
     cfg = config_from_dict({"evaluation": {"tau": 1}, "provider": {"backoff_base": 0}})
     assert type(cfg.evaluation.tau) is int and cfg.evaluation.tau == 1
-    assert cfg.to_dict()["provider"]["backoff_base"] == 0
+    assert loads(dumps(cfg))["provider"]["backoff_base"] == 0
 
 
 def test_non_object_section_refused_with_or_without_overrides(tmp_path):
@@ -241,7 +242,7 @@ def test_to_dict_round_trip():
         "generation": {"methods": ["basic", "rag_structure"], "n_per_method": 3},
         "evaluation": {"tau": 0.4},
     })
-    assert config_from_dict(cfg.to_dict()) == cfg
+    assert config_from_dict(loads(dumps(cfg))) == cfg
 
 
 @pytest.mark.parametrize("key, value", [

@@ -32,6 +32,7 @@ from qgen.evaluate import (
     sts_alignment,
 )
 from qgen.generate import GenOutcome, GenRequest, Method
+from qgen.jsonio import dumps, loads
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
 from qgen.vectorindex import build_index, load_index, similarities
 from tests.conftest import FIXTURES, CountingChat, unit_rows
@@ -558,7 +559,7 @@ def _report(method: Method, mean=0.5) -> MethodReport:
     ("validity_pct", math.inf), ("parse_failure_pct", False), ("embedder_tag", 1), ("chat_tag", None),
 ])
 def test_method_report_refuses_a_damaged_field(field, value):
-    fields = _report(Method.BASIC_PROMPT).to_dict()
+    fields = loads(dumps(_report(Method.BASIC_PROMPT)))
     with pytest.raises((TypeError, ValueError), match=field):
         MethodReport.from_dict({**fields, field: value})
     assert MethodReport.from_dict(fields) == _report(Method.BASIC_PROMPT)

@@ -4,6 +4,8 @@ import ast
 import hashlib
 import json
 import struct
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import qgen.jsonio
 from qgen.chunking import Chunk, Strategy
-from qgen.jsonio import dumps, loads, read_jsonl, write_json, write_jsonl, write_text
+from qgen.jsonio import dumps, fields_of, loads, read_jsonl, write_json, write_jsonl, write_text
 from qgen.prompts import TEMPLATE_VERSION, build_prompt_rag, build_prompt_structured
 from qgen.vectorindex import build_index, load_index, save_index
 
@@ -148,6 +150,53 @@ def test_float64_array_is_written_as_its_list(tmp_path):
     assert [_bits(r) for r in read_jsonl(path)] == [_bits(as_lists)]
 
 
+class _Colour(Enum):
+    RED = "merah"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    zeta: int
+    alpha: str
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    colour: _Colour
+    span: tuple[int, int]
+    missing: None
+    inner: _Inner
+    row: np.ndarray
+
+
+def test_dataclass_is_written_as_its_sorted_fields(tmp_path):
+    row = _Row("r", _Colour.RED, (3, 1), None, _Inner(2, "a"), np.array([0.5, -0.0, 2.5e-05]))
+    by_hand = {"colour": "merah", "inner": {"alpha": "a", "zeta": 2}, "missing": None, "name": "r",
+               "row": [0.5, -0.0, 2.5e-05], "span": [3, 1]}
+    expected = (b'{"colour":"merah","inner":{"alpha":"a","zeta":2},"missing":null,'
+                b'"name":"r","row":[0.5,-0.0,0.000025],"span":[3,1]}')
+    assert dumps(row) == dumps(by_hand) == expected
+    assert dumps([row], indent=True) == dumps([by_hand], indent=True)
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [row, by_hand])
+    assert path.read_bytes() == 2 * (dumps(by_hand) + b"\n")
+    write_json(path, row)
+    assert path.read_bytes() == dumps(by_hand, indent=True) + b"\n"
+    assert list(fields_of(row)) == ["name", "colour", "span", "missing", "inner", "row"]
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), _Inner, b"bytes"], ids=["set", "object", "class", "bytes"])
+def test_value_the_codec_cannot_write_raises_type_error(tmp_path, value):
+    with pytest.raises(TypeError):
+        dumps({"x": value})
+    with pytest.raises(TypeError):
+        write_jsonl(tmp_path / "rows.jsonl", [{"x": value}])
+    with pytest.raises(TypeError):
+        fields_of(value)
+    assert not (tmp_path / "rows.jsonl").exists()
+
+
 @pytest.mark.parametrize("line, problem", [
     ("{broken json", "invalid JSON: unexpected character at column 2$"),
     ('{"score": NaN}', "invalid JSON"),
@@ -193,3 +242,24 @@ def test_only_jsonio_imports_orjson():
             library = {name.split(".")[0] for name in names} & {"orjson", "json"}
             importers += [f"{path.relative_to(src).as_posix()}: {lib}" for lib in sorted(library)]
     assert importers == ["jsonio.py: orjson"]
+
+
+def test_only_gen_outcome_defines_to_dict():
+    """The writers encode a dataclass as its fields, so no ``src/qgen`` class copies them out by hand.
+
+    ``GenOutcome.to_dict`` alone stays: its row lays the request's fields flat
+    and tags the result with its kind. No module imports ``dataclasses.asdict``.
+    """
+    src = Path(qgen.jsonio.__file__).parent
+    definers, asdict_imports = [], []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                definers += [f"{path.name}: {node.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name == "to_dict"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                asdict_imports += [path.name for alias in node.names if alias.name == "asdict"]
+            elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+                asdict_imports.append(path.name)
+    assert definers == ["generate.py: GenOutcome"]
+    assert asdict_imports == []

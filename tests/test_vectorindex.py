@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qgen.chunking import Chunk, Strategy
 from qgen.errors import PipelineStateError
+from qgen.jsonio import dumps, loads
 from qgen.vectorindex import (
     VectorIndex,
     build_index,
@@ -315,7 +316,7 @@ def test_saved_vectors_are_the_bytes_of_their_float_lists(tmp_path):
     # whose shortest text is 0.00001.
     matrix = np.array([[-0.0, 1.0, 5e-324], [1e-5, math.sqrt(1 - 1e-10), -0.0], [0.6, -0.8, 0.0]])
     chunks = [make_chunk(f"c{i}") for i in range(3)]
-    entries = [{"chunk": c.to_dict(), "vector": v} for c, v in zip(chunks, matrix.tolist())]
+    entries = [{"chunk": loads(dumps(c)), "vector": v} for c, v in zip(chunks, matrix.tolist())]
     reference = orjson.dumps({
         "format_version": 2, "dimension": 3, "provider_tag": "t", "count": 3,
         "checksum": checksum_v2(entries), "entries": entries,
