@@ -34,6 +34,7 @@ import orjson
 # so a dataclass passes through to ``fields_of`` and is written as a dict.
 _WRITE = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS
 
+# Field names per dataclass: a row then costs about half of what ``dataclasses.fields`` would.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 

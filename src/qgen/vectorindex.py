@@ -138,6 +138,7 @@ def _checksum(chunk_dicts: list[dict], matrix: np.ndarray) -> str:
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Persist an index as a versioned, checksummed JSON object on one line."""
+    # One dict per chunk serves the checksum and the entries, so no chunk is encoded twice.
     chunk_dicts = [fields_of(c) for c in index.chunks]
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
