@@ -36,6 +36,12 @@ class Chunk:
     source_blocks: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        # A row read back from JSON holds the strategy's value and arrays. Ingest builds
+        # thousands of chunks from members, which skip the comparatively slow enum call.
+        if not isinstance(self.strategy, Strategy):
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        object.__setattr__(self, "char_span", as_tuple(self.char_span))
+        object.__setattr__(self, "source_blocks", as_tuple(self.source_blocks))
         for name in ("chunk_id", "doc_id", "text"):
             if not isinstance(getattr(self, name), str):
                 raise TypeError(f"chunk {name} must be a string, got {getattr(self, name)!r}")
@@ -47,17 +53,6 @@ class Chunk:
             raise TypeError(f"chunk char_span must be None or two integers, got {span!r}")
         if not (blocks is None or type(blocks) is tuple and set(map(type, blocks)) <= {int}):
             raise TypeError(f"chunk source_blocks must be None or a tuple of integers, got {blocks!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Chunk":
-        return cls(
-            chunk_id=d["chunk_id"],
-            doc_id=d["doc_id"],
-            text=d["text"],
-            strategy=Strategy(d["strategy"]),
-            char_span=as_tuple(d.get("char_span")),
-            source_blocks=as_tuple(d.get("source_blocks")),
-        )
 
 
 _CODE_PATTERN = r"\d+\.\d+\.\d+"

@@ -106,17 +106,17 @@ def _writer(cfg: RunConfig, work: Workdir, path: Path) -> str:
     return next(stage.name for stage in PIPELINE if path in stage.writes(cfg, work))
 
 
-def _read_artifact(cfg: RunConfig, work: Workdir, path: Path, from_dict) -> list:
-    """The rows of a workdir artifact, each through ``from_dict``.
+def _read_artifact(cfg: RunConfig, work: Workdir, path: Path, read: Callable[[dict], object]) -> list:
+    """The rows of a workdir artifact, each through ``read``.
 
-    ``main`` has checked that the file exists. A row that ``from_dict``
-    cannot read is a pipeline-state error naming the file, the row and the
-    stage to rerun.
+    ``main`` has checked that the file exists. A row that ``read`` refuses
+    with a ``KeyError``, ``TypeError`` or ``ValueError`` is a pipeline-state
+    error naming the file, the row and the stage to rerun.
     """
     rows = []
     try:
         for row in read_jsonl(path) if path.suffix == ".jsonl" else read_json(path):
-            rows.append(from_dict(row))
+            rows.append(read(row))
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineStateError(f"{path}: row {len(rows) + 1} is damaged ({type(exc).__name__}: {exc}); "
                                  f"rerun the {_writer(cfg, work, path)} stage") from exc
@@ -153,7 +153,7 @@ def _ingest(cfg: RunConfig, work: Workdir, _: None) -> None:
 def _index(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     """Embed every chunk file in one call and persist one flat index per file."""
     embedder = providers.embedder
-    chunk_lists = [_read_artifact(cfg, work, work.chunk_file(name), Chunk.from_dict) for name in CHUNK_FILES]
+    chunk_lists = [_read_artifact(cfg, work, work.chunk_file(name), lambda row: Chunk(**row)) for name in CHUNK_FILES]
     # One call sends each distinct chunk text once, so a provider failure writes no index.
     vectors = embed_texts(embedder, [c.text for chunks in chunk_lists for c in chunks], providers.policy)
     splits = np.split(vectors, np.cumsum([len(chunks) for chunks in chunk_lists[:-1]]))
@@ -211,9 +211,22 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
             "rerun the ingest and index stages together"
         )
     codes = [standard.code for standard, _ in standards]
+    seen_ids: set[str] = set()
+
+    def read_outcome(row: dict, method: Method) -> GenOutcome:
+        """The outcome of a row of ``method``'s file: one of that method, with an id no earlier row has."""
+        outcome = GenOutcome.from_dict(row)
+        if outcome.request.method is not method:
+            raise ValueError(f"method {outcome.request.method.value!r} is not the file's {method.value!r}")
+        if outcome.outcome_id in seen_ids:
+            raise ValueError(f"outcome_id {outcome.outcome_id!r} repeats an earlier row's")
+        seen_ids.add(outcome.outcome_id)
+        return outcome
+
     # Outcomes of the configured methods, their files read in file-name order.
-    outcomes = [outcome for path in sorted(map(work.outcome_file, cfg.generation.methods))
-                for outcome in _read_artifact(cfg, work, path, GenOutcome.from_dict)]
+    outcomes = [outcome for method in sorted(cfg.generation.methods, key=lambda m: m.value)
+                for outcome in _read_artifact(cfg, work, work.outcome_file(method),
+                                              lambda row: read_outcome(row, method))]
     if not outcomes:
         raise PipelineStateError(f"no outcomes found under {work.outcomes}")
     parsed = [o for o in outcomes if o.mcq is not None]
@@ -263,7 +276,8 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
 
 def _report(cfg: RunConfig, work: Workdir, _: None) -> None:
     """Print the stored report in the configured format."""
-    print(render_report(_read_artifact(cfg, work, work.report_json, MethodReport.from_dict), cfg.report_format))
+    reports = _read_artifact(cfg, work, work.report_json, lambda row: MethodReport(**row))
+    print(render_report(reports, cfg.report_format))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,7 @@ class MethodReport:
     chat_tag: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
         if type(self.n) is not int or self.n < 0:
             raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
         for name in ("mean_sts", "std_sts", "validity_pct", "parse_failure_pct"):
@@ -88,19 +89,6 @@ class MethodReport:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not isinstance(self.embedder_tag, str) or not isinstance(self.chat_tag, str):
             raise TypeError(f"embedder_tag and chat_tag must be strings: {self.embedder_tag!r}, {self.chat_tag!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MethodReport":
-        return cls(
-            method=Method(d["method"]),
-            n=d["n"],
-            mean_sts=d["mean_sts"],
-            std_sts=d["std_sts"],
-            validity_pct=d["validity_pct"],
-            parse_failure_pct=d["parse_failure_pct"],
-            embedder_tag=d.get("embedder_tag", ""),
-            chat_tag=d.get("chat_tag", ""),
-        )
 
 
 def _evaluation_text(mcq: Mcq, unit: str) -> str:

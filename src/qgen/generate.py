@@ -59,10 +59,16 @@ class GenRequest:
     seed_hint: int | None = None
 
     def __post_init__(self):
+        # A row read back from JSON holds the method's value and the standard as an object.
+        object.__setattr__(self, "method", Method(self.method))
+        if isinstance(self.target_standard, dict):
+            object.__setattr__(self, "target_standard", LearningStandard(**self.target_standard))
         counts = (self.retrieval_k, self.seed_hint)
         if not isinstance(self.topic, str) or not all(n is None or type(n) is int for n in counts):
             raise TypeError(f"topic must be a string, and retrieval_k and seed_hint integers or None, "
                             f"got {self.topic!r}, {self.retrieval_k!r}, {self.seed_hint!r}")
+        if not (self.target_standard is None or isinstance(self.target_standard, LearningStandard)):
+            raise TypeError(f"target_standard must be a learning standard or None, got {self.target_standard!r}")
         if self.method.is_rag:
             if self.retrieval_k is None or self.retrieval_k < 1:
                 raise ValueError(f"{self.method.value} requires a positive retrieval_k")
@@ -80,6 +86,7 @@ class GenOutcome:
     provider_tag: str
 
     def __post_init__(self):
+        object.__setattr__(self, "retrieved_chunk_ids", as_tuple(self.retrieved_chunk_ids))
         if not isinstance(self.retrieved_chunk_ids, tuple):
             raise TypeError(f"retrieved_chunk_ids must be a tuple, got {self.retrieved_chunk_ids!r}")
         texts = (self.outcome_id, self.prompt_fingerprint, self.provider_tag, *self.retrieved_chunk_ids)
@@ -104,20 +111,16 @@ class GenOutcome:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenOutcome":
-        std = d.get("target_standard")
-        request = GenRequest(
-            method=Method(d["method"]),
-            topic=d["topic"],
-            target_standard=LearningStandard(std["code"], std["description"]) if std else None,
-            retrieval_k=d.get("retrieval_k"),
-            seed_hint=d.get("seed_hint"),
-        )
-        result = d["result"]
+        """The outcome of a row that :meth:`to_dict` wrote; each class's constructor reads and checks its fields."""
+        request = GenRequest(method=d["method"], topic=d["topic"], target_standard=d.get("target_standard"),
+                             retrieval_k=d.get("retrieval_k"), seed_hint=d.get("seed_hint"))
+        result = {**d["result"]}
+        kind = result.pop("kind")
         return cls(
             outcome_id=d["outcome_id"],
             request=request,
-            result=(Mcq if result["kind"] == "mcq" else ParseFailure).from_dict(result),
-            retrieved_chunk_ids=as_tuple(d["retrieved_chunk_ids"]),
+            result=(Mcq if kind == "mcq" else ParseFailure)(**result),
+            retrieved_chunk_ids=d["retrieved_chunk_ids"],
             prompt_fingerprint=d["prompt_fingerprint"],
             provider_tag=d["provider_tag"],
         )

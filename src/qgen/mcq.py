@@ -59,6 +59,9 @@ class Mcq:
         if not isinstance(self.stem, str) or not self.stem.strip():
             raise McqValidationError(ParseCategory.MISSING_FIELD, "stem must be a non-empty string")
         object.__setattr__(self, "stem", self.stem.strip())
+        # A row read back from JSON holds each option as a {"label", "text"} object.
+        object.__setattr__(self, "options",
+                           tuple(o if isinstance(o, McqOption) else McqOption(**o) for o in self.options))
         for name in ("explanation", "language_tag"):
             if not isinstance(getattr(self, name), str):
                 raise McqValidationError(ParseCategory.MISSING_FIELD,
@@ -82,18 +85,6 @@ class Mcq:
             dupes = sorted({t for t in normalized if normalized.count(t) > 1})
             raise McqValidationError(ParseCategory.DUPLICATE_OPTION, f"duplicate option text(s): {dupes}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mcq":
-        return cls(
-            stem=d["stem"],
-            # Only an array of objects reads as options: iterating any other JSON value
-            # yields no item that has a label and a text.
-            options=tuple(McqOption(o["label"], o["text"]) for o in d["options"]),
-            answer_key=d["answer_key"],
-            explanation=d.get("explanation", ""),
-            language_tag=d.get("language_tag", "ms"),
-        )
-
 
 @dataclass(frozen=True)
 class ParseFailure:
@@ -103,9 +94,11 @@ class ParseFailure:
     category: ParseCategory
     message: str
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParseFailure":
-        return cls(raw_text=d["raw_text"], category=ParseCategory(d["category"]), message=d["message"])
+    def __post_init__(self):
+        object.__setattr__(self, "category", ParseCategory(self.category))
+        for name in ("raw_text", "message"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, got {type(getattr(self, name)).__name__}")
 
 
 _FENCE_RE = re.compile(r"^\s*```[A-Za-z0-9_-]*\s*\n(?P<body>.*)\n?```\s*$", re.DOTALL)

@@ -183,7 +183,7 @@ def load_index(path: str | Path) -> VectorIndex:
                 )
         matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
         chunk_dicts = [e["chunk"] for e in entries]
-        chunks = [Chunk.from_dict(d) for d in chunk_dicts]
+        chunks = [Chunk(**d) for d in chunk_dicts]
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineStateError(f"{path}: malformed entry: {exc}") from exc
     if payload.get("checksum") != _checksum(chunk_dicts, matrix):

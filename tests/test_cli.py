@@ -900,7 +900,7 @@ def test_index_damaged_chunk_row_exit_4(tmp_path, capsys):
     chunk_file = tmp_path / "workdir" / "chunks" / "knowledge_structure_aware.jsonl"
     intact = chunk_file.read_bytes()
     for field, value in [("strategy", "bogus"), ("chunk_id", 7), ("text", ["a"]), ("char_span", "ab"),
-                         ("source_blocks", "12")]:
+                         ("source_blocks", "12"), ("surprise", 1)]:
         chunk_file.write_bytes(intact)
         rewrite_row(chunk_file, 1, lambda row: row.update({field: value}))
         capsys.readouterr()
@@ -935,7 +935,12 @@ def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
              (lambda row: row["result"].update(language_tag=None), "language_tag"),
              (lambda row: row.update(retrieved_chunk_ids="abc"), "retrieved_chunk_ids"),
              (lambda row: row.update(topic=5), "topic"),
-             (lambda row: row.update(seed_hint="3"), "seed_hint")]
+             (lambda row: row.update(seed_hint="3"), "seed_hint"),
+             (lambda row: row.update(method="basic_prompt", retrieval_k=None), "method"),
+             (lambda row: row.update(outcome_id="rag_generic:0000"), "outcome_id"),
+             (lambda row: row.update(target_standard={}), "LearningStandard"),
+             (lambda row: row.update(target_standard=[]), "target_standard"),
+             (lambda row: row["result"].update(surprise=1), "surprise")]
     # A full-text evaluation also reads the explanation.
     for unit in ("stem", "full"):
         config = write_config(tmp_path, evaluation={"sts_unit": unit})
@@ -947,6 +952,22 @@ def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "rag_generic.jsonl: row 3" in err and named in err and "rerun the generate stage" in err, err
             assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
+    # Half the replies are malformed, so the file holds parse-failure rows.
+    config = write_config(tmp_path, provider={"mock_malformed_rate": 0.5})
+    assert main(["run-all", "--config", str(config)]) == 0
+    intact = outcome_file.read_bytes()
+    before = (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes()
+    failed = next(i for i, line in enumerate(intact.splitlines())
+                  if json.loads(line)["result"]["kind"] == "parse_failure")
+    for edit, named in [(lambda row: row["result"].update(raw_text=5), "raw_text"),
+                        (lambda row: row["result"].update(message=None), "message")]:
+        outcome_file.write_bytes(intact)
+        rewrite_row(outcome_file, failed, edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 4, named
+        err = capsys.readouterr().err
+        assert f"rag_generic.jsonl: row {failed + 1}" in err and named in err and "rerun the generate stage" in err
+        assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
 
 
 def test_evaluate_without_outcomes_exit_4(tmp_path, capsys):
@@ -967,7 +988,8 @@ def test_report_damaged_entry_exit_4(tmp_path, capsys):
     intact = report.read_text()
     for edit, named in [(lambda entry: entry.pop("n"), "'n'"),
                         (lambda entry: entry.update(mean_sts="x"), "mean_sts"),
-                        (lambda entry: entry.update(mean_sts=None), "mean_sts")]:
+                        (lambda entry: entry.update(mean_sts=None), "mean_sts"),
+                        (lambda entry: entry.update(surprise=1), "surprise")]:
         entries = json.loads(intact)
         edit(entries[1])
         report.write_text(json.dumps(entries))

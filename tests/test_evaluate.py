@@ -561,8 +561,8 @@ def _report(method: Method, mean=0.5) -> MethodReport:
 def test_method_report_refuses_a_damaged_field(field, value):
     fields = loads(dumps(_report(Method.BASIC_PROMPT)))
     with pytest.raises((TypeError, ValueError), match=field):
-        MethodReport.from_dict({**fields, field: value})
-    assert MethodReport.from_dict(fields) == _report(Method.BASIC_PROMPT)
+        MethodReport(**{**fields, field: value})
+    assert MethodReport(**fields) == _report(Method.BASIC_PROMPT)
 
 
 def test_markdown_report_shape():
@@ -589,7 +589,7 @@ def test_json_report_round_trip():
     reports = [_report(Method.BASIC_PROMPT), _report(Method.RAG_GENERIC, mean=0.9)]
     import json
 
-    parsed = [MethodReport.from_dict(d) for d in json.loads(render_report(reports, "json"))]
+    parsed = [MethodReport(**d) for d in json.loads(render_report(reports, "json"))]
     assert parsed == reports
 
 

@@ -245,21 +245,23 @@ def test_only_jsonio_imports_orjson():
 
 
 def test_only_gen_outcome_defines_to_dict():
-    """The writers encode a dataclass as its fields, so no ``src/qgen`` class copies them out by hand.
+    """The writers encode a dataclass as its fields, and each row class's constructor reads them back.
 
-    ``GenOutcome.to_dict`` alone stays: its row lays the request's fields flat
-    and tags the result with its kind. No module imports ``dataclasses.asdict``.
+    So no ``src/qgen`` class copies its fields out or in by hand, and only
+    ``GenOutcome`` keeps ``to_dict`` and ``from_dict``: its row lays the
+    request's fields flat and tags the result with its kind. No module
+    imports ``dataclasses.asdict``.
     """
     src = Path(qgen.jsonio.__file__).parent
     definers, asdict_imports = [], []
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
-                definers += [f"{path.name}: {node.name}" for item in node.body
-                             if isinstance(item, ast.FunctionDef) and item.name == "to_dict"]
+                definers += [f"{path.name}: {node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")]
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 asdict_imports += [path.name for alias in node.names if alias.name == "asdict"]
             elif isinstance(node, ast.Attribute) and node.attr == "asdict":
                 asdict_imports.append(path.name)
-    assert definers == ["generate.py: GenOutcome"]
+    assert definers == ["generate.py: GenOutcome.to_dict", "generate.py: GenOutcome.from_dict"]
     assert asdict_imports == []

@@ -147,12 +147,12 @@ def test_one_diagnostic_per_input(raw, category, message):
 
 def test_mcq_serialization_round_trip():
     mcq = parse_mcq_json(VALID_JSON)
-    assert Mcq.from_dict(loads(dumps(mcq))) == mcq
+    assert Mcq(**loads(dumps(mcq))) == mcq
 
 
 def test_parse_failure_serialization_round_trip():
     failure = parse_mcq_json("prose only")
-    assert ParseFailure.from_dict(loads(dumps(failure))) == failure
+    assert ParseFailure(**loads(dumps(failure))) == failure
 
 
 # Every whitespace character there is (none lies past U+3000), plus some that are not.
