@@ -124,8 +124,13 @@ def _read_artifact(cfg: RunConfig, work: Workdir, path: Path, read: Callable[[di
 
 
 def _read_standards(cfg: RunConfig, work: Workdir) -> list[tuple[LearningStandard, str]]:
-    return _read_artifact(cfg, work, work.standards_file,
-                          lambda row: (LearningStandard(row["code"], row["description"]), row["chunk_id"]))
+    def read(row: dict) -> tuple[LearningStandard, str]:
+        """A standard's fields plus ``chunk_id``, the id of its chunk in the standards index."""
+        chunk_id = row.pop("chunk_id")
+        if not isinstance(chunk_id, str):
+            raise TypeError(f"chunk_id must be a string, got {chunk_id!r}")
+        return LearningStandard(**row), chunk_id
+    return _read_artifact(cfg, work, work.standards_file, read)
 
 
 def _ingest(cfg: RunConfig, work: Workdir, _: None) -> None:
@@ -194,7 +199,7 @@ def _generate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
                                       temperature=gen.temperature, policy=policy)
                for method in gen.methods}
     for method, outcomes in batches.items():
-        write_jsonl(work.outcome_file(method), (o.to_dict() for o in outcomes))
+        write_jsonl(work.outcome_file(method), outcomes)
         failed = sum(1 for o in outcomes if o.failed)
         print(f"generate: method={method.value} parsed={len(outcomes) - failed} failed={failed}")
 
@@ -215,9 +220,9 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
 
     def read_outcome(row: dict, method: Method) -> GenOutcome:
         """The outcome of a row of ``method``'s file: one of that method, with an id no earlier row has."""
-        outcome = GenOutcome.from_dict(row)
-        if outcome.request.method is not method:
-            raise ValueError(f"method {outcome.request.method.value!r} is not the file's {method.value!r}")
+        outcome = GenOutcome(**row)
+        if outcome.method is not method:
+            raise ValueError(f"method {outcome.method.value!r} is not the file's {method.value!r}")
         if outcome.outcome_id in seen_ids:
             raise ValueError(f"outcome_id {outcome.outcome_id!r} repeats an earlier row's")
         seen_ids.add(outcome.outcome_id)
@@ -257,7 +262,7 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     records = [
         {
             "outcome_id": outcome.outcome_id,
-            "method": outcome.request.method.value,
+            "method": outcome.method.value,
             "score": alignment.score,
             "best_standard": alignment.best_standard,
             "verdict": verdict.verdict.value,

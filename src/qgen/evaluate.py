@@ -202,10 +202,10 @@ def aggregate(
 
     reports: list[MethodReport] = []
     for method in METHOD_ORDER:
-        group = [o for o in outcomes if o.request.method is method]
+        group = [o for o in outcomes if o.method is method]
         if not group:
             continue
-        rows = [(a, v) for o, a, v in evaluated if o.request.method is method]
+        rows = [(a, v) for o, a, v in evaluated if o.method is method]
         scores = [a.score for a, _ in rows]
         valid = sum(1 for _, v in rows if v.verdict is Verdict.VALID)
         chat_tags = sorted({o.provider_tag for o in group})

@@ -76,16 +76,26 @@ class GenRequest:
             raise ValueError(f"{self.method.value} must not set retrieval_k")
 
 
-@dataclass(frozen=True)
-class GenOutcome:
+@dataclass(frozen=True, kw_only=True)
+class GenOutcome(GenRequest):
+    """A request's fields plus what came of it; a row read back makes its result the class its ``kind`` names."""
+
     outcome_id: str
-    request: GenRequest
     result: Mcq | ParseFailure
     retrieved_chunk_ids: tuple[str, ...]
     prompt_fingerprint: str
     provider_tag: str
 
     def __post_init__(self):
+        super().__post_init__()
+        if isinstance(self.result, dict):
+            result = {**self.result}
+            kind = result.pop("kind", None)
+            if kind not in ("mcq", "parse_failure"):
+                raise ValueError(f"result kind must be 'mcq' or 'parse_failure', got {kind!r}")
+            object.__setattr__(self, "result", (Mcq if kind == "mcq" else ParseFailure)(**result))
+        if not isinstance(self.result, (Mcq, ParseFailure)):
+            raise TypeError(f"result must be an MCQ or a parse failure, got {self.result!r}")
         object.__setattr__(self, "retrieved_chunk_ids", as_tuple(self.retrieved_chunk_ids))
         if not isinstance(self.retrieved_chunk_ids, tuple):
             raise TypeError(f"retrieved_chunk_ids must be a tuple, got {self.retrieved_chunk_ids!r}")
@@ -101,29 +111,6 @@ class GenOutcome:
     @property
     def failed(self) -> bool:
         return isinstance(self.result, ParseFailure)
-
-    def to_dict(self) -> dict:
-        """The outcome row: the request's fields laid flat beside the outcome's, and the result tagged with its kind."""
-        row = {**fields_of(self.request), **fields_of(self)}
-        del row["request"]
-        row["result"] = {"kind": "mcq" if isinstance(self.result, Mcq) else "parse_failure", **fields_of(self.result)}
-        return row
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenOutcome":
-        """The outcome of a row that :meth:`to_dict` wrote; each class's constructor reads and checks its fields."""
-        request = GenRequest(method=d["method"], topic=d["topic"], target_standard=d.get("target_standard"),
-                             retrieval_k=d.get("retrieval_k"), seed_hint=d.get("seed_hint"))
-        result = {**d["result"]}
-        kind = result.pop("kind")
-        return cls(
-            outcome_id=d["outcome_id"],
-            request=request,
-            result=(Mcq if kind == "mcq" else ParseFailure)(**result),
-            retrieved_chunk_ids=d["retrieved_chunk_ids"],
-            prompt_fingerprint=d["prompt_fingerprint"],
-            provider_tag=d["provider_tag"],
-        )
 
 
 def _target_standard(standards: Sequence[LearningStandard], i: int) -> LearningStandard | None:
@@ -190,8 +177,8 @@ def generate_mcq(
                                        temperature=temperature, seed=request.seed_hint)
 
     return GenOutcome(
+        **fields_of(request),
         outcome_id=outcome_id,
-        request=request,
         result=parse_mcq_json(raw),
         retrieved_chunk_ids=retrieved,
         prompt_fingerprint=bundle.fingerprint(),

@@ -8,7 +8,7 @@ category, so failure accounting downstream loses nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .jsonio import loads
@@ -49,6 +49,7 @@ class Mcq:
     answer_key: str
     explanation: str = ""
     language_tag: str = "ms"
+    kind: str = field(default="mcq", init=False)
 
     def __post_init__(self):
         """Enforce the MCQ invariants, raising a categorized validation error.
@@ -93,6 +94,7 @@ class ParseFailure:
     raw_text: str
     category: ParseCategory
     message: str
+    kind: str = field(default="parse_failure", init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "category", ParseCategory(self.category))

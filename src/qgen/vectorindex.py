@@ -174,19 +174,24 @@ def load_index(path: str | Path) -> VectorIndex:
         raise PipelineStateError(f"{path}: entries missing or empty")
     if payload.get("count") != len(entries):
         raise PipelineStateError(f"{path}: declared count {payload.get('count')!r} != {len(entries)} entries")
-    declared_dim = payload.get("dimension")
+    dim = payload.get("dimension")
+    chunks = []
     try:
         for i, e in enumerate(entries):
-            if len(e["vector"]) != declared_dim:
-                raise PipelineStateError(
-                    f"{path}: entry {i} vector dimension {len(e['vector'])} != declared dimension {declared_dim}"
-                )
-        matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
-        chunk_dicts = [e["chunk"] for e in entries]
-        chunks = [Chunk(**d) for d in chunk_dicts]
+            if len(e["vector"]) != dim:
+                raise PipelineStateError(f"{path}: entry {i} vector dimension {len(e['vector'])} != "
+                                         f"declared dimension {dim}; rerun the index stage")
+            chunks.append(Chunk(**e["chunk"]))
+        try:
+            matrix = np.array([e["vector"] for e in entries], dtype=np.float64)
+        except (TypeError, ValueError):
+            for i, e in enumerate(entries):  # to name the first entry whose vector holds a non-number
+                np.fromiter(e["vector"], np.float64)
+            raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise PipelineStateError(f"{path}: malformed entry: {exc}") from exc
-    if payload.get("checksum") != _checksum(chunk_dicts, matrix):
+        raise PipelineStateError(f"{path}: entry {i} is damaged ({type(exc).__name__}: {exc}); "
+                                 "rerun the index stage") from exc
+    if payload.get("checksum") != _checksum([e["chunk"] for e in entries], matrix):
         raise PipelineStateError(f"{path}: checksum mismatch, file is damaged")
     try:
         return VectorIndex(chunks=chunks, matrix=matrix, provider_tag=str(payload.get("provider_tag", "")))

@@ -914,13 +914,37 @@ def test_generate_damaged_standards_row_exit_4(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["ingest", "--config", str(config)]) == 0
     assert main(["index", "--config", str(config)]) == 0
-    rewrite_row(tmp_path / "workdir" / "chunks" / "learning_standards.jsonl", 0,
-                lambda row: row.update(description=5))
-    capsys.readouterr()
-    assert main(["generate", "--config", str(config)]) == 4
-    err = capsys.readouterr().err
-    assert "learning_standards.jsonl: row 1" in err and "description" in err and "rerun the ingest stage" in err
-    assert not (tmp_path / "workdir" / "outcomes").exists()
+    standards = tmp_path / "workdir" / "chunks" / "learning_standards.jsonl"
+    intact = standards.read_bytes()
+    for field, value in [("description", 5), ("surprise", 1), ("chunk_id", 5)]:
+        standards.write_bytes(intact)
+        rewrite_row(standards, 0, lambda row: row.update({field: value}))
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config)]) == 4, field
+        err = capsys.readouterr().err
+        assert "learning_standards.jsonl: row 1" in err and field in err and "rerun the ingest stage" in err, err
+        assert not (tmp_path / "workdir" / "outcomes").exists()
+
+
+def test_evaluate_damaged_index_entry_exit_4(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["run-all", "--config", str(config)]) == 0
+    index_file = tmp_path / "workdir" / "indexes" / "standards.index.json"
+    intact = index_file.read_bytes()
+    before = (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes()
+    edits = [(lambda entry: entry["chunk"].update(surprise=1), "surprise"),
+             (lambda entry: entry["chunk"].update(text=5), "text"),
+             (lambda entry: entry["vector"].__setitem__(3, "x"), "'x'")]
+    for edit, named in edits:
+        payload = json.loads(intact)
+        edit(payload["entries"][0])
+        index_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 4, named
+        err = capsys.readouterr().err
+        assert "standards.index.json: entry 0 is damaged" in err and named in err, err
+        assert err.rstrip().endswith("rerun the index stage"), err
+        assert (tmp_path / "workdir" / "eval" / "records.jsonl").read_bytes() == before
 
 
 def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
@@ -940,7 +964,8 @@ def test_evaluate_damaged_outcome_row_exit_4(tmp_path, capsys):
              (lambda row: row.update(outcome_id="rag_generic:0000"), "outcome_id"),
              (lambda row: row.update(target_standard={}), "LearningStandard"),
              (lambda row: row.update(target_standard=[]), "target_standard"),
-             (lambda row: row["result"].update(surprise=1), "surprise")]
+             (lambda row: row["result"].update(surprise=1), "surprise"),
+             (lambda row: row.update(surprise=1), "surprise")]
     # A full-text evaluation also reads the explanation.
     for unit in ("stem", "full"):
         config = write_config(tmp_path, evaluation={"sts_unit": unit})

@@ -31,7 +31,7 @@ from qgen.evaluate import (
     score_questions,
     sts_alignment,
 )
-from qgen.generate import GenOutcome, GenRequest, Method
+from qgen.generate import GenOutcome, Method
 from qgen.jsonio import dumps, loads
 from qgen.mcq import Mcq, McqOption, ParseCategory, ParseFailure
 from qgen.vectorindex import build_index, load_index, similarities
@@ -239,7 +239,7 @@ class CountingEmbedder:
 def parsed_outcomes(workdir):
     """The parsed outcomes evaluate reads, in its order: outcome files by name, then line."""
     outcomes = [
-        GenOutcome.from_dict(json.loads(line))
+        GenOutcome(**json.loads(line))
         for path in sorted((workdir / "outcomes").glob("*.jsonl"))
         for line in path.read_text().splitlines()
     ]
@@ -361,7 +361,7 @@ def test_evaluate_records_equal_per_question_reference(tmp_path, unit):
                                  tau=ev.tau, refusal_markers=ev.refusal_markers)
         expected.append({
             "outcome_id": outcome.outcome_id,
-            "method": outcome.request.method.value,
+            "method": outcome.method.value,
             "score": alignment.score,
             "best_standard": alignment.best_standard,
             "verdict": verdict.verdict.value,
@@ -457,14 +457,14 @@ def test_tau_monotonicity(mock_embedder):
 
 
 def _outcome(outcome_id: str, method: Method, failed: bool = False) -> GenOutcome:
-    request = GenRequest(method=method, topic="t", retrieval_k=3 if method.is_rag else None)
     result = (
         ParseFailure(raw_text="{", category=ParseCategory.NOT_JSON, message="broken")
         if failed
         else make_mcq(f"soalan {outcome_id}")
     )
     return GenOutcome(
-        outcome_id=outcome_id, request=request, result=result,
+        method=method, topic="t", retrieval_k=3 if method.is_rag else None,
+        outcome_id=outcome_id, result=result,
         retrieved_chunk_ids=(), prompt_fingerprint="f" * 64, provider_tag="mock-chat-v1",
     )
 

@@ -143,7 +143,7 @@ def test_batch_round_robin_covers_standards(mock_chat):
     outcomes = generate_batch(mock_chat, Method.BASIC_PROMPT, 6,
                               topic="Nombor Nisbah", standards=STANDARDS)
     assert len(outcomes) == 6
-    used = [o.request.target_standard.code for o in outcomes]
+    used = [o.target_standard.code for o in outcomes]
     assert sorted(used) == [s.code for s in STANDARDS]
 
 
@@ -238,8 +238,8 @@ def test_outcome_serialization_round_trip(mock_chat, mock_embedder, knowledge_in
     request = GenRequest(method=Method.RAG_GENERIC, topic="Nombor Nisbah",
                          target_standard=STANDARDS[1], retrieval_k=2, seed_hint=7)
     outcome = generate_mcq(mock_chat, request, knowledge_index.chunks[:2], outcome_id="rag_generic:0007")
-    assert GenOutcome.from_dict(loads(dumps(outcome.to_dict()))) == outcome
+    assert GenOutcome(**loads(dumps(outcome))) == outcome
 
     failing = MockChatProvider(malformed_rate=1.0)
     failed = generate_mcq(failing, GenRequest(method=Method.BASIC_PROMPT, topic="t"))
-    assert GenOutcome.from_dict(loads(dumps(failed.to_dict()))) == failed
+    assert GenOutcome(**loads(dumps(failed))) == failed

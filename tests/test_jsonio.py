@@ -244,13 +244,12 @@ def test_only_jsonio_imports_orjson():
     assert importers == ["jsonio.py: orjson"]
 
 
-def test_only_gen_outcome_defines_to_dict():
+def test_no_row_class_copies_its_fields():
     """The writers encode a dataclass as its fields, and each row class's constructor reads them back.
 
-    So no ``src/qgen`` class copies its fields out or in by hand, and only
-    ``GenOutcome`` keeps ``to_dict`` and ``from_dict``: its row lays the
-    request's fields flat and tags the result with its kind. No module
-    imports ``dataclasses.asdict``.
+    So no ``src/qgen`` class copies its fields out or in by hand: none
+    defines ``to_dict`` or ``from_dict``, and no module imports
+    ``dataclasses.asdict``.
     """
     src = Path(qgen.jsonio.__file__).parent
     definers, asdict_imports = [], []
@@ -263,5 +262,5 @@ def test_only_gen_outcome_defines_to_dict():
                 asdict_imports += [path.name for alias in node.names if alias.name == "asdict"]
             elif isinstance(node, ast.Attribute) and node.attr == "asdict":
                 asdict_imports.append(path.name)
-    assert definers == ["generate.py: GenOutcome.to_dict", "generate.py: GenOutcome.from_dict"]
+    assert definers == []
     assert asdict_imports == []
