@@ -30,6 +30,7 @@ from .embedding import (
 )
 from .errors import InputError, PipelineStateError, ProviderError, QgenError
 from .evaluate import (
+    EvalRecord,
     MethodReport,
     aggregate,
     ragqa_validity,
@@ -242,38 +243,27 @@ def _evaluate(cfg: RunConfig, work: Workdir, providers: Providers) -> None:
     # Each distinct text is aligned and ranked once: rows are independent,
     # so both reductions take the whole table. Each distinct stem is asked
     # once: the QA request is a pure function of the stem, so identical
-    # stems share one verdict, and the requests go out in the stems'
+    # stems share one reason, and the requests go out in the stems'
     # first-occurrence order. A question then takes the results of its rows.
     # Scoring and retrieval are CPU work and stay on this thread; only the
     # QA round-trips overlap.
-    best = sts_alignment(table, codes)
+    scores, best_codes = sts_alignment(table, codes)
     positions, top_scores = retrieve_standards(rpt_index, table, ev.k)
     positions, tops = positions.tolist(), top_scores[:, 0].tolist()
     stem_of = dict(zip(stem_rows, (o.mcq.stem for o in parsed)))
-    asked = dict(zip(stem_of, map_in_flight(
+    reasons = dict(zip(stem_of, map_in_flight(
         lambda r: ragqa_validity(
             stem_of[r], [rpt_index.chunks[i] for i in positions[r]], tops[r], chat,
             tau=ev.tau, refusal_markers=ev.refusal_markers,
         ),
         list(stem_of), policy,
     )))
-    alignments = [best[r] for r in sts_rows]
-    verdicts = [asked[r] for r in stem_rows]
-    records = [
-        {
-            "outcome_id": outcome.outcome_id,
-            "method": outcome.method.value,
-            "score": alignment.score,
-            "best_standard": alignment.best_standard,
-            "verdict": verdict.verdict.value,
-            "reason": verdict.reason.value,
-            "top_score": verdict.top_score,
-        }
-        for outcome, alignment, verdict in zip(parsed, alignments, verdicts)
-    ]
+    records = [EvalRecord(o.outcome_id, o.method, scores[sts_row], best_codes[sts_row],
+                          reasons[stem_row], tops[stem_row])
+               for o, sts_row, stem_row in zip(parsed, sts_rows, stem_rows)]
 
     write_jsonl(work.eval_records, records)
-    reports = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
+    reports = aggregate(outcomes, records, embedder_tag=embedder.tag)
     write_text(work.report_md, render_report(reports, "markdown") + "\n")
     write_json(work.report_json, reports)
     print(f"evaluate: records={len(records)} methods={len(reports)}")

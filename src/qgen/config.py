@@ -15,7 +15,7 @@ from pathlib import Path
 from .chunking import DEFAULT_UNIT_KEYWORDS
 from .errors import InputError
 from .evaluate import DEFAULT_REFUSAL_MARKERS
-from .generate import METHOD_ORDER, Method
+from .generate import Method
 from .jsonio import encodable, read_json
 
 _METHOD_ALIASES = {
@@ -97,7 +97,7 @@ class ProviderConfig:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    methods: tuple[Method, ...] = METHOD_ORDER
+    methods: tuple[Method, ...] = tuple(Method)
     n_per_method: int = 5
     temperature: float = 0.7
     topic: str = "Nombor Nisbah"

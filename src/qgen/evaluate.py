@@ -9,7 +9,7 @@ threshold plus refusal detection on the answering model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -19,7 +19,7 @@ from .chat import ChatProvider
 from .chunking import Chunk, Strategy
 from .embedding import EmbeddingProvider, ProviderPolicy, distinct_rows, embed_texts
 from .errors import PipelineStateError
-from .generate import METHOD_ORDER, GenOutcome, Method
+from .generate import GenOutcome, Method
 from .jsonio import dumps
 from .mcq import Mcq
 from .prompts import build_prompt_qa
@@ -35,6 +35,11 @@ class VerdictReason(Enum):
     ABOVE_THRESHOLD_ANSWERED = "AboveThresholdAnswered"
     BELOW_THRESHOLD = "BelowThreshold"
     REFUSAL = "Refusal"
+
+    @property
+    def verdict(self) -> Verdict:
+        """Valid exactly when the question was above threshold and answered."""
+        return Verdict.VALID if self is VerdictReason.ABOVE_THRESHOLD_ANSWERED else Verdict.INVALID
 
 
 DEFAULT_REFUSAL_MARKERS = (
@@ -52,21 +57,33 @@ DEFAULT_REFUSAL_MARKERS = (
 TIE_TOLERANCE = 1e-12
 
 
+def _check_finite(row, names: tuple[str, ...]) -> None:
+    for name in names:
+        if type(getattr(row, name)) not in (int, float) or not math.isfinite(getattr(row, name)):
+            raise ValueError(f"{name} must be a finite number, got {getattr(row, name)!r}")
+
+
 @dataclass(frozen=True)
-class AlignmentScore:
+class EvalRecord:
+    """One parsed question's evaluation: its alignment and its validity, with the verdict they derive."""
+
+    outcome_id: str
+    method: Method
     score: float
     best_standard: str
-
-
-@dataclass(frozen=True)
-class ValidityVerdict:
     reason: VerdictReason
     top_score: float
+    verdict: Verdict = field(init=False)
 
-    @property
-    def verdict(self) -> Verdict:
-        """Valid exactly when the question was above threshold and answered."""
-        return Verdict.VALID if self.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED else Verdict.INVALID
+    def __post_init__(self):
+        # A row read back from JSON holds the method's and the reason's values.
+        object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "reason", VerdictReason(self.reason))
+        object.__setattr__(self, "verdict", self.reason.verdict)
+        if not isinstance(self.outcome_id, str) or not isinstance(self.best_standard, str):
+            raise TypeError(f"outcome_id and best_standard must be strings, "
+                            f"got {self.outcome_id!r}, {self.best_standard!r}")
+        _check_finite(self, ("score", "top_score"))
 
 
 @dataclass(frozen=True)
@@ -84,9 +101,7 @@ class MethodReport:
         object.__setattr__(self, "method", Method(self.method))
         if type(self.n) is not int or self.n < 0:
             raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
-        for name in ("mean_sts", "std_sts", "validity_pct", "parse_failure_pct"):
-            if type(getattr(self, name)) not in (int, float) or not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        _check_finite(self, ("mean_sts", "std_sts", "validity_pct", "parse_failure_pct"))
         if not isinstance(self.embedder_tag, str) or not isinstance(self.chat_tag, str):
             raise TypeError(f"embedder_tag and chat_tag must be strings: {self.embedder_tag!r}, {self.chat_tag!r}")
 
@@ -119,22 +134,19 @@ def score_questions(
     return similarities(rpt_index, vectors), rows[0::2], rows[1::2]
 
 
-def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> list[AlignmentScore]:
-    """Each row's maximum in a :func:`similarities` table over the standards.
+def sts_alignment(scores: np.ndarray, codes: Sequence[str]) -> tuple[list[float], list[str]]:
+    """Each row's maximum in a :func:`similarities` table over the standards, and its best code.
 
     Column ``i`` of ``scores`` scores the learning standard with code
-    ``codes[i]`` (a ``VectorIndex`` has at least one); the result has one
-    score per row. Ties on the maximum (scores within ``TIE_TOLERANCE`` of
+    ``codes[i]`` (a ``VectorIndex`` has at least one); both lists have one
+    entry per row. Ties on the maximum (scores within ``TIE_TOLERANCE`` of
     it) are broken by the lowest standard code so results stay deterministic.
     """
     best = scores.max(axis=1)
     # Columns in code order: the first tied column of a row has its lowest tied code.
     by_code = np.argsort(np.asarray(codes), kind="stable")
     best_cols = by_code[np.argmax((scores >= (best - TIE_TOLERANCE)[:, None])[:, by_code], axis=1)]
-    return [
-        AlignmentScore(score=float(score), best_standard=codes[i])
-        for score, i in zip(best.tolist(), best_cols.tolist())
-    ]
+    return best.tolist(), [codes[i] for i in best_cols.tolist()]
 
 
 def retrieve_standards(rpt_index: VectorIndex, scores: np.ndarray, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -159,22 +171,22 @@ def ragqa_validity(
     *,
     tau: float = 0.5,
     refusal_markers: tuple[str, ...] = DEFAULT_REFUSAL_MARKERS,
-) -> ValidityVerdict:
-    """Functional validity check over the standards-only index.
+) -> VerdictReason:
+    """The reason for a stem's verdict in the functional validity check over the standards-only index.
 
     ``context`` holds the stem's top-k standards from
     :func:`retrieve_standards`, best first, and ``top_score`` the first
-    one's score. Below-threshold retrieval is Invalid without ever calling
-    the chat provider, otherwise the provider answers from ``context`` and
-    a refusal marks the question Invalid. The chat round-trip is made
+    one's score. Below-threshold retrieval is ``BELOW_THRESHOLD`` without
+    ever calling the chat provider, otherwise the provider answers from
+    ``context`` and a refusal is ``REFUSAL``. The chat round-trip is made
     once; the caller retries it, through :func:`map_in_flight`.
     """
     if top_score < tau:
-        return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=top_score)
+        return VerdictReason.BELOW_THRESHOLD
     bundle = build_prompt_qa(stem, list(context))
     answer = chat.complete(bundle.system_text, bundle.user_text, temperature=0.0).lower()
     refused = any(marker.lower() in answer for marker in refusal_markers)
-    return ValidityVerdict(VerdictReason.REFUSAL if refused else VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score)
+    return VerdictReason.REFUSAL if refused else VerdictReason.ABOVE_THRESHOLD_ANSWERED
 
 
 def _sample_std(values: list[float]) -> float:
@@ -184,30 +196,21 @@ def _sample_std(values: list[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-def aggregate(
-    outcomes: list[GenOutcome],
-    alignments: list[AlignmentScore],
-    verdicts: list[ValidityVerdict],
-    *,
-    embedder_tag: str = "",
-) -> list[MethodReport]:
-    """Fold per-question evaluations into one report per method.
+def aggregate(outcomes: list[GenOutcome], records: list[EvalRecord], *, embedder_tag: str = "") -> list[MethodReport]:
+    """Fold the evaluation records of the non-empty ``outcomes`` into one report per method.
 
-    ``alignments[i]`` and ``verdicts[i]`` evaluate the i-th parsed outcome
-    of the non-empty ``outcomes``; parse failures have neither. Parse
-    failures are excluded from the score statistics but included in the
+    ``records`` holds one record per parsed outcome; parse failures have
+    none. They are excluded from the score statistics but included in the
     failure percentage's denominator.
     """
-    evaluated = list(zip((o for o in outcomes if not o.failed), alignments, verdicts))
-
     reports: list[MethodReport] = []
-    for method in METHOD_ORDER:
+    for method in Method:
         group = [o for o in outcomes if o.method is method]
         if not group:
             continue
-        rows = [(a, v) for o, a, v in evaluated if o.method is method]
-        scores = [a.score for a, _ in rows]
-        valid = sum(1 for _, v in rows if v.verdict is Verdict.VALID)
+        rows = [r for r in records if r.method is method]
+        scores = [r.score for r in rows]
+        valid = sum(1 for r in rows if r.verdict is Verdict.VALID)
         chat_tags = sorted({o.provider_tag for o in group})
         reports.append(
             MethodReport(

@@ -23,6 +23,7 @@ from .vectorindex import VectorIndex, similarities, top_k
 
 
 class Method(Enum):
+    # Declaration order is the report's row order and the default ``generation.methods``.
     STRUCTURED_PROMPT = "structured_prompt"
     BASIC_PROMPT = "basic_prompt"
     RAG_GENERIC = "rag_generic"
@@ -40,14 +41,6 @@ class Method(Enum):
             Method.RAG_GENERIC: "RAG (generic chunks)",
             Method.RAG_STRUCTURE_AWARE: "RAG (structure-aware chunks)",
         }[self]
-
-
-METHOD_ORDER = (
-    Method.STRUCTURED_PROMPT,
-    Method.BASIC_PROMPT,
-    Method.RAG_GENERIC,
-    Method.RAG_STRUCTURE_AWARE,
-)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from qgen.cli import main
 from qgen.embedding import MockEmbeddingProvider, embed_texts
 from qgen.errors import PipelineStateError
 from qgen.evaluate import (
+    EvalRecord,
     Verdict,
     VerdictReason,
     aggregate,
@@ -121,16 +122,16 @@ def test_criterion_2_sts_oracle():
             options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
             mcq = Mcq(stem=stem, options=options, answer_key="A")
             query = embed_texts(embedder, [stem])[0]
-            (result,) = sts_alignment(similarities(_standards_index(pairs), query[None]),
-                                      [s.code for s in pairs_std])
+            (score,), (best,) = sts_alignment(similarities(_standards_index(pairs), query[None]),
+                                              [s.code for s in pairs_std])
             scored = sorted(
                 ((max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(query, vec)))), s.code)
                  for s, vec in pairs),
                 key=lambda t: (-t[0], t[1]),
             )
             best_score, best_code = scored[0]
-            assert abs(result.score - best_score) < 1e-9
-            assert result.best_standard == best_code
+            assert abs(score - best_score) < 1e-9
+            assert best == best_code
 
         # explicit tie: identical descriptions, argmax must take the lowest code
         from qgen.chunking import LearningStandard
@@ -140,8 +141,8 @@ def test_criterion_2_sts_oracle():
         options = tuple(McqOption(l, t) for l, t in zip("ABCD", ["p", "q", "r", "s"]))
         table, (row,), _ = score_questions(embedder, [Mcq(stem="ayat serupa", options=options, answer_key="A")],
                                            _standards_index(list(zip(twins, vectors))))
-        tie = sts_alignment(table, [s.code for s in twins])[row]
-        assert tie.best_standard == "3.1.1"
+        _, best_codes = sts_alignment(table, [s.code for s in twins])
+        assert best_codes[row] == "3.1.1"
 
 
 def test_criterion_3_chunker_coverage():
@@ -221,18 +222,19 @@ def test_criterion_5_failure_accounting():
         rpt_index = build_index(std_chunks, embed_texts(embedder, [c.text for c in std_chunks]),
                                 provider_tag=embedder.tag)
         stem_vectors = embed_texts(embedder, [o.mcq.stem for o in parsed])
-        alignments = sts_alignment(similarities(align_index, stem_vectors), [s.code for s in standards])
+        scores, best_codes = sts_alignment(similarities(align_index, stem_vectors), [s.code for s in standards])
         table, _, stem_rows = score_questions(embedder, [o.mcq for o in parsed], rpt_index)
         positions, top_scores = retrieve_standards(rpt_index, table, 3)
-        verdicts = [
-            ragqa_validity(o.mcq.stem, [rpt_index.chunks[i] for i in positions[row]], float(top_scores[row, 0]),
-                           MockChatProvider(), tau=0.35)
-            for o, row in zip(parsed, stem_rows)
-        ]
-        (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag=embedder.tag)
+        records = []
+        for o, score, best, row in zip(parsed, scores, best_codes, stem_rows):
+            top = float(top_scores[row, 0])
+            reason = ragqa_validity(o.mcq.stem, [rpt_index.chunks[i] for i in positions[row]], top,
+                                    MockChatProvider(), tau=0.35)
+            records.append(EvalRecord(o.outcome_id, o.method, score, best, reason, top))
+        (report,) = aggregate(outcomes, records, embedder_tag=embedder.tag)
         assert report.parse_failure_pct == 4.00
         assert report.n == 100
-        expected_mean = sum(a.score for a in alignments) / 96
+        expected_mean = sum(scores) / 96
         assert report.mean_sts == pytest.approx(expected_mean)
 
 
@@ -346,10 +348,10 @@ def test_criterion_8_validity_rule_properties():
             invalid_now: set[int] = set()
             for qi, mcq in enumerate(questions):
                 spy = CountingChat()
-                verdict = ragqa_validity(mcq.stem, contexts[qi], stem_top_scores[qi], spy, tau=tau)
-                if verdict.verdict is Verdict.INVALID:
+                reason = ragqa_validity(mcq.stem, contexts[qi], stem_top_scores[qi], spy, tau=tau)
+                if reason.verdict is Verdict.INVALID:
                     invalid_now.add(qi)
-                if verdict.reason is VerdictReason.BELOW_THRESHOLD:
+                if reason is VerdictReason.BELOW_THRESHOLD:
                     assert spy.calls == 0
             assert previous_invalid <= invalid_now, (
                 f"raising tau to {tau} flipped a verdict from Invalid to Valid"

@@ -11,7 +11,7 @@ import pytest
 from qgen.cli import COMMANDS, _build_parser, resolve_config
 from qgen.config import RunConfig, config_from_dict, load_config, parse_method
 from qgen.errors import InputError
-from qgen.generate import METHOD_ORDER, Method
+from qgen.generate import Method
 from qgen.jsonio import dumps, fields_of, loads
 from tests.conftest import FIXTURES
 
@@ -23,7 +23,7 @@ def test_defaults():
     assert cfg.chunking.recursive_overlap == 200
     assert cfg.chunking.structure_heading_font_delta == 3.0
     assert cfg.chunking.structure_max_chars == 1500
-    assert cfg.generation.methods == METHOD_ORDER
+    assert cfg.generation.methods == tuple(Method)
     assert cfg.generation.temperature == 0.7
     assert cfg.evaluation.tau == 0.5
     assert cfg.evaluation.sts_unit == "stem"
@@ -69,17 +69,17 @@ QUICKSTART = str(FIXTURES / "mock_config.json")
 # The README quickstart commands and the bench's stage call, each with what
 # it resolves to: (command, methods, n_per_method, tau, k, workdir, mock).
 @pytest.mark.parametrize("argv, expected", [
-    (["run-all", "--config", QUICKSTART], ("run-all", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
-    (["ingest", "--config", QUICKSTART], ("ingest", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
-    (["index", "--config", QUICKSTART], ("index", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+    (["run-all", "--config", QUICKSTART], ("run-all", tuple(Method), 6, 0.35, 3, "workdir", True)),
+    (["ingest", "--config", QUICKSTART], ("ingest", tuple(Method), 6, 0.35, 3, "workdir", True)),
+    (["index", "--config", QUICKSTART], ("index", tuple(Method), 6, 0.35, 3, "workdir", True)),
     (["generate", "--config", QUICKSTART, "--methods", "rag_structure", "--n", "10"],
      ("generate", (Method.RAG_STRUCTURE_AWARE,), 10, 0.35, 3, "workdir", True)),
     (["evaluate", "--config", QUICKSTART, "--tau", "0.4"],
-     ("evaluate", METHOD_ORDER, 6, 0.4, 3, "workdir", True)),
-    (["report", "--config", QUICKSTART], ("report", METHOD_ORDER, 6, 0.35, 3, "workdir", True)),
+     ("evaluate", tuple(Method), 6, 0.4, 3, "workdir", True)),
+    (["report", "--config", QUICKSTART], ("report", tuple(Method), 6, 0.35, 3, "workdir", True)),
     (["evaluate", "--config", QUICKSTART, "--workdir", "bench/w", "--tau", "0.35"],
-     ("evaluate", METHOD_ORDER, 6, 0.35, 3, "bench/w", True)),
-    (["--k", "7", "report", "--mock"], ("report", METHOD_ORDER, 5, 0.5, 7, "workdir", True)),
+     ("evaluate", tuple(Method), 6, 0.35, 3, "bench/w", True)),
+    (["--k", "7", "report", "--mock"], ("report", tuple(Method), 5, 0.5, 7, "workdir", True)),
 ])
 def test_argv_resolves_with_options_on_either_side_of_the_command(argv, expected):
     command = next(arg for arg in argv if arg in COMMANDS)

@@ -20,6 +20,7 @@ from qgen.embedding import MockEmbeddingProvider, _bucket, embed_texts
 from qgen.errors import PipelineStateError, ProviderError
 from qgen.evaluate import (
     TIE_TOLERANCE,
+    EvalRecord,
     MethodReport,
     Verdict,
     VerdictReason,
@@ -73,11 +74,12 @@ def standards_index(embedder, standards=None, text=lambda s: f"{s.code} {s.descr
 
 
 def align(embedder, mcq, standards=None, *, unit="stem"):
-    """Score ``mcq`` against an index over the bare standard descriptions."""
+    """Score ``mcq`` against an index over the bare standard descriptions: its score and best code."""
     standards = standards if standards is not None else STANDARDS
     index = standards_index(embedder, standards, text=lambda s: s.description)
     table, (row,), _ = score_questions(embedder, [mcq], index, unit=unit)
-    return sts_alignment(table, [s.code for s in standards])[row]
+    scores, best_codes = sts_alignment(table, [s.code for s in standards])
+    return scores[row], best_codes[row]
 
 
 def stem_scores(embedder, index, mcq):
@@ -95,9 +97,9 @@ def stem_retrieval(embedder, index, mcq, k=3):
 
 def test_identical_stem_scores_one(mock_embedder):
     mcq = make_mcq(STANDARDS[1].description)
-    result = align(mock_embedder, mcq)
-    assert result.score == pytest.approx(1.0)
-    assert result.best_standard == "1.1.2"
+    score, best = align(mock_embedder, mcq)
+    assert score == pytest.approx(1.0)
+    assert best == "1.1.2"
 
 
 def test_token_disjoint_stem_scores_zero(mock_embedder):
@@ -107,8 +109,8 @@ def test_token_disjoint_stem_scores_zero(mock_embedder):
         standard_buckets |= token_buckets(mock_embedder, s.description)
     assert stem_buckets.isdisjoint(standard_buckets), "fixture tokens collide; pick new words"
 
-    result = align(mock_embedder, make_mcq(DISJOINT_STEM), STANDARDS[:3])
-    assert result.score == pytest.approx(0.0, abs=1e-12)
+    score, _ = align(mock_embedder, make_mcq(DISJOINT_STEM), STANDARDS[:3])
+    assert score == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_matches_brute_force_max(mock_embedder):
@@ -118,12 +120,12 @@ def test_alignment_matches_brute_force_max(mock_embedder):
     vectors = embed_texts(mock_embedder, [s.description for s in STANDARDS])
     for _ in range(20):
         stem = " ".join(rng.choices(vocab, k=rng.randint(3, 8)))
-        result = align(mock_embedder, make_mcq(stem))
+        score, _ = align(mock_embedder, make_mcq(stem))
         query = embed_texts(mock_embedder, [stem])[0]
         best = max(
             math.fsum(a * b for a, b in zip(query, vec)) for vec in vectors
         )
-        assert result.score == pytest.approx(best, abs=1e-9)
+        assert score == pytest.approx(best, abs=1e-9)
 
 
 def test_alignment_tie_break_lowest_code(mock_embedder):
@@ -131,8 +133,8 @@ def test_alignment_tie_break_lowest_code(mock_embedder):
         LearningStandard("2.9.9", "Ayat yang serupa sepenuhnya."),
         LearningStandard("2.1.1", "Ayat yang serupa sepenuhnya."),
     ]
-    result = align(mock_embedder, make_mcq("Ayat yang serupa sepenuhnya."), twins)
-    assert result.best_standard == "2.1.1"
+    _, best = align(mock_embedder, make_mcq("Ayat yang serupa sepenuhnya."), twins)
+    assert best == "2.1.1"
 
 
 def test_alignment_rounding_tie_takes_lowest_code():
@@ -144,9 +146,9 @@ def test_alignment_rounding_tie_takes_lowest_code():
                         provider_tag="t")
     (scores,) = similarities(index, np.array([[1.0, 0.0]]))
     assert 0.0 < scores[0] - scores[1] < TIE_TOLERANCE
-    (result,) = sts_alignment(scores[None], ["2.9.9", "2.1.1"])
-    assert result.best_standard == "2.1.1"
-    assert result.score == scores.max()
+    (score,), (best,) = sts_alignment(scores[None], ["2.9.9", "2.1.1"])
+    assert best == "2.1.1"
+    assert score == scores.max()
 
 
 def reference_alignment(query, index, codes):
@@ -170,21 +172,21 @@ def test_batched_alignment_equals_scalar_reference():
     index = build_index(chunks, rows, provider_tag="t")
     queries = np.vstack([[1.0, 0.0, 0.0], unit_rows([0.0, 2.0, 2.0]), rows[4:], unit_rows(rng.standard_normal((20, 3)))])
     table = similarities(index, queries)
-    batched = sts_alignment(table, codes)
+    batched = list(zip(*sts_alignment(table, codes)))
     expected = [reference_alignment(q, index, codes) for q in queries]
-    assert [(a.score, a.best_standard) for a in batched] == expected
-    assert batched[0].best_standard == "2.1.1"
-    assert batched[1].best_standard == "3.2.7"
-    single = [sts_alignment(similarities(index, q[None]), codes)[0] for q in queries]
+    assert batched == expected
+    assert batched[0][1] == "2.1.1"
+    assert batched[1][1] == "3.2.7"
+    single = [tuple(column[0] for column in sts_alignment(similarities(index, q[None]), codes)) for q in queries]
     assert batched == single
-    assert sts_alignment(similarities(index, np.empty((0, 0))), codes) == []
+    assert sts_alignment(similarities(index, np.empty((0, 0))), codes) == ([], [])
 
 
 def test_adding_standard_never_decreases_score(mock_embedder):
     mcq = make_mcq("mendarab dan membahagi integer")
-    base = align(mock_embedder, mcq, STANDARDS[:3])
-    extended = align(mock_embedder, mcq, STANDARDS[:4])
-    assert extended.score >= base.score - 1e-12
+    base, _ = align(mock_embedder, mcq, STANDARDS[:3])
+    extended, _ = align(mock_embedder, mcq, STANDARDS[:4])
+    assert extended >= base - 1e-12
 
 
 def test_sts_unit_full_includes_options(mock_embedder):
@@ -192,9 +194,9 @@ def test_sts_unit_full_includes_options(mock_embedder):
         "mendarab integer", "membahagi integer", "pelbagai kaedah", "situasi harian",
     ]))
     mcq = Mcq(stem=DISJOINT_STEM, options=options, answer_key="A")
-    stem_only = align(mock_embedder, mcq, unit="stem")
-    full = align(mock_embedder, mcq, unit="full")
-    assert full.score > stem_only.score
+    stem_only, _ = align(mock_embedder, mcq, unit="stem")
+    full, _ = align(mock_embedder, mcq, unit="full")
+    assert full > stem_only
 
 
 def fixture_config(tmp_path, **evaluation):
@@ -236,14 +238,17 @@ class CountingEmbedder:
         return self.inner.embed(texts)
 
 
-def parsed_outcomes(workdir):
-    """The parsed outcomes evaluate reads, in its order: outcome files by name, then line."""
-    outcomes = [
+def read_outcomes(workdir):
+    """The outcomes evaluate reads, in its order: outcome files by name, then line."""
+    return [
         GenOutcome(**json.loads(line))
         for path in sorted((workdir / "outcomes").glob("*.jsonl"))
         for line in path.read_text().splitlines()
     ]
-    return [o for o in outcomes if o.mcq is not None]
+
+
+def parsed_outcomes(workdir):
+    return [o for o in read_outcomes(workdir) if o.mcq is not None]
 
 
 def read_records(workdir):
@@ -354,22 +359,58 @@ def test_evaluate_records_equal_per_question_reference(tmp_path, unit):
     expected = []
     for outcome in parsed_outcomes(workdir):
         table, (sts_row,), (stem_row,) = score_questions(embedder, [outcome.mcq], rpt_index, unit=unit)
-        alignment = sts_alignment(table, codes)[sts_row]
+        scores, best_codes = sts_alignment(table, codes)
         positions, top_scores = retrieve_standards(rpt_index, table, ev.k)
-        verdict = ragqa_validity(outcome.mcq.stem, [rpt_index.chunks[i] for i in positions[stem_row]],
-                                 float(top_scores[stem_row, 0]), chat,
-                                 tau=ev.tau, refusal_markers=ev.refusal_markers)
+        top_score = float(top_scores[stem_row, 0])
+        reason = ragqa_validity(outcome.mcq.stem, [rpt_index.chunks[i] for i in positions[stem_row]],
+                                top_score, chat, tau=ev.tau, refusal_markers=ev.refusal_markers)
         expected.append({
             "outcome_id": outcome.outcome_id,
             "method": outcome.method.value,
-            "score": alignment.score,
-            "best_standard": alignment.best_standard,
-            "verdict": verdict.verdict.value,
-            "reason": verdict.reason.value,
-            "top_score": verdict.top_score,
+            "score": scores[sts_row],
+            "best_standard": best_codes[sts_row],
+            "verdict": reason.verdict.value,
+            "reason": reason.value,
+            "top_score": top_score,
         })
     assert {r["reason"] for r in expected} >= {"AboveThresholdAnswered", "BelowThreshold"}
     assert read_records(workdir) == expected
+
+
+@pytest.mark.parametrize("malformed_rate", [0.0, 0.2])
+def test_records_read_back_and_fold_into_the_report(tmp_path, malformed_rate):
+    config = fixture_config(tmp_path)
+    cfg = json.loads(config.read_text())
+    cfg["provider"]["mock_malformed_rate"] = malformed_rate
+    config.write_text(json.dumps(cfg))
+    assert main(["run-all", "--config", str(config)]) == 0
+
+    workdir = tmp_path / "workdir"
+    records = []
+    for row in read_records(workdir):
+        written = row.pop("verdict")
+        records.append(EvalRecord(**row))
+        assert records[-1].verdict.value == written
+    assert {r.verdict for r in records} == set(Verdict)
+    outcomes = read_outcomes(workdir)
+    assert any(o.failed for o in outcomes) is (malformed_rate > 0)
+    reports = aggregate(outcomes, records, embedder_tag=MockEmbeddingProvider(dim=64).tag)
+    assert dumps(reports, indent=True) + b"\n" == (workdir / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("outcome_id", 1, "must be strings"), ("method", "basic", "not a valid Method"),
+    ("score", "0.5", "score must be a finite number"), ("score", math.nan, "score must be a finite number"),
+    ("best_standard", None, "must be strings"), ("reason", "Valid", "not a valid VerdictReason"),
+    ("top_score", None, "top_score must be a finite number"), ("verdict", "Valid", "unexpected keyword argument"),
+])
+def test_eval_record_refuses_a_damaged_field(field, value, message):
+    record = EvalRecord("q0", Method.BASIC_PROMPT, 0.5, "1.1.1", VerdictReason.REFUSAL, 0.6)
+    row = loads(dumps(record))
+    assert row.pop("verdict") == "Invalid"
+    with pytest.raises((TypeError, ValueError), match=message):
+        EvalRecord(**{**row, field: value})
+    assert EvalRecord(**row) == record
 
 
 class QaRejected(MockChatProvider):
@@ -396,19 +437,20 @@ def test_evaluate_qa_failure_exits_3_without_records(tmp_path, monkeypatch, caps
 def test_valid_when_stem_matches_standard(mock_embedder, mock_chat):
     index = standards_index(mock_embedder)
     mcq = make_mcq(f"{STANDARDS[1].code} {STANDARDS[1].description}")
-    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), mock_chat, tau=0.5)
-    assert verdict.verdict is Verdict.VALID
-    assert verdict.reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED
-    assert verdict.top_score == pytest.approx(1.0)
+    context, top_score = stem_retrieval(mock_embedder, index, mcq)
+    reason = ragqa_validity(mcq.stem, context, top_score, mock_chat, tau=0.5)
+    assert reason.verdict is Verdict.VALID
+    assert reason is VerdictReason.ABOVE_THRESHOLD_ANSWERED
+    assert top_score == pytest.approx(1.0)
 
 
 def test_below_threshold_skips_chat(mock_embedder):
     chat = CountingChat()
     index = standards_index(mock_embedder)
     mcq = make_mcq(DISJOINT_STEM)
-    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.5)
-    assert verdict.verdict is Verdict.INVALID
-    assert verdict.reason is VerdictReason.BELOW_THRESHOLD
+    reason = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.5)
+    assert reason.verdict is Verdict.INVALID
+    assert reason is VerdictReason.BELOW_THRESHOLD
     assert chat.calls == 0
 
 
@@ -416,9 +458,9 @@ def test_refusal_mode_invalidates(mock_embedder):
     chat = CountingChat(refuse_questions=True)
     index = standards_index(mock_embedder)
     mcq = make_mcq(STANDARDS[2].description)
-    verdict = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.3)
-    assert verdict.verdict is Verdict.INVALID
-    assert verdict.reason is VerdictReason.REFUSAL
+    reason = ragqa_validity(mcq.stem, *stem_retrieval(mock_embedder, index, mcq), chat, tau=0.3)
+    assert reason.verdict is Verdict.INVALID
+    assert reason is VerdictReason.REFUSAL
     assert chat.calls == 1
 
 
@@ -469,25 +511,15 @@ def _outcome(outcome_id: str, method: Method, failed: bool = False) -> GenOutcom
     )
 
 
-def _alignment(score: float):
-    from qgen.evaluate import AlignmentScore
-
-    return AlignmentScore(score=score, best_standard="1.1.1")
-
-
-def _verdict(valid: bool):
-    from qgen.evaluate import ValidityVerdict
-
-    if valid:
-        return ValidityVerdict(reason=VerdictReason.ABOVE_THRESHOLD_ANSWERED, top_score=0.9)
-    return ValidityVerdict(reason=VerdictReason.BELOW_THRESHOLD, top_score=0.1)
+def _record(outcome: GenOutcome, score: float, valid: bool) -> EvalRecord:
+    reason = VerdictReason.ABOVE_THRESHOLD_ANSWERED if valid else VerdictReason.BELOW_THRESHOLD
+    return EvalRecord(outcome.outcome_id, outcome.method, score, "1.1.1", reason, 0.9 if valid else 0.1)
 
 
 def test_aggregate_hand_arithmetic():
     outcomes = [_outcome(f"q{i}", Method.BASIC_PROMPT) for i in range(3)]
-    alignments = [_alignment(0.8), _alignment(0.9), _alignment(1.0)]
-    verdicts = [_verdict(True), _verdict(True), _verdict(False)]
-    (report,) = aggregate(outcomes, alignments, verdicts, embedder_tag="e")
+    records = [_record(o, score, valid) for o, score, valid in zip(outcomes, (0.8, 0.9, 1.0), (True, True, False))]
+    (report,) = aggregate(outcomes, records, embedder_tag="e")
     assert report.mean_sts == pytest.approx(0.9)
     assert report.std_sts == pytest.approx(0.1)
     assert report.validity_pct == pytest.approx(66.67, abs=0.01)
@@ -497,23 +529,23 @@ def test_aggregate_hand_arithmetic():
 
 def test_aggregate_excludes_failures_from_stats():
     outcomes = [_outcome(f"q{i:03d}", Method.BASIC_PROMPT, failed=i < 4) for i in range(100)]
-    parsed = [o for o in outcomes if not o.failed]
-    alignments = [_alignment(0.5) for _ in parsed]
-    verdicts = [_verdict(True) for _ in parsed]
-    (report,) = aggregate(outcomes, alignments, verdicts)
+    records = [_record(o, 0.5, True) for o in outcomes if not o.failed]
+    (report,) = aggregate(outcomes, records)
     assert report.parse_failure_pct == pytest.approx(4.0)
     assert report.n == 100
     assert report.mean_sts == pytest.approx(0.5)
     assert report.validity_pct == pytest.approx(100.0)
 
 
-def test_aggregate_pairs_evaluations_with_parsed_outcomes_by_position():
+def test_aggregate_groups_records_by_method():
     outcomes = [_outcome("q0", Method.BASIC_PROMPT), _outcome("q1", Method.RAG_GENERIC),
                 _outcome("q2", Method.BASIC_PROMPT, failed=True), _outcome("q3", Method.RAG_GENERIC),
                 _outcome("q4", Method.BASIC_PROMPT)]
-    alignments = [_alignment(s) for s in (0.2, 0.8, 0.4, 0.6)]
-    verdicts = [_verdict(v) for v in (True, False, False, True)]
-    basic, rag = aggregate(outcomes, alignments, verdicts)
+    parsed = [o for o in outcomes if not o.failed]
+    records = [_record(o, s, v) for o, s, v in zip(parsed, (0.2, 0.8, 0.4, 0.6), (True, False, False, True))]
+    # A method's records are found by their method, not by their position among the outcomes.
+    assert aggregate(outcomes, records[::-1]) == aggregate(outcomes, records)
+    basic, rag = aggregate(outcomes, records)
     assert (basic.method, basic.n, basic.validity_pct) == (Method.BASIC_PROMPT, 3, 100.0)
     assert basic.mean_sts == pytest.approx(0.4)
     assert basic.parse_failure_pct == pytest.approx(100 / 3)
@@ -524,8 +556,7 @@ def test_aggregate_pairs_evaluations_with_parsed_outcomes_by_position():
 def test_aggregate_sanity_bounds(mock_embedder):
     rng = random.Random(3)
     outcomes = []
-    alignments = []
-    verdicts = []
+    records = []
     scores = {}
     for method in (Method.BASIC_PROMPT, Method.RAG_GENERIC):
         for i in range(12):
@@ -533,10 +564,9 @@ def test_aggregate_sanity_bounds(mock_embedder):
             failed = rng.random() < 0.2
             outcomes.append(_outcome(oid, method, failed=failed))
             if not failed:
-                alignments.append(_alignment(rng.uniform(-1, 1)))
-                verdicts.append(_verdict(rng.random() < 0.5))
-                scores[oid] = alignments[-1].score
-    reports = aggregate(outcomes, alignments, verdicts)
+                records.append(_record(outcomes[-1], rng.uniform(-1, 1), rng.random() < 0.5))
+                scores[oid] = records[-1].score
+    reports = aggregate(outcomes, records)
     for r in reports:
         assert 0.0 <= r.validity_pct <= 100.0
         assert r.std_sts >= 0.0
